@@ -19,6 +19,7 @@ alone, one entropic step spec.dt per step.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -238,16 +239,16 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     writer.add(**named)
 
 
-def _walker_step(walkers: Ensemble, drift, shift: ShiftVelocity, dt: float) -> Ensemble:
-    """One kernel step of duration dt, same stream discipline as the sampler."""
+def _walker_step(walkers: Ensemble, drift, shift: ShiftVelocity, dt: float,
+                 time: float) -> Ensemble:
+    """One kernel step of duration dt ending at time, same stream discipline as the sampler."""
     spec = walkers.spec
     mean, cov = kernel_moments(walkers.positions, drift, shift, spec, dt)
     noise = stream(walkers.rng_seed, STREAM_WALK, walkers.step_index).standard_normal(
         walkers.positions.shape
     )
     positions = wrap_array(spec, walkers.positions + mean + np.sqrt(cov) * noise)
-    return Ensemble(positions, spec, walkers.rng_seed, walkers.time + dt,
-                    walkers.step_index + 1)
+    return Ensemble(positions, spec, walkers.rng_seed, time, walkers.step_index + 1)
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -280,14 +281,18 @@ def run_experiment(config: ExperimentConfig) -> Path:
             walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
         _observe(writer, wave, potential, shift)
 
+    t0 = wave.time
     try:
         snapshot(0)
         for step in range(1, run.steps + 1):
+            # times come from the step index: a running sum of dt_pde drifts
+            time = t0 + step * run.dt_pde
             if config.shift_mode.mode == "best_match":
                 shift = best_match_shift(from_wavefunction(wave))
             if walkers is not None:
-                walkers = _walker_step(walkers, _WaveDrift(wave), shift, run.dt_pde)
+                walkers = _walker_step(walkers, _WaveDrift(wave), shift, run.dt_pde, time)
             wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
+            wave = replace(wave, time=time)
             if step % run.snapshot_every == 0:
                 snapshot(step)
     except RedError as exc:
@@ -330,7 +335,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
     try:
         walkers_to_csv(walkers, out / "walkers_000000.csv")
         for step in range(1, run.steps + 1):
-            walkers = _walker_step(walkers, drift, shift, spec.dt)
+            walkers = _walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
             if step % run.snapshot_every == 0:
                 walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
     except RedError as exc:

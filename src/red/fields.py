@@ -23,14 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DensityFloorError, NumericalAbort, StabilityError
+from .errors import DensityFloorError, NumericalAbort
 from .model import (
     EpistemicState,
     ScalarField,
     ShiftVelocity,
     SystemSpec,
+    check_rk4_bound,
+    divergence_spectrum,
     gradient_arrays,
-    quadrature,
+    irfftn,
+    laplacian_symbol,
+    rfftn,
+    step_count,
 )
 
 DENSITY_FLOOR = 1e-300
@@ -115,6 +120,12 @@ def current_velocity(state: EpistemicState, shift: ShiftVelocity) -> VelocityFie
     return VelocityField(comps, spec)
 
 
+def _check_advective_bound(velocity: list, spec: SystemSpec, dt_pde: float) -> None:
+    """RK4 on the spectral advection term needs a Courant number of at most 0.5."""
+    courant = max(float(np.max(np.abs(v))) / h for v, h in zip(velocity, spec.spacing))
+    check_rk4_bound("advective", courant, 0.5, dt_pde)
+
+
 def fokker_planck_step(state: EpistemicState, shift: ShiftVelocity, dt_pde: float) -> EpistemicState:
     """One conservative continuity step: flux form, spectral divergence, RK4.
 
@@ -122,28 +133,14 @@ def fokker_planck_step(state: EpistemicState, shift: ShiftVelocity, dt_pde: floa
     the phase itself is not advanced here.  Callers integrating a prescribed
     drift potential re-derive the phase between steps (see diffuse()).
     """
-    if not (dt_pde > 0 and np.isfinite(dt_pde)):
-        raise ValueError(f"dt_pde must be positive and finite, got {dt_pde!r}")
+    step_count(dt_pde, dt_pde)  # validates dt_pde
     spec = state.spec
     velocity = [c.values for c in current_velocity(state, shift).components]
 
-    courant = max(
-        float(np.max(np.abs(velocity[axis]))) / spec.spacing[axis] for axis in range(spec.dim)
-    )
-    if courant * dt_pde > 0.5:
-        admissible = 0.5 / courant
-        raise StabilityError(
-            f"dt_pde={dt_pde:.3e} exceeds the advective stability bound; "
-            f"largest admissible step is {admissible:.3e}",
-            admissible_dt=admissible,
-        )
+    _check_advective_bound(velocity, spec, dt_pde)
 
     def flux_divergence(rho_values: np.ndarray) -> np.ndarray:
-        div = np.zeros_like(rho_values)
-        for axis in range(spec.dim):
-            spectrum = np.fft.fftn(rho_values * velocity[axis])
-            div += np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * spectrum).real
-        return div
+        return irfftn(divergence_spectrum([rho_values * v for v in velocity], spec), spec)
 
     rho0 = state.rho.values
     k1 = -flux_divergence(rho0)
@@ -237,11 +234,7 @@ def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
     The returned state carries the regularized osmotic phase of its own
     final density, so it can be handed to entropy_rate directly.
     """
-    steps = int(round(total_time / dt_pde))
-    if abs(steps * dt_pde - total_time) > 1e-9 * max(1.0, total_time):
-        raise ValueError("total_time must be an integer multiple of dt_pde")
-    if not (dt_pde > 0 and np.isfinite(dt_pde)):
-        raise ValueError(f"dt_pde must be positive and finite, got {dt_pde!r}")
+    steps = step_count(total_time, dt_pde)
     spec = state.spec
 
     drift_grads = gradient_arrays(drift_phi.values, spec)
@@ -251,49 +244,24 @@ def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
     ]
     osmotic = [0.5 * spec.hbar / spec.axis_masses[axis] for axis in range(spec.dim)]
 
+    heat_symbol = laplacian_symbol(spec, osmotic)
+
     # RK4 stability: the heat symbol is real, the advective one imaginary
-    heat_scale = sum(
-        osmotic[axis] * float(np.max(spec.wavenumbers[axis] ** 2)) for axis in range(spec.dim)
-    )
-    if heat_scale * dt_pde > 2.78:
-        raise StabilityError(
-            f"dt_pde={dt_pde:.3e} exceeds the diffusive stability bound; "
-            f"largest admissible step is {2.78 / heat_scale:.3e}",
-            admissible_dt=2.78 / heat_scale,
-        )
-    courant = max(
-        float(np.max(np.abs(drift_velocity[axis]))) / spec.spacing[axis]
-        for axis in range(spec.dim)
-    )
-    if courant * dt_pde > 0.5:
-        raise StabilityError(
-            f"dt_pde={dt_pde:.3e} exceeds the advective stability bound; "
-            f"largest admissible step is {0.5 / courant:.3e}",
-            admissible_dt=0.5 / courant,
-        )
+    check_rk4_bound("diffusive", float(np.max(heat_symbol)), 2.78, dt_pde)
+    _check_advective_bound(drift_velocity, spec, dt_pde)
 
     def rate(rho_values: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.fftn(rho_values)
-        heat_symbol = np.zeros(spec.grid_points)
-        for axis in range(spec.dim):
-            heat_symbol = heat_symbol + osmotic[axis] * spec.wavenumber_grid(axis) ** 2
-        out = np.fft.ifftn(-heat_symbol * spectrum).real
-        for axis in range(spec.dim):
-            flux = np.fft.fftn(rho_values * drift_velocity[axis])
-            out -= np.fft.ifftn(
-                1j * spec.derivative_wavenumber_grid(axis) * flux
-            ).real
-        return out
+        fluxes = [rho_values * v for v in drift_velocity]
+        spectrum = -heat_symbol * rfftn(rho_values, spec) - divergence_spectrum(fluxes, spec)
+        return irfftn(spectrum, spec)
 
     rho = state.rho.values
-    time = state.time
     for _ in range(steps):
         k1 = rate(rho)
         k2 = rate(rho + 0.5 * dt_pde * k1)
         k3 = rate(rho + 0.5 * dt_pde * k2)
         k4 = rate(rho + dt_pde * k3)
         rho = rho + (dt_pde / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        time += dt_pde
         lowest = float(np.min(rho))
         if lowest < POSITIVITY_MONITOR:
             raise NumericalAbort(
@@ -301,7 +269,7 @@ def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
             )
     final_rho = ScalarField(rho, spec)
     final_phase = osmotic_phase(drift_phi, final_rho, spec)
-    return EpistemicState(final_rho, final_phase, None, time)
+    return EpistemicState(final_rho, final_phase, None, state.time + steps * dt_pde)
 
 
 def entropy(rho: ScalarField) -> float:

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, StateError
+from .errors import GridError, StabilityError, StateError
 
 GRID_BUDGET = 2 ** 22
 NORMALIZATION_TOL = 1e-10
@@ -73,9 +73,6 @@ class SystemSpec:
     @property
     def total_mass(self) -> float:
         return float(sum(self.masses))
-
-    def particle_of_axis(self, axis: int) -> int:
-        return axis // self.spatial_dim
 
     def spatial_of_axis(self, axis: int) -> int:
         return axis % self.spatial_dim
@@ -145,6 +142,27 @@ class SystemSpec:
         shape = [1] * self.dim
         shape[axis] = self.grid_points[axis]
         return self.derivative_wavenumbers[axis].reshape(shape)
+
+    def _half_spectrum(self, per_axis: list) -> list:
+        """Per-axis modes on the real-FFT spectrum; the last axis keeps g//2 + 1 bins of |k|."""
+        out = []
+        for axis, k in enumerate(per_axis):
+            if axis == self.dim - 1:
+                k = np.abs(k[: self.grid_points[axis] // 2 + 1])
+            shape = [1] * self.dim
+            shape[axis] = k.size
+            out.append(k.reshape(shape))
+        return out
+
+    @cached_property
+    def half_ik(self) -> list:
+        """i*k_A on the half spectrum, with the even-grid Nyquist mode zeroed."""
+        return [1j * k for k in self._half_spectrum(self.derivative_wavenumbers)]
+
+    @cached_property
+    def half_k2(self) -> list:
+        """k_A^2 on the half spectrum."""
+        return [k ** 2 for k in self._half_spectrum(self.wavenumbers)]
 
     def mesh(self) -> list:
         """Dense coordinate arrays, one full-shape array per configuration axis."""
@@ -245,26 +263,38 @@ def gradient(f: ScalarField) -> list:
     return [ScalarField(g, f.spec) for g in gradient_arrays(f.values, f.spec)]
 
 
+def rfftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """Half spectrum of a real grid array over every configuration axis."""
+    return np.fft.rfftn(values, s=spec.grid_points, axes=tuple(range(spec.dim)))
+
+
+def irfftn(spectrum: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """Real grid array from its half spectrum."""
+    return np.fft.irfftn(spectrum, s=spec.grid_points, axes=tuple(range(spec.dim)))
+
+
+def laplacian_symbol(spec: SystemSpec, axis_weights) -> np.ndarray:
+    """sum_A w_A k_A^2 on the half spectrum: the symbol of -sum_A w_A d_A^2."""
+    return sum(w * k2 for w, k2 in zip(axis_weights, spec.half_k2))
+
+
+def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
+    """Half spectrum of sum_A d_A F_A, summed in k-space for one inverse transform."""
+    return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
+
+
 def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
     """Spectral gradient of a real or complex grid array, as plain arrays."""
     if not np.all(np.isfinite(values)):
         raise GridError("cannot differentiate non-finite field values")
+    if np.isrealobj(values):
+        spectrum = rfftn(values, spec)
+        return [irfftn(ik * spectrum, spec) for ik in spec.half_ik]
     spectrum = np.fft.fftn(values)
-    out = []
-    for axis in range(spec.dim):
-        deriv = np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * spectrum)
-        out.append(deriv.real if np.isrealobj(values) else deriv)
-    return out
-
-
-def weighted_laplacian(values: np.ndarray, spec: SystemSpec, axis_weights: np.ndarray) -> np.ndarray:
-    """sum_A w_A * d^2/dx_A^2 of a grid array, computed spectrally."""
-    spectrum = np.fft.fftn(values)
-    symbol = np.zeros(spec.grid_points, dtype=float)
-    for axis in range(spec.dim):
-        symbol = symbol + axis_weights[axis] * spec.wavenumber_grid(axis) ** 2
-    out = np.fft.ifftn(-symbol * spectrum)
-    return out.real if np.isrealobj(values) else out
+    return [
+        np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * spectrum)
+        for axis in range(spec.dim)
+    ]
 
 
 def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:
@@ -286,6 +316,30 @@ def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarr
         spectrum = spectrum * phase
     out = np.fft.ifftn(spectrum)
     return out.real if np.isrealobj(values) else out
+
+
+def step_count(total_time: float, dt_pde: float) -> int:
+    """Number of dt_pde steps spanning total_time; the one time-step validator."""
+    if not (dt_pde > 0 and np.isfinite(dt_pde)):
+        raise ValueError(f"dt_pde must be positive and finite, got {dt_pde!r}")
+    if not np.isfinite(total_time):
+        raise ValueError(f"total_time must be finite, got {total_time!r}")
+    steps = int(round(total_time / dt_pde))
+    if abs(steps * dt_pde - total_time) > 1e-9 * max(1.0, abs(total_time)):
+        raise ValueError("total_time must be an integer multiple of dt_pde")
+    if steps < 0:
+        raise ValueError("total_time must not be negative")
+    return steps
+
+
+def check_rk4_bound(kind: str, rate: float, limit: float, dt_pde: float) -> None:
+    """RK4 on a spectral term needs rate * dt_pde <= limit; report the admissible step."""
+    if rate * dt_pde > limit:
+        raise StabilityError(
+            f"dt_pde={dt_pde:.3e} exceeds the {kind} stability bound; "
+            f"largest admissible step is {limit / rate:.3e}",
+            admissible_dt=limit / rate,
+        )
 
 
 def interpolate(values: np.ndarray, spec: SystemSpec, points: np.ndarray) -> np.ndarray:

@@ -26,13 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalAbort, StabilityError, StateError
+from .errors import NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
     ShiftVelocity,
     SystemSpec,
+    check_rk4_bound,
+    divergence_spectrum,
     gradient_arrays,
+    irfftn,
+    laplacian_symbol,
+    rfftn,
+    step_count,
 )
 
 WAVE_NORM_TOL = 1e-10
@@ -152,13 +158,6 @@ def kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:
     return symbol
 
 
-def schrodinger_step(
-    wave: WaveField, potential: Potential, shift: ShiftVelocity, dt_pde: float
-) -> WaveField:
-    """One Strang-split unitary step: half potential, kinetic, half potential."""
-    return schrodinger_evolve(wave, potential, shift, dt_pde, dt_pde)
-
-
 def schrodinger_evolve(
     wave: WaveField,
     potential: Potential,
@@ -167,7 +166,7 @@ def schrodinger_evolve(
     dt_pde: float,
 ) -> WaveField:
     """Strang split-step evolution with multipliers precomputed once."""
-    steps = _step_count(total_time, dt_pde)
+    steps = step_count(total_time, dt_pde)
     spec = wave.spec
     if potential.spec != spec:
         raise StateError("potential and wave live on different grids")
@@ -307,17 +306,6 @@ def ehrenfest_diagnostic(trajectory, potential: Potential) -> EhrenfestSeries:
     return EhrenfestSeries(times[1:-1], rate, force)
 
 
-def _step_count(total_time: float, dt_pde: float) -> int:
-    if not (dt_pde > 0 and np.isfinite(dt_pde)):
-        raise ValueError(f"dt_pde must be positive and finite, got {dt_pde!r}")
-    steps = int(round(total_time / dt_pde))
-    if abs(steps * dt_pde - total_time) > 1e-9 * max(1.0, abs(total_time)):
-        raise ValueError("total_time must be an integer multiple of dt_pde")
-    if steps < 0:
-        raise ValueError("total_time must not be negative")
-    return steps
-
-
 def hamilton_step(
     state: EpistemicState, potential: Potential, shift: ShiftVelocity, dt_pde: float
 ) -> EpistemicState:
@@ -340,7 +328,7 @@ def hamilton_evolve(
     dt_pde: float,
 ) -> EpistemicState:
     """RK4 integration of the density-phase pair with a fixed shift."""
-    steps = _step_count(total_time, dt_pde)
+    steps = step_count(total_time, dt_pde)
     spec = state.spec
     if potential.spec != spec:
         raise StateError("potential and state live on different grids")
@@ -350,25 +338,13 @@ def hamilton_evolve(
             "phase grid; evolve wavefunction-derived states with schrodinger_evolve"
         )
 
+    curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber
-    dispersion = sum(
-        0.5 * spec.hbar / spec.axis_masses[axis] * float(np.max(spec.wavenumbers[axis] ** 2))
-        for axis in range(spec.dim)
-    )
-    if dispersion * dt_pde > RK4_IMAG_STABILITY:
-        raise StabilityError(
-            f"dt_pde={dt_pde:.3e} exceeds the dispersive stability bound; "
-            f"largest admissible step is {RK4_IMAG_STABILITY / dispersion:.3e}",
-            admissible_dt=RK4_IMAG_STABILITY / dispersion,
-        )
+    dispersion = float(np.max(curvature_symbol)) / spec.hbar
+    check_rk4_bound("dispersive", dispersion, RK4_IMAG_STABILITY, dt_pde)
 
     u_values = potential.values.values
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]
-    curvature_weights = np.zeros(spec.grid_points)
-    for axis in range(spec.dim):
-        curvature_weights = curvature_weights + (
-            spec.hbar ** 2 / (2.0 * spec.axis_masses[axis])
-        ) * spec.wavenumber_grid(axis) ** 2
     slope = state.phase_slope
 
     def curvature(rho_values: np.ndarray) -> np.ndarray:
@@ -380,28 +356,24 @@ def hamilton_evolve(
                 "(to_wavefunction / schrodinger_evolve)"
             )
         root = np.sqrt(rho_values)
-        bent = np.fft.ifftn(-curvature_weights * np.fft.fftn(root)).real
+        bent = irfftn(-curvature_symbol * rfftn(root, spec), spec)
         return bent / root
 
     def rates(rho_values: np.ndarray, phase_values: np.ndarray):
         phase_grads = gradient_arrays(phase_values, spec)
-        rho_rate = np.zeros_like(rho_values)
         # the curvature term enters the phase rate with a plus sign
         phase_rate = -u_values + curvature(rho_values)
+        fluxes = []
         for axis in range(spec.dim):
             total_grad = phase_grads[axis] + slope[axis]
             relative = total_grad - spec.axis_masses[axis] * shift.per_axis[axis]
             phase_rate = phase_rate - 0.5 * inverse_masses[axis] * relative ** 2
             velocity = total_grad * inverse_masses[axis] - shift.per_axis[axis]
-            flux = np.fft.fftn(rho_values * velocity)
-            rho_rate = rho_rate - np.fft.ifftn(
-                1j * spec.derivative_wavenumber_grid(axis) * flux
-            ).real
-        return rho_rate, phase_rate
+            fluxes.append(rho_values * velocity)
+        return -irfftn(divergence_spectrum(fluxes, spec), spec), phase_rate
 
     rho = state.rho.values
     phase = state.phase.values
-    time = state.time
     for _ in range(steps):
         r1, p1 = rates(rho, phase)
         r2, p2 = rates(rho + 0.5 * dt_pde * r1, phase + 0.5 * dt_pde * p1)
@@ -409,7 +381,6 @@ def hamilton_evolve(
         r4, p4 = rates(rho + dt_pde * r3, phase + dt_pde * p3)
         rho = rho + (dt_pde / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
         phase = phase + (dt_pde / 6.0) * (p1 + 2 * p2 + 2 * p3 + p4)
-        time += dt_pde
     return EpistemicState(
-        ScalarField(rho, spec), ScalarField(phase, spec), slope, time
+        ScalarField(rho, spec), ScalarField(phase, spec), slope, state.time + steps * dt_pde
     )

@@ -189,3 +189,28 @@ def test_bestmatch_report_matches_closed_form(tmp_path):
     assert report["numerical_shift"][0] == pytest.approx(BOOST, abs=1e-8)
     assert report["total_mass"] == 2.0
     assert report["mismatch_at_optimum"]["constant_term"] == pytest.approx(10.0)
+
+
+def test_run_times_come_from_the_step_index(tmp_path, monkeypatch):
+    # a running sum of 100 * 1e-3 gives 0.10000000000000007
+    doc = config_doc(tmp_path)
+    doc["run"].update(steps=100, dt_pde=1e-3, snapshot_every=100)
+    out = run_experiment(parse(doc))
+    assert read_observables(out / "observables.csv")["t"][-1] == 0.1
+    assert read_json(out / "wave_000100.json")["time"] == 0.1
+
+    evolve = experiment.schrodinger_evolve
+    calls = []
+
+    def fail_after_100(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 100:
+            raise NumericalAbort("synthetic failure after 100 steps")
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "schrodinger_evolve", fail_after_100)
+    doc["run"]["steps"] = 101
+    doc["outputs"] = str(tmp_path / "aborted")
+    with pytest.raises(NumericalAbort):
+        run_experiment(parse(doc))
+    assert read_json(tmp_path / "aborted" / "error.json")["time"] == 0.1

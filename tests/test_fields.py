@@ -237,3 +237,25 @@ def test_fokker_planck_mass_conservation_random_states(seed):
     out = fokker_planck_step(state, ShiftVelocity(np.array([0.1]), spec), 1e-3)
     assert abs(quadrature(out.rho) - 1.0) < 1e-12
     assert float(np.min(out.rho.values)) > -1e-10
+
+
+@pytest.mark.parametrize("total_time, dt_pde, message", [
+    (0.1, 0.0, "dt_pde must be positive"),
+    (0.1, float("nan"), "dt_pde must be positive"),
+    (-0.1, 1e-3, "must not be negative"),
+])
+def test_diffuse_rejects_bad_step_parameters(total_time, dt_pde, message):
+    spec = spec_1p(n=64)
+    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
+    drift = ScalarField.constant(spec, 0.0)
+    with pytest.raises(ValueError, match=message):
+        diffuse(state, drift, ShiftVelocity.zero(spec), total_time, dt_pde)
+
+
+def test_diffuse_time_comes_from_the_step_index():
+    # a running sum of 100 * 1e-3 gives 0.10000000000000007
+    spec = spec_1p(n=64)
+    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
+    drift = ScalarField.constant(spec, 0.0)
+    evolved = diffuse(state, drift, ShiftVelocity.zero(spec), 0.1, 1e-3)
+    assert evolved.time == 0.1

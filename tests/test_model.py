@@ -14,6 +14,7 @@ from red.model import (
     interpolate,
     normalized_density,
     quadrature,
+    step_count,
     translate_array,
     wrap,
     wrap_array,
@@ -221,3 +222,13 @@ def test_ensemble_wraps_walkers():
     assert np.all(e.positions >= 0.0)
     assert np.all(e.positions < 4.0)
     assert e.size == 2
+
+
+def test_step_count_validates_its_inputs():
+    assert step_count(0.1, 1e-3) == 100
+    assert step_count(0.0, 1e-3) == 0
+    for total_time, dt_pde in [(0.1, 0.0), (0.1, -1e-3), (0.1, float("nan")), (0.1, float("inf")),
+                               (float("nan"), 1e-3), (float("inf"), 1e-3), (-0.1, 1e-3),
+                               (0.1, 0.03)]:
+        with pytest.raises(ValueError):
+            step_count(total_time, dt_pde)

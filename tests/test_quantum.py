@@ -437,3 +437,10 @@ def test_expected_momentum_of_lattice_packet():
     wave = packet_wave(spec, centers=(6.0, 10.0), sigmas=(1.2, 1.4), modes=(3, -2))
     expected = lattice_momentum(spec, 0, 3) + lattice_momentum(spec, 1, -2)
     assert expected_momentum(wave)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_hamilton_time_comes_from_the_step_index():
+    # a running sum of 100 * 1e-3 gives 0.10000000000000007
+    state = gaussian_state(SPEC_1D, sigma=1.5, uniform_mix=1e-3)
+    evolved = hamilton_evolve(state, Potential.free(SPEC_1D), ShiftVelocity.zero(SPEC_1D), 0.1, 1e-3)
+    assert evolved.time == 0.1
