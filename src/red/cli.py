@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-# Best-effort thread cap: RED_THREADS=0 (or unset) leaves library defaults.
-_threads = os.environ.get("RED_THREADS", "0")
-if _threads not in ("", "0"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 from .errors import ConfigError, RedError, UnknownSuiteError
 

@@ -205,7 +205,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
             ])
         return ShiftVelocity.zero(spec)
     # best_match, recomputed every step
-    return best_match_shift(from_wavefunction(wave))
+    return best_match_shift(wave.state)
 
 
 def _manifest(config: ExperimentConfig) -> dict:
@@ -220,13 +220,15 @@ def _manifest(config: ExperimentConfig) -> dict:
 def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
              shift: ShiftVelocity) -> None:
     spec = wave.spec
-    state = from_wavefunction(wave)
+    # one state per snapshot: its phase gradients serve the mismatch and the
+    # energy alike, and the next step's best match reuses it
+    state = wave.state
     momentum = expected_momentum(wave)
     report = info_metric_g(state, shift)
     named = {
         "t": wave.time,
         "energy": total_energy(wave, potential, shift),
-        "norm": quadrature(ScalarField(np.abs(wave.values) ** 2, spec)),
+        "norm": quadrature(state.rho),
         "entropy": entropy(state.rho),
         "g_total": report.g_total,
         "g_constant": report.constant_term,
@@ -288,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             # times come from the step index: a running sum of dt_pde drifts
             time = t0 + step * run.dt_pde
             if config.shift_mode.mode == "best_match":
-                shift = best_match_shift(from_wavefunction(wave))
+                shift = best_match_shift(wave.state)
             if walkers is not None:
                 walkers = _walker_step(walkers, _WaveDrift(wave), shift, run.dt_pde, time)
             wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)

@@ -76,6 +76,21 @@ def drift_from_phase(phase: ScalarField, rho: ScalarField, spec: SystemSpec) -> 
     return ScalarField(phase.values / spec.hbar + 0.5 * np.log(vals), spec)
 
 
+def masked_wave(state: EpistemicState) -> tuple:
+    """(alive, psi) of a wrapped state: psi = sqrt(rho) exp(i Phi / hbar), 0 where not alive.
+
+    alive marks cells with rho above PHASE_DEAD_RELATIVE * max(rho); the
+    slope is not included.  A state read off a wavefunction carries psi as
+    wave_values and skips the complex exponential.
+    """
+    rho = state.rho.values
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    if state.wave_values is not None:
+        return alive, np.where(alive, state.wave_values, 0.0)
+    amplitude = np.where(alive, np.sqrt(np.clip(rho, 0.0, None)), 0.0)
+    return alive, amplitude * np.exp(1j * state.phase.values / state.spec.hbar)
+
+
 def phase_gradient_arrays(state: EpistemicState) -> list:
     """grad Phi per axis, plus the exact slope contribution.
 
@@ -97,9 +112,7 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
         grads = gradient_arrays(state.phase.values, spec)
         return [g + state.phase_slope[axis] for axis, g in enumerate(grads)]
     rho = state.rho.values
-    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
-    amplitude = np.where(alive, np.sqrt(np.clip(rho, 0.0, None)), 0.0)
-    psi = amplitude * np.exp(1j * state.phase.values / spec.hbar)
+    alive, psi = masked_wave(state)
     grads = gradient_arrays(psi, spec)
     safe_rho = np.where(alive, rho, 1.0)
     return [
@@ -286,7 +299,7 @@ def entropy_rate(state: EpistemicState) -> float:
     """
     spec = state.spec
     rho_grads = gradient_arrays(state.rho.values, spec)
-    phase_grads = phase_gradient_arrays(state)
+    phase_grads = state.phase_gradients
     total = 0.0
     for axis in range(spec.dim):
         total -= float(np.sum(rho_grads[axis] * phase_grads[axis])) / spec.axis_masses[axis]

@@ -26,8 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import entropy_rate, phase_gradient_arrays, sqrt_density_gradient_arrays
-from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec, gradient_arrays, quadrature
+from .fields import entropy_rate, masked_wave, phase_gradient_arrays, sqrt_density_gradient_arrays
+from .model import (
+    EpistemicState,
+    ScalarField,
+    ShiftVelocity,
+    SystemSpec,
+    gradient_arrays,
+    mode_momentum,
+    quadrature,
+)
 from .sampler import STREAM_MONTE_CARLO, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
@@ -69,7 +77,7 @@ def ensemble_hamiltonian_h0(state: EpistemicState, shift: ShiftVelocity) -> floa
     """Flow kinetic energy relative to the shift plus the curvature term."""
     spec = state.spec
     rho = state.rho.values
-    phase_grads = phase_gradient_arrays(state)
+    phase_grads = state.phase_gradients
     root_grads = sqrt_density_gradient_arrays(state)
     total = 0.0
     for axis in range(spec.dim):
@@ -157,11 +165,26 @@ def info_metric_g_mc(
 
 
 def total_momentum(state: EpistemicState) -> np.ndarray:
-    """Density-weighted total flow momentum per spatial axis, shape (d,)."""
+    """Density-weighted total flow momentum per spatial axis, shape (d,).
+
+    A wrapped state is summed in mode space from one forward FFT of its
+    masked wave (fields.masked_wave): by Parseval, int rho d_A Phi over the
+    alive cells is hbar * cell_volume / N * sum_k k_A |psi_k|^2, and the
+    slope adds slope_A * int rho.  A smooth phase is differentiated as it
+    stands.
+    """
     spec = state.spec
     rho = state.rho.values
-    phase_grads = phase_gradient_arrays(state)
     out = np.zeros(spec.spatial_dim)
+    if state.phase_wrapped:
+        _, psi = masked_wave(state)
+        power = np.abs(np.fft.fftn(psi)) ** 2
+        out += spec.hbar * spec.cell_volume / psi.size * mode_momentum(power, spec)
+        mass = float(np.sum(rho)) * spec.cell_volume
+        for axis in range(spec.dim):
+            out[spec.spatial_of_axis(axis)] += state.phase_slope[axis] * mass
+        return out
+    phase_grads = phase_gradient_arrays(state)
     for axis in range(spec.dim):
         out[spec.spatial_of_axis(axis)] += float(np.sum(rho * phase_grads[axis])) * spec.cell_volume
     return out

@@ -283,6 +283,23 @@ def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
     return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
 
 
+def mode_momentum(power: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """sum_k k_A |psi_k|^2 summed onto the spatial axes, shape (d,).
+
+    power is |fftn(psi)|^2 on the full mode grid.  The k_A are the
+    odd-derivative wavenumbers of gradient_arrays, so by Parseval
+    hbar * cell_volume / N times this is the quadrature of
+    Im(conj(psi) grad_A psi) per spatial axis.  Each axis is reduced to its
+    1-D marginal first, which needs no full-grid wavenumber array.
+    """
+    out = np.zeros(spec.spatial_dim)
+    for axis in range(spec.dim):
+        others = tuple(a for a in range(spec.dim) if a != axis)
+        marginal = np.sum(power, axis=others)
+        out[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
+    return out
+
+
 def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
     """Spectral gradient of a real or complex grid array, as plain arrays."""
     if not np.all(np.isfinite(values)):
@@ -368,7 +385,9 @@ class EpistemicState:
     phase_wrapped marks grids that store the phase modulo 2*pi*hbar, as
     recovered from a wavefunction argument.  Smooth (unwrapped) phase grids
     can be differentiated directly; wrapped ones must go through the
-    complex exponential.
+    complex exponential.  wave_values, when given, is that exponential
+    times sqrt(rho) (the slope part excluded): the wavefunction a wrapped
+    state was read from, which spares rebuilding it.
     """
 
     rho: ScalarField
@@ -377,6 +396,7 @@ class EpistemicState:
     time: float = 0.0
     phase_mask: np.ndarray = None
     phase_wrapped: bool = False
+    wave_values: np.ndarray = None
 
     def __post_init__(self):
         if self.phase.spec is not self.rho.spec and self.phase.spec != self.rho.spec:
@@ -400,10 +420,22 @@ class EpistemicState:
             if mask.shape != tuple(self.spec.grid_points):
                 raise StateError("phase_mask shape does not match the grid")
             object.__setattr__(self, "phase_mask", mask)
+        if self.wave_values is not None and np.shape(self.wave_values) != tuple(self.spec.grid_points):
+            raise StateError("wave_values shape does not match the grid")
 
     @property
     def spec(self) -> SystemSpec:
         return self.rho.spec
+
+    @cached_property
+    def phase_gradients(self) -> tuple:
+        """fields.phase_gradient_arrays of this state, computed once; read-only arrays."""
+        from .fields import phase_gradient_arrays  # fields builds on this module
+
+        grads = tuple(phase_gradient_arrays(self))
+        for g in grads:
+            g.flags.writeable = False
+        return grads
 
     @property
     def masked_cell_count(self) -> int:

@@ -23,6 +23,7 @@ is imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .model import (
     gradient_arrays,
     irfftn,
     laplacian_symbol,
+    mode_momentum,
     rfftn,
     step_count,
 )
@@ -73,6 +75,14 @@ class WaveField:
     def density(self) -> ScalarField:
         return ScalarField(np.abs(self.values) ** 2, self.spec)
 
+    @cached_property
+    def state(self) -> EpistemicState:
+        """from_wavefunction(self), computed once; its arrays are read-only."""
+        state = from_wavefunction(self)
+        for array in (state.rho.values, state.phase.values, state.phase_mask):
+            array.flags.writeable = False
+        return state
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -101,6 +111,23 @@ class Potential:
     @classmethod
     def free(cls, spec: SystemSpec) -> "Potential":
         return cls.from_values(np.zeros(spec.grid_points), spec, relational_flag=True)
+
+    def split_factors(self, dt_pde: float) -> tuple:
+        """(half-potential, rest-frame kinetic) multipliers of a split step of dt_pde.
+
+        exp(-i dt_pde U / (2 hbar)) and exp(-i dt_pde kinetic_symbol(zero shift) / hbar),
+        both read-only; the pair of the last dt_pde is kept on the potential.
+        """
+        memo = self.__dict__.get("_split_factors")
+        if memo is None or memo[0] != dt_pde:
+            spec = self.spec
+            half = np.exp(-0.5j * dt_pde * self.values.values / spec.hbar)
+            rest = kinetic_factor(spec, ShiftVelocity.zero(spec), dt_pde)
+            half.flags.writeable = False
+            rest.flags.writeable = False
+            memo = (dt_pde, half, rest)
+            object.__setattr__(self, "_split_factors", memo)
+        return memo[1], memo[2]
 
 
 def to_wavefunction(state: EpistemicState) -> WaveField:
@@ -145,6 +172,7 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
         wave.time,
         phase_mask=mask,
         phase_wrapped=True,
+        wave_values=wave.values,
     )
 
 
@@ -158,6 +186,27 @@ def kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:
     return symbol
 
 
+def kinetic_factor(spec: SystemSpec, shift: ShiftVelocity, dt_pde: float,
+                   rest: np.ndarray = None) -> np.ndarray:
+    """exp(-i dt_pde kinetic_symbol / hbar) from the rest-frame factor (Galilean covariance).
+
+    (hbar k_A - m_A s_A)^2 / (2 m_A hbar) = hbar k_A^2 / (2 m_A) - k_A s_A + m_A s_A^2 / (2 hbar),
+    so a shift multiplies the rest-frame factor by per-axis 1-D phases
+    exp(i dt_pde k_A s_A) and one global phase: a few complex multiplies per
+    cell instead of a full-grid exponential.  rest is the shift-free factor
+    (Potential.split_factors keeps it); with a zero shift it is returned as is.
+    """
+    if rest is None:
+        rest = np.exp(-1j * dt_pde * kinetic_symbol(spec, ShiftVelocity.zero(spec)) / spec.hbar)
+    if not np.any(shift.components):
+        return rest
+    per_axis = shift.per_axis
+    moved = np.exp(-1j * dt_pde * float(np.sum(spec.axis_masses * per_axis ** 2)) / (2.0 * spec.hbar))
+    for axis in range(spec.dim):
+        moved = moved * np.exp(1j * dt_pde * spec.wavenumber_grid(axis) * per_axis[axis])
+    return rest * moved
+
+
 def schrodinger_evolve(
     wave: WaveField,
     potential: Potential,
@@ -165,13 +214,18 @@ def schrodinger_evolve(
     total_time: float,
     dt_pde: float,
 ) -> WaveField:
-    """Strang split-step evolution with multipliers precomputed once."""
+    """Strang split-step evolution.
+
+    The half-potential and rest-frame kinetic factors are kept on the
+    potential between calls with the same dt_pde; the shift enters through
+    per-axis 1-D phases (kinetic_factor).
+    """
     steps = step_count(total_time, dt_pde)
     spec = wave.spec
     if potential.spec != spec:
         raise StateError("potential and wave live on different grids")
-    half_potential = np.exp(-0.5j * dt_pde * potential.values.values / spec.hbar)
-    kinetic = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
+    half_potential, rest = potential.split_factors(dt_pde)
+    kinetic = kinetic_factor(spec, shift, dt_pde, rest)
     values = wave.values
     for _ in range(steps):
         values = values * half_potential
@@ -191,14 +245,8 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     Re[psi* (-i hbar) sum_n d psi / dx_n^a] exactly (both use the
     odd-derivative wavenumbers, so the empty sawtooth mode counts as 0).
     """
-    spec = wave.spec
-    spectrum = np.abs(np.fft.fftn(wave.values)) ** 2
-    weight = float(np.sum(spectrum))
-    out = np.zeros(spec.spatial_dim)
-    for axis in range(spec.dim):
-        k = spec.derivative_wavenumber_grid(axis)
-        out[spec.spatial_of_axis(axis)] += spec.hbar * float(np.sum(k * spectrum)) / weight
-    return out
+    power = np.abs(np.fft.fftn(wave.values)) ** 2
+    return wave.spec.hbar * mode_momentum(power, wave.spec) / float(np.sum(power))
 
 
 def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) -> float:
@@ -207,14 +255,12 @@ def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) ->
     This is the conserved quantity of the coupled (rho, Phi) equations;
     the split-step integrator preserves it to second order in dt_pde.
     """
-    spec = wave.spec
-    rho = np.abs(wave.values) ** 2
-    state = from_wavefunction(wave)
+    state = wave.state
     # flow and curvature pieces, as in the mismatch decomposition
     from .geometry import ensemble_hamiltonian_h0
 
     h0 = ensemble_hamiltonian_h0(state, shift)
-    return h0 + float(np.sum(potential.values.values * rho)) * spec.cell_volume
+    return h0 + float(np.sum(potential.values.values * state.rho.values)) * wave.spec.cell_volume
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, GridError
+from .io import write_float_csv
 from .model import (
     ConfigPoint,
     Ensemble,
@@ -203,11 +204,7 @@ def sample_from_density(rho: ScalarField, n: int, rng: np.random.Generator) -> n
 
 def walkers_to_csv(ensemble: Ensemble, path) -> None:
     """Write walker positions as CSV with header x_0,...,x_{D-1}."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"x_{a}" for a in range(ensemble.spec.dim)])
-        for row in ensemble.positions:
-            writer.writerow([format(v, ".17g") for v in row])
+    write_float_csv(path, [f"x_{a}" for a in range(ensemble.spec.dim)], ensemble.positions)
 
 
 def walkers_from_csv(path, spec: SystemSpec, rng_seed: int = 0, time: float = 0.0) -> Ensemble:

@@ -1,15 +1,22 @@
 """CLI subcommands, flags, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import red
 import red.experiment
 import red.verify
 from red.cli import main
 from red.errors import NumericalAbort
-from red.io import read_json, read_observables
+from red.io import read_json, read_observables, wave_to_csv
+from red.model import SystemSpec
+from red.quantum import WaveField
 
 BOOST = float(2.0 * np.pi * 2 / 16.0)
 
@@ -53,6 +60,20 @@ def test_config_error_exits_2(tmp_path, capsys):
                                           "dt": 0.05, "masses": [-2.0]})
     assert main(["run", "--config", str(path)]) == 2
     assert "/system/masses/0" in capsys.readouterr().err
+
+
+def test_malformed_initial_wave_exits_2(tmp_path, capsys):
+    spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
+    wave = WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec)
+    wave_to_csv(wave, tmp_path / "wave.csv")
+    body = (tmp_path / "wave.csv").read_text().splitlines()
+    body[7] = "0.0625,not-a-number"
+    (tmp_path / "wave.csv").write_text("\n".join(body) + "\n")
+    path = write_config(tmp_path, initial_state={"file": str(tmp_path / "wave.csv")})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "/initial_state/file" in err
+    assert "malformed" in err
 
 
 def test_numerical_abort_exits_3(tmp_path, capsys, monkeypatch):
@@ -126,3 +147,28 @@ def test_run_observables_columns(tmp_path):
         table["g_constant"] + table["g_entropy"] + table["g_h0"],
         atol=1e-12,
     )
+
+
+def _bundled_openblas():
+    """numpy's own scipy-openblas library, when the wheel ships one."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    return libs[0] if libs else None
+
+
+@pytest.mark.skipif(_bundled_openblas() is None, reason="numpy bundles no scipy-openblas library")
+def test_red_threads_caps_openblas_before_numpy_loads():
+    probe = (
+        "import ctypes, sys\n"
+        "import red.cli\n"
+        "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+        "get.argtypes, get.restype = [], ctypes.c_int\n"
+        "print(get())\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["RED_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(red.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe, str(_bundled_openblas())],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"

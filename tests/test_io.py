@@ -1,22 +1,25 @@
 """Snapshot and table formats: round trips, validation, determinism."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from red.errors import ConsistencyError
 from red.io import (
+    CSV_BLOCK_ROWS,
     ObservablesWriter,
-    density_from_csv,
-    density_to_csv,
     read_json,
     read_observables,
     wave_from_csv,
     wave_to_csv,
+    write_float_csv,
     write_json,
 )
-from red.model import SystemSpec
+from red.model import Ensemble, SystemSpec
 from red.presets import gaussian_wave_values
 from red.quantum import WaveField
+from red.sampler import walkers_to_csv
 
 SPEC = SystemSpec(1, 1, (1.0,), (16.0,), (32,), dt=0.05)
 SPEC_2D = SystemSpec(2, 1, (1.0, 2.0), (16.0,), (16, 16), dt=0.05)
@@ -64,12 +67,87 @@ def test_wave_header_checked(tmp_path):
         wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
-def test_density_round_trip(tmp_path):
-    values = np.abs(make_wave(SPEC_2D).values) ** 2
-    density_to_csv(values, SPEC_2D, 1.25, tmp_path / "rho.csv")
-    back, time = density_from_csv(tmp_path / "rho.csv", SPEC_2D)
-    assert time == 1.25
-    assert np.array_equal(back, values)
+def _csv_writer_reference(path, header, table):
+    """The row-at-a-time csv.writer output the block writer must reproduce."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in table:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0, -1e-300, 2.0 ** 53 + 1, -123.456])
+ROW_COUNTS = [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+
+
+def _edge_table(rows, columns):
+    """rows x columns of edge values, cycled so both sides of a block boundary see each one."""
+    return np.resize(EDGE_VALUES, rows * columns).reshape(rows, columns)
+
+
+@pytest.mark.parametrize("columns, header", [(2, ["real", "imaginary"]), (4, ["x_0", "x_1", "x_2", "x_3"])])
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_float_csv_bytes_match_csv_writer(tmp_path, rows, columns, header):
+    table = _edge_table(rows, columns)
+    write_float_csv(tmp_path / "block.csv", header, table)
+    _csv_writer_reference(tmp_path / "reference.csv", header, table)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_float_csv_renders_repr_precision(tmp_path):
+    write_float_csv(tmp_path / "edge.csv", ["a", "b"], EDGE_VALUES[:4].reshape(2, 2))
+    assert (tmp_path / "edge.csv").read_bytes() == (
+        b"a,b\r\n-0,4.9406564584124654e-324\r\n1.0000000000000001e+300,0.10000000000000001\r\n"
+    )
+
+
+def _unit_wave(values):
+    """A 1-D wave holding exactly these values: the box is chosen to make the norm 1."""
+    cells = values.size
+    box = cells / float(np.sum(np.abs(values) ** 2))
+    spec = SystemSpec(1, 1, (1.0,), (box,), (cells,), dt=0.05)
+    return WaveField(values, spec)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS[1:])
+def test_wave_csv_bytes_match_csv_writer(tmp_path, rows):
+    raw = np.resize(np.array([1.0, -0.0, -0.0, 5e-324, 0.1, 1.0, 0.5, 0.1]), 2 * rows)
+    wave = _unit_wave(raw[0::2] + 1j * raw[1::2])
+    wave_to_csv(wave, tmp_path / "wave.csv")
+    pairs = np.column_stack((wave.values.real, wave.values.imag))
+    _csv_writer_reference(tmp_path / "reference.csv", ["real", "imaginary"], pairs)
+    assert (tmp_path / "wave.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = wave_from_csv(tmp_path / "wave.csv", wave.spec)
+    assert np.array_equal(back.values, wave.values)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_walker_csv_bytes_match_csv_writer(tmp_path, rows):
+    spec = SystemSpec(2, 2, (1.0, 1.0), (1e301, 1e301), (4, 4, 4, 4), dt=0.05)
+    ensemble = Ensemble(np.abs(_edge_table(rows, spec.dim)), spec, rng_seed=0)
+    walkers_to_csv(ensemble, tmp_path / "walkers.csv")
+    _csv_writer_reference(tmp_path / "reference.csv", ["x_0", "x_1", "x_2", "x_3"], ensemble.positions)
+    assert (tmp_path / "walkers.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row", ["1.0,abc", "1.0", "1.0,2.0,3.0", "#1.0,2.0"])
+def test_wave_malformed_row_rejected(tmp_path, row):
+    wave = make_wave(SPEC)
+    wave_to_csv(wave, tmp_path / "wave.csv")
+    body = (tmp_path / "wave.csv").read_text().splitlines()
+    body[5] = row
+    (tmp_path / "wave.csv").write_text("\n".join(body) + "\n")
+    with pytest.raises(ConsistencyError):
+        wave_from_csv(tmp_path / "wave.csv", SPEC)
+
+
+def test_wave_row_count_checked(tmp_path):
+    wave = make_wave(SPEC)
+    wave_to_csv(wave, tmp_path / "wave.csv")
+    body = (tmp_path / "wave.csv").read_text().splitlines()
+    (tmp_path / "wave.csv").write_text("\n".join(body[:-1]) + "\n")
+    with pytest.raises(ConsistencyError, match="rows"):
+        wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
 def test_write_json_deterministic(tmp_path):
@@ -92,6 +170,18 @@ def test_observables_writer_round_trip(tmp_path):
     table = read_observables(tmp_path / "obs.csv")
     for key, value in row.items():
         assert table[key][0] == value
+
+
+def test_observables_writer_bytes_match_csv_writer(tmp_path):
+    writer = ObservablesWriter(spatial_dim=1)
+    writer.write(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == (",".join(writer.header) + "\r\n").encode()
+    table = _edge_table(3, len(writer.header))
+    for row in table:
+        writer.add(**dict(zip(writer.header, row)))
+    writer.write(tmp_path / "obs.csv")
+    _csv_writer_reference(tmp_path / "reference.csv", writer.header, table)
+    assert (tmp_path / "obs.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_observables_writer_rejects_bad_rows():

@@ -1,0 +1,201 @@
+"""The `red run` step: mode-space best matching, split-step factors, cached state, and the loop."""
+
+import json
+
+import numpy as np
+import pytest
+
+from red.config import parse_config
+from red.experiment import build_initial_wave, build_potential, run_experiment
+from red.fields import entropy, phase_gradient_arrays
+from red.geometry import info_metric_g, total_momentum
+from red.io import read_observables
+from red.model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
+from red.presets import gaussian_state
+from red.quantum import (
+    Potential,
+    WaveField,
+    from_wavefunction,
+    kinetic_factor,
+    kinetic_symbol,
+    to_wavefunction,
+)
+
+
+def gradient_form_momentum(state):
+    """int rho d_A Phi per spatial axis through the real-space phase gradient."""
+    spec = state.spec
+    out = np.zeros(spec.spatial_dim)
+    for axis, grad in enumerate(phase_gradient_arrays(state)):
+        out[spec.spatial_of_axis(axis)] += float(np.sum(state.rho.values * grad)) * spec.cell_volume
+    return out
+
+
+def narrow_wave(grid, box=16.0, sigma=0.8):
+    """A boosted narrow packet whose far tails underflow below the dead-cell threshold."""
+    dim = len(grid)
+    spec = SystemSpec(dim, 1, tuple(1.0 + 0.5 * n for n in range(dim)), (box,), grid, dt=0.05)
+    slope = np.array([2.0 * np.pi * (n + 1) / box for n in range(dim)])
+    state = gaussian_state(spec, center=np.full(dim, 0.45 * box), sigma=np.full(dim, sigma),
+                           slope=slope)
+    return to_wavefunction(state)
+
+
+@pytest.mark.parametrize("grid", [(32,), (33,), (32, 32), (31, 33), (32, 31)])
+def test_mode_space_momentum_matches_gradient_form(grid):
+    state = from_wavefunction(narrow_wave(grid))
+    rho = state.rho.values
+    # the packet's tails are dead cells: the alive mask really cuts something
+    assert np.any(rho <= 1e-15 * float(np.max(rho)))
+    got = total_momentum(state)
+    want = gradient_form_momentum(state)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("grid", [(32, 32), (31, 33)])
+def test_mode_space_momentum_keeps_the_slope_term(grid):
+    wrapped = from_wavefunction(narrow_wave(grid))
+    slope = np.array([0.37, -1.25])
+    state = EpistemicState(wrapped.rho, wrapped.phase, slope, phase_mask=wrapped.phase_mask,
+                           phase_wrapped=True)
+    got = total_momentum(state)
+    want = gradient_form_momentum(state)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("components", [[0.3, -1.1], [0.0, 2.7]])
+def test_kinetic_factor_matches_full_grid_exponential(components):
+    spec = SystemSpec(2, 2, (1.0, 2.5), (7.0, 9.0), (6, 7, 5, 8), dt=0.05, hbar=0.7)
+    shift = ShiftVelocity(np.array(components), spec)
+    dt_pde = 0.013
+    want = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
+    got = kinetic_factor(spec, shift, dt_pde)
+    assert got.shape == spec.grid_points
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_zero_shift_kinetic_factor_is_the_full_grid_exponential():
+    spec = SystemSpec(2, 1, (1.0, 1.5), (16.0,), (16, 17), dt=0.05)
+    zero = ShiftVelocity.zero(spec)
+    want = np.exp(-1j * 0.01 * kinetic_symbol(spec, zero) / spec.hbar)
+    assert np.array_equal(kinetic_factor(spec, zero, 0.01), want)
+
+
+def test_split_factors_are_kept_per_dt():
+    spec = SystemSpec(1, 1, (1.0,), (8.0,), (16,), dt=0.05, hbar=0.9)
+    potential = Potential.from_values(np.linspace(0.0, 3.0, 16), spec)
+    half, rest = potential.split_factors(0.01)
+    again = potential.split_factors(0.01)
+    assert again[0] is half and again[1] is rest
+    assert not half.flags.writeable and not rest.flags.writeable
+    assert np.array_equal(half, np.exp(-0.5j * 0.01 * potential.values.values / spec.hbar))
+    assert np.array_equal(rest, kinetic_factor(spec, ShiftVelocity.zero(spec), 0.01))
+    half, _ = potential.split_factors(0.02)
+    assert np.array_equal(half, np.exp(-0.5j * 0.02 * potential.values.values / spec.hbar))
+
+
+def test_wave_state_and_phase_gradients_are_cached_read_only():
+    wave = narrow_wave((16, 16), sigma=1.5)
+    state = wave.state
+    assert wave.state is state
+    assert not state.rho.values.flags.writeable
+    assert not state.phase.values.flags.writeable
+    fresh = from_wavefunction(wave)
+    assert np.array_equal(state.rho.values, fresh.rho.values)
+    assert np.array_equal(state.phase.values, fresh.phase.values)
+    grads = state.phase_gradients
+    assert state.phase_gradients is grads
+    for got, want in zip(grads, phase_gradient_arrays(fresh)):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------- frozen loop
+
+
+def frozen_split_step(values, potential, shift, dt_pde):
+    """One Strang step with both multipliers built as full-grid exponentials."""
+    spec = potential.spec
+    half = np.exp(-0.5j * dt_pde * potential.values.values / spec.hbar)
+    kinetic = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
+    values = values * half
+    values = np.fft.ifftn(kinetic * np.fft.fftn(values))
+    return values * half
+
+
+def frozen_expected_momentum(values, spec):
+    spectrum = np.abs(np.fft.fftn(values)) ** 2
+    weight = float(np.sum(spectrum))
+    out = np.zeros(spec.spatial_dim)
+    for axis in range(spec.dim):
+        k = spec.derivative_wavenumber_grid(axis)
+        out[spec.spatial_of_axis(axis)] += spec.hbar * float(np.sum(k * spectrum)) / weight
+    return out
+
+
+def frozen_row(wave, potential, shift):
+    """The observables row from fresh (uncached) states, one per quantity as before."""
+    spec = wave.spec
+    report = info_metric_g(from_wavefunction(wave), shift)
+    rho = np.abs(wave.values) ** 2
+    energy = report.h0_term + float(np.sum(potential.values.values * rho)) * spec.cell_volume
+    row = {
+        "t": wave.time,
+        "energy": energy,
+        "norm": float(np.sum(rho) * spec.cell_volume),
+        "entropy": entropy(ScalarField(rho, spec)),
+        "g_total": report.g_total,
+        "g_constant": report.constant_term,
+        "g_entropy": report.entropy_term,
+        "g_h0": report.h0_term,
+    }
+    momentum = frozen_expected_momentum(wave.values, spec)
+    for a in range(spec.spatial_dim):
+        row[f"momentum_{a}"] = momentum[a]
+        row[f"shift_{a}"] = shift.components[a]
+    return row
+
+
+def frozen_run(config):
+    """The run loop before mode-space best matching and factor caching, observables only."""
+    spec = config.spec
+    run = config.run
+    wave = build_initial_wave(config)
+    potential = build_potential(config)
+
+    def best_match(wave):
+        return ShiftVelocity(gradient_form_momentum(from_wavefunction(wave)) / spec.total_mass, spec)
+
+    t0 = wave.time
+    shift = best_match(wave)
+    rows = [frozen_row(wave, potential, shift)]
+    for step in range(1, run.steps + 1):
+        shift = best_match(wave)
+        values = frozen_split_step(wave.values, potential, shift, run.dt_pde)
+        wave = WaveField(values, spec, t0 + step * run.dt_pde)
+        if step % run.snapshot_every == 0:
+            rows.append(frozen_row(wave, potential, shift))
+    return rows
+
+
+def test_run_observables_match_frozen_loop(tmp_path):
+    boost = 2.0 * np.pi * 2 / 16.0
+    doc = {
+        "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 1.5], "box": [16.0],
+                   "grid": [48, 48], "dt": 0.05},
+        "initial_state": {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [1.6, 1.9],
+                          "boost": [boost]},
+        "drift_or_potential": {"preset": "smooth_harmonic_relational", "k": 0.4},
+        "shift_mode": {"mode": "best_match"},
+        "run": {"steps": 12, "dt_pde": 0.01, "snapshot_every": 4, "seed": 1},
+        "outputs": str(tmp_path / "run"),
+    }
+    config = parse_config(json.dumps(doc))
+    table = read_observables(run_experiment(config) / "observables.csv")
+    rows = frozen_run(config)
+    assert len(table["t"]) == len(rows) == 4
+    assert abs(rows[0]["momentum_0"]) > 0.1
+    for column, values in table.items():
+        want = np.array([row[column] for row in rows])
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        assert np.max(np.abs(values - want)) <= 1e-12 * scale, column
