@@ -13,26 +13,20 @@ if _threads not in ("", "0"):
 __version__ = "0.1.0"
 
 from .model import (  # noqa: E402
-    ConfigPoint,
     Ensemble,
     EpistemicState,
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    gradient,
     quadrature,
-    wrap,
 )
 
 __all__ = [
-    "ConfigPoint",
     "Ensemble",
     "EpistemicState",
     "ScalarField",
     "ShiftVelocity",
     "SystemSpec",
-    "gradient",
     "quadrature",
-    "wrap",
     "__version__",
 ]

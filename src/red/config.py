@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import SystemSpec
+from .model import GRID_BUDGET, SystemSpec
 
 MIN_SIGMA_CELLS = 4.0
 NYQUIST_FRACTION = 0.5
@@ -223,6 +223,9 @@ def _parse_system(collect: _Collector, doc: dict) -> dict:
     box = collect.number_list(section, "box", "/system", d, positive=True)
     grid = collect.number_list(section, "grid", "/system", n * d, positive=True, integers=True)
     if None in (dt, masses, box, grid):
+        return None
+    if math.prod(grid) > GRID_BUDGET:
+        collect.add("/system/grid", f"grid has {math.prod(grid)} cells, budget is {GRID_BUDGET}")
         return None
     return {
         "n_particles": n, "spatial_dim": d, "masses": masses,

@@ -36,9 +36,7 @@ from .model import (
     ShiftVelocity,
     SystemSpec,
     gradient_arrays,
-    interpolate,
     quadrature,
-    wrap_array,
 )
 from .presets import (
     gaussian_density,
@@ -58,12 +56,12 @@ from .quantum import (
 )
 from .sampler import (
     STREAM_INIT,
-    STREAM_WALK,
+    GridDrift,
     as_drift,
-    kernel_moments,
     linear_drift,
     sample_from_density,
     stream,
+    walker_step,
     walkers_to_csv,
 )
 
@@ -160,33 +158,23 @@ def build_drift(config: ExperimentConfig):
     return as_drift(ScalarField(build_potential(config).values.values, config.spec))
 
 
-class _WaveDrift:
-    """Drift-potential gradient of a wavefunction, interpolated at points.
+def _wave_drift(wave: WaveField) -> GridDrift:
+    """Drift-potential gradient of a wavefunction on the grid.
 
     grad(phi) = [Im + Re](conj(psi) grad psi) / |psi|^2 combines the phase
     and osmotic parts in one expression with no logarithm; dead cells get
     gradient zero.
     """
-
-    def __init__(self, wave: WaveField):
-        spec = wave.spec
-        psi = wave.values
-        rho = np.abs(psi) ** 2
-        alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
-        safe_rho = np.where(alive, rho, 1.0)
-        grads = gradient_arrays(psi, spec)
-        self.spec = spec
-        self._grids = [
-            np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
-            for product in (np.conj(psi) * g for g in grads)
-        ]
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        out = np.empty_like(points)
-        for axis in range(self.spec.dim):
-            out[:, axis] = interpolate(self._grids[axis], self.spec, points)
-        return out
+    spec = wave.spec
+    psi = wave.values
+    rho = np.abs(psi) ** 2
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    safe_rho = np.where(alive, rho, 1.0)
+    grads = gradient_arrays(psi, spec)
+    return GridDrift(spec, [
+        np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
+        for product in (np.conj(psi) * g for g in grads)
+    ])
 
 
 def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
@@ -208,13 +196,20 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
     return best_match_shift(wave.state)
 
 
-def _manifest(config: ExperimentConfig) -> dict:
-    return {
-        "artifact_version": __version__,
-        "config": config.resolved,
-        "seed": config.run.seed,
-        "red_threads": os.environ.get("RED_THREADS", "0"),
-    }
+def _open_outputs(config: ExperimentConfig) -> Path:
+    """Create the output directory and write the manifest into it."""
+    out = Path(config.outputs)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "manifest.json", {
+            "artifact_version": __version__,
+            "config": config.resolved,
+            "seed": config.run.seed,
+            "red_threads": os.environ.get("RED_THREADS", "0"),
+        })
+    except OSError as exc:
+        raise ConfigError([("/outputs", f"cannot write the output directory: {exc}")]) from exc
+    return out
 
 
 def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
@@ -241,18 +236,6 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     writer.add(**named)
 
 
-def _walker_step(walkers: Ensemble, drift, shift: ShiftVelocity, dt: float,
-                 time: float) -> Ensemble:
-    """One kernel step of duration dt ending at time, same stream discipline as the sampler."""
-    spec = walkers.spec
-    mean, cov = kernel_moments(walkers.positions, drift, shift, spec, dt)
-    noise = stream(walkers.rng_seed, STREAM_WALK, walkers.step_index).standard_normal(
-        walkers.positions.shape
-    )
-    positions = wrap_array(spec, walkers.positions + mean + np.sqrt(cov) * noise)
-    return Ensemble(positions, spec, walkers.rng_seed, time, walkers.step_index + 1)
-
-
 def run_experiment(config: ExperimentConfig) -> Path:
     """Evolve the configured system and write the run directory.
 
@@ -261,9 +244,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """
     spec = config.spec
     run = config.run
-    out = Path(config.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json", _manifest(config))
+    out = _open_outputs(config)
 
     writer = ObservablesWriter(spec.spatial_dim)
     wave = build_initial_wave(config)
@@ -292,7 +273,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             if config.shift_mode.mode == "best_match":
                 shift = best_match_shift(wave.state)
             if walkers is not None:
-                walkers = _walker_step(walkers, _WaveDrift(wave), shift, run.dt_pde, time)
+                walkers = walker_step(walkers, _wave_drift(wave), shift, run.dt_pde, time)
             wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
             wave = replace(wave, time=time)
             if step % run.snapshot_every == 0:
@@ -323,9 +304,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
         raise ConfigError([
             ("/shift_mode/mode", "sampling a prescribed drift needs a fixed shift")
         ])
-    out = Path(config.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json", _manifest(config))
+    out = _open_outputs(config)
 
     wave = build_initial_wave(config)
     rho0 = ScalarField(np.abs(wave.values) ** 2, spec)
@@ -337,7 +316,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
     try:
         walkers_to_csv(walkers, out / "walkers_000000.csv")
         for step in range(1, run.steps + 1):
-            walkers = _walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
+            walkers = walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
             if step % run.snapshot_every == 0:
                 walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
     except RedError as exc:

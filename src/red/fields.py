@@ -18,8 +18,6 @@ which is an identity for spectral derivatives on the periodic grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
@@ -35,45 +33,14 @@ from .model import (
     irfftn,
     laplacian_symbol,
     rfftn,
+    rk4_step,
     step_count,
 )
 
-DENSITY_FLOOR = 1e-300
 POSITIVITY_MONITOR = -1e-10
 PHASE_DEAD_RELATIVE = 1e-15
 OSMOTIC_FLOOR = 1e-14
 OSMOTIC_EXACT = 1e-8
-
-
-@dataclass(frozen=True)
-class VelocityField:
-    """One real component per configuration axis."""
-
-    components: list
-    spec: SystemSpec
-
-
-def phase_from_drift(drift_phi: ScalarField, rho: ScalarField, spec: SystemSpec) -> ScalarField:
-    """Phi = hbar * (phi - 0.5 * log rho); rho must stay above the log floor."""
-    vals = rho.values
-    if float(np.min(vals)) < DENSITY_FLOOR:
-        cell = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        raise DensityFloorError(
-            f"density at cell {tuple(int(c) for c in cell)} is {float(np.min(vals)):.3e}, "
-            f"below the floor {DENSITY_FLOOR:.0e} required for the logarithm"
-        )
-    return ScalarField(spec.hbar * (drift_phi.values - 0.5 * np.log(vals)), spec)
-
-
-def drift_from_phase(phase: ScalarField, rho: ScalarField, spec: SystemSpec) -> ScalarField:
-    """Inverse map: phi = Phi / hbar + 0.5 * log rho."""
-    vals = rho.values
-    if float(np.min(vals)) < DENSITY_FLOOR:
-        cell = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        raise DensityFloorError(
-            f"density at cell {tuple(int(c) for c in cell)} is too small for the logarithm"
-        )
-    return ScalarField(phase.values / spec.hbar + 0.5 * np.log(vals), spec)
 
 
 def masked_wave(state: EpistemicState) -> tuple:
@@ -96,9 +63,9 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
 
     Smooth (unwrapped) phase grids are differentiated spectrally as they
     stand.  That path involves no division by rho, so roundoff junk in
-    exponentially dead density cells can never leak into the velocity; this
-    matters because the continuity stepper feeds its own output back in, and
-    any rho-dependent noise in the velocity is self-amplifying there.
+    exponentially dead density cells can never leak into the velocity; in a
+    stepper that feeds its own output back in, any rho-dependent noise in
+    the velocity is self-amplifying.
 
     Wrapped phase grids (recovered from a wavefunction, stored modulo
     2*pi*hbar) go through psi = sqrt(rho) * exp(i Phi / hbar), which is
@@ -120,54 +87,6 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
         + state.phase_slope[axis]
         for axis, g in enumerate(grads)
     ]
-
-
-def current_velocity(state: EpistemicState, shift: ShiftVelocity) -> VelocityField:
-    """V_A = grad_A(Phi) / m_n - shift_a."""
-    spec = state.spec
-    grads = phase_gradient_arrays(state)
-    comps = [
-        ScalarField(grads[axis] / spec.axis_masses[axis] - shift.per_axis[axis], spec)
-        for axis in range(spec.dim)
-    ]
-    return VelocityField(comps, spec)
-
-
-def _check_advective_bound(velocity: list, spec: SystemSpec, dt_pde: float) -> None:
-    """RK4 on the spectral advection term needs a Courant number of at most 0.5."""
-    courant = max(float(np.max(np.abs(v))) / h for v, h in zip(velocity, spec.spacing))
-    check_rk4_bound("advective", courant, 0.5, dt_pde)
-
-
-def fokker_planck_step(state: EpistemicState, shift: ShiftVelocity, dt_pde: float) -> EpistemicState:
-    """One conservative continuity step: flux form, spectral divergence, RK4.
-
-    The velocity field is frozen from the state's phase for the whole step;
-    the phase itself is not advanced here.  Callers integrating a prescribed
-    drift potential re-derive the phase between steps (see diffuse()).
-    """
-    step_count(dt_pde, dt_pde)  # validates dt_pde
-    spec = state.spec
-    velocity = [c.values for c in current_velocity(state, shift).components]
-
-    _check_advective_bound(velocity, spec, dt_pde)
-
-    def flux_divergence(rho_values: np.ndarray) -> np.ndarray:
-        return irfftn(divergence_spectrum([rho_values * v for v in velocity], spec), spec)
-
-    rho0 = state.rho.values
-    k1 = -flux_divergence(rho0)
-    k2 = -flux_divergence(rho0 + 0.5 * dt_pde * k1)
-    k3 = -flux_divergence(rho0 + 0.5 * dt_pde * k2)
-    k4 = -flux_divergence(rho0 + dt_pde * k3)
-    rho1 = rho0 + (dt_pde / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    lowest = float(np.min(rho1))
-    if lowest < POSITIVITY_MONITOR:
-        raise NumericalAbort(
-            f"density positivity monitor tripped: min rho = {lowest:.3e} after the step"
-        )
-    return state.replace_rho(rho1, time=state.time + dt_pde)
 
 
 def _bump_sigmoid(u: np.ndarray) -> np.ndarray:
@@ -260,21 +179,19 @@ def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
     heat_symbol = laplacian_symbol(spec, osmotic)
 
     # RK4 stability: the heat symbol is real, the advective one imaginary
-    check_rk4_bound("diffusive", float(np.max(heat_symbol)), 2.78, dt_pde)
-    _check_advective_bound(drift_velocity, spec, dt_pde)
+    # (a Courant number of at most 0.5)
+    courant = max(float(np.max(np.abs(v))) / h for v, h in zip(drift_velocity, spec.spacing))
+    check_rk4_bound(dt_pde, ("diffusive", float(np.max(heat_symbol)), 2.78),
+                    ("advective", courant, 0.5))
 
-    def rate(rho_values: np.ndarray) -> np.ndarray:
+    def rate(rho_values: np.ndarray) -> tuple:
         fluxes = [rho_values * v for v in drift_velocity]
         spectrum = -heat_symbol * rfftn(rho_values, spec) - divergence_spectrum(fluxes, spec)
-        return irfftn(spectrum, spec)
+        return (irfftn(spectrum, spec),)
 
     rho = state.rho.values
     for _ in range(steps):
-        k1 = rate(rho)
-        k2 = rate(rho + 0.5 * dt_pde * k1)
-        k3 = rate(rho + 0.5 * dt_pde * k2)
-        k4 = rate(rho + dt_pde * k3)
-        rho = rho + (dt_pde / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        (rho,) = rk4_step(rate, (rho,), dt_pde)
         lowest = float(np.min(rho))
         if lowest < POSITIVITY_MONITOR:
             raise NumericalAbort(

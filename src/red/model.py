@@ -181,27 +181,6 @@ def wrap_array(spec: SystemSpec, positions: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConfigPoint:
-    """A single point of the N-particle configuration space."""
-
-    coordinates: np.ndarray
-    spec: SystemSpec
-
-    def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=float)
-        if coords.shape != (self.spec.dim,):
-            raise GridError(f"expected {self.spec.dim} coordinates, got shape {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise GridError("coordinates must be finite")
-        object.__setattr__(self, "coordinates", wrap_array(self.spec, coords))
-
-
-def wrap(point: ConfigPoint) -> ConfigPoint:
-    """Idempotent reduction of a configuration point into the box."""
-    return ConfigPoint(point.coordinates, point.spec)
-
-
-@dataclass(frozen=True)
 class ShiftVelocity:
     """Global shift velocity: one component per spatial axis, particle-independent."""
 
@@ -256,11 +235,6 @@ class ScalarField:
 def quadrature(f: ScalarField) -> float:
     """Rectangle-rule integral over the periodic box (fixed reduction order)."""
     return float(np.sum(f.values) * f.spec.cell_volume)
-
-
-def gradient(f: ScalarField) -> list:
-    """Fourier-spectral gradient, one ScalarField per configuration axis."""
-    return [ScalarField(g, f.spec) for g in gradient_arrays(f.values, f.spec)]
 
 
 def rfftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
@@ -349,14 +323,31 @@ def step_count(total_time: float, dt_pde: float) -> int:
     return steps
 
 
-def check_rk4_bound(kind: str, rate: float, limit: float, dt_pde: float) -> None:
-    """RK4 on a spectral term needs rate * dt_pde <= limit; report the admissible step."""
+def check_rk4_bound(dt_pde: float, *bounds) -> None:
+    """RK4 on spectral terms needs rate * dt_pde <= limit for every (kind, rate, limit).
+
+    A violation reports the tightest bound, whose admissible step satisfies them all.
+    """
+    kind, rate, limit = max(bounds, key=lambda bound: bound[1] / bound[2])
     if rate * dt_pde > limit:
         raise StabilityError(
             f"dt_pde={dt_pde:.3e} exceeds the {kind} stability bound; "
             f"largest admissible step is {limit / rate:.3e}",
             admissible_dt=limit / rate,
         )
+
+
+def rk4_step(rate, values: tuple, dt_pde: float) -> tuple:
+    """One classical RK4 step of d(values)/dt = rate(*values) for a tuple of arrays."""
+    def stage(k, h):
+        return rate(*(v + h * dv for v, dv in zip(values, k)))
+
+    k1 = rate(*values)
+    k2 = stage(k1, 0.5 * dt_pde)
+    k3 = stage(k2, 0.5 * dt_pde)
+    k4 = stage(k3, dt_pde)
+    return tuple(v + (dt_pde / 6.0) * (a + 2 * b + 2 * c + d)
+                 for v, a, b, c, d in zip(values, k1, k2, k3, k4))
 
 
 def interpolate(values: np.ndarray, spec: SystemSpec, points: np.ndarray) -> np.ndarray:
@@ -436,16 +427,6 @@ class EpistemicState:
         for g in grads:
             g.flags.writeable = False
         return grads
-
-    @property
-    def masked_cell_count(self) -> int:
-        return 0 if self.phase_mask is None else int(np.sum(self.phase_mask))
-
-    def replace_rho(self, values: np.ndarray, time: float = None) -> "EpistemicState":
-        return EpistemicState(
-            ScalarField(values, self.spec), self.phase, self.phase_slope,
-            self.time if time is None else time, self.phase_mask, self.phase_wrapped,
-        )
 
 
 def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:

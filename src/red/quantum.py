@@ -40,6 +40,7 @@ from .model import (
     laplacian_symbol,
     mode_momentum,
     rfftn,
+    rk4_step,
     step_count,
 )
 
@@ -352,20 +353,6 @@ def ehrenfest_diagnostic(trajectory, potential: Potential) -> EhrenfestSeries:
     return EhrenfestSeries(times[1:-1], rate, force)
 
 
-def hamilton_step(
-    state: EpistemicState, potential: Potential, shift: ShiftVelocity, dt_pde: float
-) -> EpistemicState:
-    """One RK4 step of the coupled (rho, Phi) equations.
-
-    Needs the density alive everywhere: the curvature term divides by
-    sqrt(rho), so states with exponentially dead regions must be evolved in
-    the wavefunction representation instead (see schrodinger_evolve); an
-    underflow here aborts with that advice.  The phase grid must be smooth
-    (unwrapped): the right-hand side squares its gradient.
-    """
-    return hamilton_evolve(state, potential, shift, dt_pde, dt_pde)
-
-
 def hamilton_evolve(
     state: EpistemicState,
     potential: Potential,
@@ -373,7 +360,14 @@ def hamilton_evolve(
     total_time: float,
     dt_pde: float,
 ) -> EpistemicState:
-    """RK4 integration of the density-phase pair with a fixed shift."""
+    """RK4 integration of the coupled (rho, Phi) equations with a fixed shift.
+
+    Needs the density alive everywhere: the curvature term divides by
+    sqrt(rho), so states with exponentially dead regions must be evolved in
+    the wavefunction representation instead (see schrodinger_evolve); an
+    underflow here aborts with that advice.  The phase grid must be smooth
+    (unwrapped): the right-hand side squares its gradient.
+    """
     steps = step_count(total_time, dt_pde)
     spec = state.spec
     if potential.spec != spec:
@@ -387,7 +381,7 @@ def hamilton_evolve(
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber
     dispersion = float(np.max(curvature_symbol)) / spec.hbar
-    check_rk4_bound("dispersive", dispersion, RK4_IMAG_STABILITY, dt_pde)
+    check_rk4_bound(dt_pde, ("dispersive", dispersion, RK4_IMAG_STABILITY))
 
     u_values = potential.values.values
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]
@@ -421,12 +415,7 @@ def hamilton_evolve(
     rho = state.rho.values
     phase = state.phase.values
     for _ in range(steps):
-        r1, p1 = rates(rho, phase)
-        r2, p2 = rates(rho + 0.5 * dt_pde * r1, phase + 0.5 * dt_pde * p1)
-        r3, p3 = rates(rho + 0.5 * dt_pde * r2, phase + 0.5 * dt_pde * p2)
-        r4, p4 = rates(rho + dt_pde * r3, phase + dt_pde * p3)
-        rho = rho + (dt_pde / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
-        phase = phase + (dt_pde / 6.0) * (p1 + 2 * p2 + 2 * p3 + p4)
+        rho, phase = rk4_step(rates, (rho, phase), dt_pde)
     return EpistemicState(
         ScalarField(rho, spec), ScalarField(phase, spec), slope, state.time + steps * dt_pde
     )

@@ -17,21 +17,18 @@ identical streams.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, GridError
+from .errors import ConsistencyError
 from .io import write_float_csv
 from .model import (
-    ConfigPoint,
     Ensemble,
     ScalarField,
     ShiftVelocity,
     SystemSpec,
     gradient_arrays,
     interpolate,
-    wrap_array,
 )
 
 # Purpose tags keep the Philox counter spaces of unrelated draws disjoint.
@@ -48,27 +45,25 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
 
 
 class GridDrift:
-    """Drift potential given on the grid; gradient is spectral, evaluation multilinear."""
+    """Drift-potential gradient held per configuration axis on the grid, evaluated multilinearly."""
 
-    def __init__(self, field: ScalarField):
-        self.field = field
-        self.spec = field.spec
-        self._grad = gradient_arrays(field.values, field.spec)
+    def __init__(self, spec: SystemSpec, grids: list):
+        self.spec = spec
+        self.grids = grids
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
         out = np.empty_like(points)
         for axis in range(self.spec.dim):
-            out[:, axis] = interpolate(self._grad[axis], self.spec, points)
+            out[:, axis] = interpolate(self.grids[axis], self.spec, points)
         return out
 
 
 class AnalyticDrift:
     """Drift potential with a closed-form gradient, evaluated exactly."""
 
-    def __init__(self, gradient_fn, value_fn=None):
+    def __init__(self, gradient_fn):
         self._gradient_fn = gradient_fn
-        self._value_fn = value_fn
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -87,36 +82,14 @@ def constant_drift() -> AnalyticDrift:
 
 
 def as_drift(drift_phi):
-    """Accept a ScalarField, a drift object, or None (no drift)."""
+    """Accept a ScalarField (differentiated spectrally), a drift object, or None (no drift)."""
     if drift_phi is None:
         return constant_drift()
     if isinstance(drift_phi, ScalarField):
-        return GridDrift(drift_phi)
+        return GridDrift(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec))
     if hasattr(drift_phi, "gradient"):
         return drift_phi
     raise TypeError(f"cannot interpret {type(drift_phi).__name__} as a drift potential")
-
-
-@dataclass(frozen=True)
-class TransitionKernel:
-    """Gaussian one-step kernel anchored at a configuration point."""
-
-    origin: ConfigPoint
-    mean_step: np.ndarray
-    covariance_diag: np.ndarray
-    spec: SystemSpec
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean_step, dtype=float)
-        cov = np.asarray(self.covariance_diag, dtype=float)
-        if mean.shape != (self.spec.dim,) or cov.shape != (self.spec.dim,):
-            raise GridError("kernel moments must have one entry per configuration axis")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise GridError("kernel moments must be finite")
-        if np.any(cov < 0):
-            raise ValueError("kernel covariance must be non-negative")
-        object.__setattr__(self, "mean_step", mean)
-        object.__setattr__(self, "covariance_diag", cov)
 
 
 def kernel_moments(points: np.ndarray, drift, shift: ShiftVelocity, spec: SystemSpec, dt: float):
@@ -132,44 +105,32 @@ def kernel_moments(points: np.ndarray, drift, shift: ShiftVelocity, spec: System
     return mean, cov
 
 
-def build_kernel(x: ConfigPoint, drift_phi, shift: ShiftVelocity, spec: SystemSpec) -> TransitionKernel:
-    """Kernel of one entropic step of duration spec.dt anchored at x."""
-    mean, cov = kernel_moments(x.coordinates[None, :], drift_phi, shift, spec, spec.dt)
-    return TransitionKernel(x, mean[0], cov, spec)
+def walker_step(ensemble: Ensemble, drift, shift: ShiftVelocity, dt: float,
+                time: float) -> Ensemble:
+    """One kernel step of duration dt for every walker, landing at `time`.
 
-
-def sample_step(kernel: TransitionKernel, rng: np.random.Generator) -> ConfigPoint:
-    """Draw one successor point; advances the generator deterministically."""
-    noise = rng.standard_normal(kernel.spec.dim)
-    landing = kernel.origin.coordinates + kernel.mean_step + np.sqrt(kernel.covariance_diag) * noise
-    return ConfigPoint(landing, kernel.spec)
+    The noise is the Philox stream (rng_seed, STREAM_WALK, step_index);
+    walker i reads lanes [i*D, (i+1)*D) of it.  Ensemble wraps the landing
+    points into the box.
+    """
+    spec = ensemble.spec
+    mean, cov = kernel_moments(ensemble.positions, drift, shift, spec, dt)
+    noise = stream(ensemble.rng_seed, STREAM_WALK, ensemble.step_index).standard_normal(
+        ensemble.positions.shape
+    )
+    return Ensemble(ensemble.positions + mean + np.sqrt(cov) * noise, spec,
+                    ensemble.rng_seed, time, ensemble.step_index + 1)
 
 
 def evolve_ensemble(ensemble: Ensemble, drift_phi, shift: ShiftVelocity, steps: int) -> Ensemble:
-    """Advance every walker `steps` entropic instants of duration spec.dt.
-
-    Step s consumes the Philox stream (rng_seed, STREAM_WALK, absolute step);
-    walker i reads lanes [i*D, (i+1)*D) of that stream.
-    """
+    """Advance every walker `steps` entropic instants of duration spec.dt."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    spec = ensemble.spec
     drift = as_drift(drift_phi)
-    positions = ensemble.positions.copy()
-    dt = spec.dt
-    for s in range(steps):
-        mean, cov = kernel_moments(positions, drift, shift, spec, dt)
-        noise = stream(ensemble.rng_seed, STREAM_WALK, ensemble.step_index + s).standard_normal(
-            positions.shape
-        )
-        positions = wrap_array(spec, positions + mean + np.sqrt(cov) * noise)
-    return Ensemble(
-        positions,
-        spec,
-        ensemble.rng_seed,
-        ensemble.time + steps * dt,
-        ensemble.step_index + steps,
-    )
+    t0, dt = ensemble.time, ensemble.spec.dt
+    for s in range(1, steps + 1):
+        ensemble = walker_step(ensemble, drift, shift, dt, t0 + s * dt)
+    return ensemble
 
 
 def minimal_image(spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:

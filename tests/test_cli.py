@@ -62,6 +62,25 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "/system/masses/0" in capsys.readouterr().err
 
 
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
+                                          "grid": [4096, 4096], "dt": 0.05})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "/system/grid" in err
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_outputs_that_cannot_be_created_exit_2(tmp_path, capsys, command):
+    (tmp_path / "plain").write_text("a regular file\n")
+    path = write_config(tmp_path, outputs=str(tmp_path / "plain" / "run"),
+                        shift_mode={"mode": "fixed", "values": [0.0]},
+                        run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8})
+    assert main([command, "--config", str(path)]) == 2
+    assert "/outputs" in capsys.readouterr().err
+
+
 def test_malformed_initial_wave_exits_2(tmp_path, capsys):
     spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
     wave = WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec)

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from red.errors import DensityFloorError, StabilityError
+from red.errors import StabilityError
 from red.fields import (
-    current_velocity,
     diffuse,
-    drift_from_phase,
     entropy,
     entropy_rate,
-    fokker_planck_step,
-    phase_from_drift,
+    osmotic_phase,
     phase_gradient_arrays,
+    state_drift_potential,
 )
 from red.model import (
     EpistemicState,
@@ -20,6 +18,7 @@ from red.model import (
     SystemSpec,
     normalized_density,
     quadrature,
+    translate_array,
 )
 from red.presets import gaussian_density, gaussian_state
 
@@ -28,21 +27,21 @@ def spec_1p(n=256, box=20.0, dt=0.01, mass=1.0, hbar=1.0):
     return SystemSpec(1, 1, (mass,), (box,), (n,), dt, hbar)
 
 
-def spec_2p(n=64, box=16.0, dt=0.01, masses=(1.0, 2.0)):
-    return SystemSpec(2, 1, masses, (box,), (n, n), dt)
-
-
-def uniform_state(spec, slope=None):
+def uniform_state(spec):
     rho = ScalarField.constant(spec, 1.0 / spec.volume)
-    return EpistemicState(rho, ScalarField.constant(spec, 0.0), slope)
+    return EpistemicState(rho, ScalarField.constant(spec, 0.0))
 
 
-def test_phase_from_drift_uniform():
+def sine_drift(spec, amplitude):
+    x = spec.axis_coords[0]
+    return ScalarField(amplitude * np.sin(2 * np.pi * x / spec.box_length[0]), spec)
+
+
+def test_osmotic_phase_uniform():
     # uniform rho: Phi = hbar*(phi + 0.5 log V), constant
     spec = spec_1p()
     rho = ScalarField.constant(spec, 1.0 / spec.volume)
-    phi = ScalarField.constant(spec, 2.0)
-    phase = phase_from_drift(phi, rho, spec)
+    phase = osmotic_phase(ScalarField.constant(spec, 2.0), rho, spec)
     expected = 1.0 * (2.0 + 0.5 * np.log(spec.volume))
     assert np.allclose(phase.values, expected, atol=1e-12)
 
@@ -50,27 +49,19 @@ def test_phase_from_drift_uniform():
 def test_phase_drift_round_trip():
     spec = spec_1p()
     rho = gaussian_density(spec, 10.0, 1.3)
-    x = spec.axis_coords[0]
-    phi = ScalarField(np.sin(2 * np.pi * x / 20.0), spec)
-    phase = phase_from_drift(phi, rho, spec)
-    back = drift_from_phase(phase, rho, spec)
-    assert np.max(np.abs(back.values - phi.values)) < 1e-12
+    phi = sine_drift(spec, 1.0)
+    grid, slope = state_drift_potential(EpistemicState(rho, osmotic_phase(phi, rho, spec)))
+    assert np.max(np.abs(grid.values - phi.values)) < 1e-12
+    assert np.array_equal(slope, [0.0])
 
 
-def test_phase_from_drift_constant_phi_gives_osmotic_phase():
+def test_osmotic_phase_of_constant_drift_is_minus_half_log_rho():
+    # exact wherever the density is above OSMOTIC_EXACT of its peak
     spec = spec_1p()
     rho = gaussian_density(spec, 10.0, 1.0)
-    phase = phase_from_drift(ScalarField.constant(spec, 0.0), rho, spec)
-    assert np.allclose(phase.values, -0.5 * np.log(rho.values), atol=1e-12)
-
-
-def test_phase_from_drift_floor_error_names_cell():
-    spec = spec_1p(n=32)
-    vals = np.full(spec.grid_points, 1.0)
-    vals[5] = 0.0
-    rho = ScalarField(vals, spec)
-    with pytest.raises(DensityFloorError, match=r"\(5,\)"):
-        phase_from_drift(ScalarField.constant(spec, 0.0), rho, spec)
+    phase = osmotic_phase(ScalarField.constant(spec, 0.0), rho, spec)
+    exact = rho.values > 1e-8 * float(np.max(rho.values))
+    assert np.allclose(phase.values[exact], -0.5 * np.log(rho.values[exact]), atol=1e-12)
 
 
 def test_phase_gradient_handles_wrapped_phase():
@@ -87,90 +78,83 @@ def test_phase_gradient_handles_wrapped_phase():
     assert np.max(np.abs(g - k)) < 1e-10
 
 
-def test_current_velocity_slope_and_shift_cancel():
-    # Phi = c * sum_n m_n x_n with matching shift gives V = 0 identically
-    spec = spec_2p(masses=(1.0, 2.0))
-    c = 0.37
-    state = uniform_state(spec, slope=c * spec.axis_masses)
-    v = current_velocity(state, ShiftVelocity(np.array([c]), spec))
-    for comp in v.components:
-        assert np.max(np.abs(comp.values)) < 1e-13
-
-
-def test_current_velocity_mass_scaling():
-    spec = spec_2p(masses=(1.0, 2.0))
-    state = uniform_state(spec, slope=np.array([1.0, 1.0]))
-    v = current_velocity(state, ShiftVelocity.zero(spec))
-    assert np.allclose(v.components[0].values, 1.0)
-    assert np.allclose(v.components[1].values, 0.5)
-
-
 def test_fokker_planck_uniform_fixed_point():
+    # a uniform density only translates under a constant shift
     spec = spec_1p()
-    state = uniform_state(spec, slope=np.array([0.8]))  # constant velocity
-    out = fokker_planck_step(state, ShiftVelocity.zero(spec), 1e-3)
-    assert np.max(np.abs(out.values if hasattr(out, 'values') else out.rho.values - state.rho.values)) < 1e-12
+    out = diffuse(uniform_state(spec), ScalarField.constant(spec, 0.0),
+                  ShiftVelocity(np.array([0.8]), spec), 1e-3, 1e-3)
+    assert np.max(np.abs(out.rho.values - 1.0 / spec.volume)) < 1e-12
     assert out.time == pytest.approx(1e-3)
 
 
 def test_fokker_planck_advects_gaussian():
-    # constant velocity v: center moves by v * dt
+    # shift -v moves the center by v * t; spreading leaves the center alone
     spec = spec_1p(n=512, box=40.0)
-    rho = gaussian_density(spec, 20.0, 1.0)
-    v = 0.5
-    state = EpistemicState(rho, ScalarField.constant(spec, 0.0), np.array([v]))
-    dt_pde = 1e-3
-    steps = 200
-    current = state
-    for _ in range(steps):
-        current = fokker_planck_step(current, ShiftVelocity.zero(spec), dt_pde)
+    state = EpistemicState(gaussian_density(spec, 20.0, 1.0), ScalarField.constant(spec, 0.0))
+    v, total_time = 0.5, 0.2
+    out = diffuse(state, ScalarField.constant(spec, 0.0), ShiftVelocity(np.array([-v]), spec),
+                  total_time, 1e-3)
     x = spec.axis_coords[0]
-    center = quadrature(ScalarField(current.rho.values * x, spec))
-    assert center == pytest.approx(20.0 + v * steps * dt_pde, abs=1e-8)
+    center = quadrature(ScalarField(out.rho.values * x, spec))
+    assert center == pytest.approx(20.0 + v * total_time, abs=1e-8)
 
 
 def test_fokker_planck_conserves_mass_and_phase():
+    # diffuse hands back the osmotic phase of its own final density
     spec = spec_1p(n=256, box=20.0)
-    rho = gaussian_density(spec, 10.0, 1.5)
-    x = spec.axis_coords[0]
-    phase = ScalarField(0.3 * np.sin(2 * np.pi * x / 20.0), spec)
-    state = EpistemicState(rho, phase)
-    out = fokker_planck_step(state, ShiftVelocity(np.array([0.2]), spec), 5e-4)
+    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
+    drift = sine_drift(spec, 0.3)
+    out = diffuse(state, drift, ShiftVelocity(np.array([0.2]), spec), 5e-4, 5e-4)
     assert abs(quadrature(out.rho) - 1.0) < 1e-12
-    assert np.array_equal(out.phase.values, phase.values)
+    assert np.array_equal(out.phase.values, osmotic_phase(drift, out.rho, spec).values)
 
 
 def test_fokker_planck_stability_error_reports_admissible_dt():
     spec = spec_1p(n=256, box=20.0)
-    state = uniform_state(spec, slope=np.array([50.0]))
+    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
+    drift = ScalarField.constant(spec, 0.0)
+    shift = ShiftVelocity(np.array([50.0]), spec)
     with pytest.raises(StabilityError) as err:
-        fokker_planck_step(state, ShiftVelocity.zero(spec), 0.1)
+        diffuse(state, drift, shift, 0.1, 0.1)
     admissible = err.value.admissible_dt
     assert 0 < admissible < 0.1
     # the reported step must actually be admissible
-    fokker_planck_step(state, ShiftVelocity.zero(spec), admissible * 0.99)
+    dt_pde = admissible * 0.99
+    diffuse(state, drift, shift, dt_pde, dt_pde)
 
 
 def test_fokker_planck_shift_equivariance_second_order():
-    # step with shift vs step without shift composed with rigid advection
-    from red.model import translate_array
-
+    # a step with shift vs a step without it composed with rigid advection
     spec = spec_1p(n=256, box=20.0)
-    rho = gaussian_density(spec, 10.0, 1.2)
-    x = spec.axis_coords[0]
-    phase = ScalarField(0.4 * np.sin(2 * np.pi * x / 20.0), spec)
-    state = EpistemicState(rho, phase)
+    state = EpistemicState(gaussian_density(spec, 10.0, 1.2), ScalarField.constant(spec, 0.0))
+    drift = sine_drift(spec, 0.4)
     xi = 0.7
 
     def mismatch(dt_pde):
-        shifted = fokker_planck_step(state, ShiftVelocity(np.array([xi]), spec), dt_pde)
-        plain = fokker_planck_step(state, ShiftVelocity.zero(spec), dt_pde)
+        shifted = diffuse(state, drift, ShiftVelocity(np.array([xi]), spec), dt_pde, dt_pde)
+        plain = diffuse(state, drift, ShiftVelocity.zero(spec), dt_pde, dt_pde)
         advected = translate_array(plain.rho.values, spec, np.array([-xi * dt_pde]))
         return float(np.max(np.abs(shifted.rho.values - advected)))
 
     coarse, fine = mismatch(2e-3), mismatch(1e-3)
     assert coarse < 1e-6
     assert coarse / fine > 3.0  # second-order in dt_pde
+
+
+@given(seed=st.integers(0, 2 ** 31))
+@settings(max_examples=10, deadline=None)
+def test_fokker_planck_mass_conservation_random_states(seed):
+    spec = spec_1p(n=128, box=20.0)
+    rng = np.random.default_rng(seed)
+    x = spec.axis_coords[0]
+    bumps = sum(
+        rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - rng.uniform(4, 16)) / rng.uniform(0.8, 2.0)) ** 2)
+        for _ in range(3)
+    )
+    state = EpistemicState(normalized_density(spec, bumps + 0.01), ScalarField.constant(spec, 0.0))
+    out = diffuse(state, sine_drift(spec, 0.2), ShiftVelocity(np.array([0.1]), spec), 5e-3, 1e-3)
+    assert abs(quadrature(out.rho) - 1.0) < 1e-12
+    assert float(np.min(out.rho.values)) > -1e-10
 
 
 def test_entropy_uniform_and_gaussian():
@@ -202,7 +186,7 @@ def test_entropy_rate_matches_finite_difference_diffusion():
     spec = spec_1p(n=512, box=40.0, dt=0.01)
     drift = ScalarField.constant(spec, 0.0)
     rho = gaussian_density(spec, 20.0, 1.0)
-    state = EpistemicState(rho, phase_from_drift(drift, rho, spec))
+    state = EpistemicState(rho, osmotic_phase(drift, rho, spec))
     shift = ShiftVelocity.zero(spec)
 
     dt_pde = 1e-3
@@ -219,24 +203,6 @@ def test_entropy_rate_matches_finite_difference_diffusion():
     assert rate == pytest.approx(analytic_rate, rel=2e-3)
     fd_rate = (entropy(fwd.rho) - entropy(evolved.rho)) / delta
     assert rate == pytest.approx(fd_rate, rel=5e-3)
-
-
-@given(seed=st.integers(0, 2 ** 31))
-@settings(max_examples=10, deadline=None)
-def test_fokker_planck_mass_conservation_random_states(seed):
-    spec = spec_1p(n=128, box=20.0)
-    rng = np.random.default_rng(seed)
-    x = spec.axis_coords[0]
-    bumps = sum(
-        rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - rng.uniform(4, 16)) / rng.uniform(0.8, 2.0)) ** 2)
-        for _ in range(3)
-    )
-    rho = normalized_density(spec, bumps + 0.01)
-    phase = ScalarField(0.2 * np.sin(2 * np.pi * x / 20.0), spec)
-    state = EpistemicState(rho, phase)
-    out = fokker_planck_step(state, ShiftVelocity(np.array([0.1]), spec), 1e-3)
-    assert abs(quadrature(out.rho) - 1.0) < 1e-12
-    assert float(np.min(out.rho.values)) > -1e-10
 
 
 @pytest.mark.parametrize("total_time, dt_pde, message", [

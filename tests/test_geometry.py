@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from red.errors import ConsistencyError
-from red.fields import phase_from_drift
 from red.geometry import (
     best_match_shift,
     ensemble_hamiltonian_h0,
@@ -107,7 +106,8 @@ def test_info_metric_field_form_matches_sampled_form():
     x = spec.axis_coords[0]
     drift = ScalarField(0.8 * np.sin(2.0 * np.pi * x / 40.0), spec)
     rho = gaussian_density(spec, 20.0, 1.0)
-    state = EpistemicState(rho, phase_from_drift(drift, rho, spec))
+    # Phi = hbar * (phi - 0.5 log rho), the phase whose drift potential is phi
+    state = EpistemicState(rho, ScalarField(spec.hbar * (drift.values - 0.5 * np.log(rho.values)), spec))
     shift = ShiftVelocity(np.array([0.03]), spec)
     report = info_metric_g(state, shift)
     estimate = info_metric_g_mc(rho, drift, shift, n_samples=200_000, seed=11)

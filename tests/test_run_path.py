@@ -6,11 +6,26 @@ import numpy as np
 import pytest
 
 from red.config import parse_config
-from red.experiment import build_initial_wave, build_potential, run_experiment
-from red.fields import entropy, phase_gradient_arrays
-from red.geometry import info_metric_g, total_momentum
+from red.experiment import (
+    build_drift,
+    build_initial_wave,
+    build_potential,
+    run_experiment,
+    sample_experiment,
+)
+from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
+from red.geometry import best_match_shift, info_metric_g, total_momentum
 from red.io import read_observables
-from red.model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
+from red.model import (
+    Ensemble,
+    EpistemicState,
+    ScalarField,
+    ShiftVelocity,
+    SystemSpec,
+    gradient_arrays,
+    interpolate,
+    wrap_array,
+)
 from red.presets import gaussian_state
 from red.quantum import (
     Potential,
@@ -18,7 +33,18 @@ from red.quantum import (
     from_wavefunction,
     kinetic_factor,
     kinetic_symbol,
+    schrodinger_evolve,
     to_wavefunction,
+)
+from red.sampler import (
+    STREAM_INIT,
+    STREAM_WALK,
+    as_drift,
+    evolve_ensemble,
+    kernel_moments,
+    sample_from_density,
+    stream,
+    walkers_from_csv,
 )
 
 
@@ -199,3 +225,149 @@ def test_run_observables_match_frozen_loop(tmp_path):
         want = np.array([row[column] for row in rows])
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert np.max(np.abs(values - want)) <= 1e-12 * scale, column
+
+
+# ---------------------------------------------------------------- frozen walker paths
+
+
+class FrozenWaveDrift:
+    """The run's wave drift as it was, a class of its own next to the sampler's GridDrift."""
+
+    def __init__(self, wave):
+        spec = wave.spec
+        psi = wave.values
+        rho = np.abs(psi) ** 2
+        alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+        safe_rho = np.where(alive, rho, 1.0)
+        grads = gradient_arrays(psi, spec)
+        self.spec = spec
+        self._grids = [
+            np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
+            for product in (np.conj(psi) * g for g in grads)
+        ]
+
+    def gradient(self, points):
+        points = np.atleast_2d(points)
+        out = np.empty_like(points)
+        for axis in range(self.spec.dim):
+            out[:, axis] = interpolate(self._grids[axis], self.spec, points)
+        return out
+
+
+def frozen_walker_step(walkers, drift, shift, dt, time):
+    """The run's own walker step as it was, wrapping before the Ensemble wraps again."""
+    spec = walkers.spec
+    mean, cov = kernel_moments(walkers.positions, drift, shift, spec, dt)
+    noise = stream(walkers.rng_seed, STREAM_WALK, walkers.step_index).standard_normal(
+        walkers.positions.shape
+    )
+    positions = wrap_array(spec, walkers.positions + mean + np.sqrt(cov) * noise)
+    return Ensemble(positions, spec, walkers.rng_seed, time, walkers.step_index + 1)
+
+
+def frozen_evolve_ensemble(ensemble, drift_phi, shift, steps):
+    """evolve_ensemble as it was: its own loop over a bare positions array."""
+    spec = ensemble.spec
+    drift = as_drift(drift_phi)
+    positions = ensemble.positions.copy()
+    dt = spec.dt
+    for s in range(steps):
+        mean, cov = kernel_moments(positions, drift, shift, spec, dt)
+        noise = stream(ensemble.rng_seed, STREAM_WALK, ensemble.step_index + s).standard_normal(
+            positions.shape
+        )
+        positions = wrap_array(spec, positions + mean + np.sqrt(cov) * noise)
+    return Ensemble(positions, spec, ensemble.rng_seed, ensemble.time + steps * dt,
+                    ensemble.step_index + steps)
+
+
+def initial_walkers(config, wave, time):
+    run = config.run
+    rho0 = ScalarField(np.abs(wave.values) ** 2, config.spec)
+    positions = sample_from_density(rho0, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
+    return Ensemble(positions, config.spec, run.seed, time, 0)
+
+
+def frozen_run_walkers(config):
+    """Walker snapshots of the run loop with the frozen drift and step, keyed by step."""
+    run = config.run
+    wave = build_initial_wave(config)
+    potential = build_potential(config)
+    shift = best_match_shift(wave.state)
+    t0 = wave.time
+    walkers = initial_walkers(config, wave, t0)
+    snapshots = {0: walkers.positions}
+    for step in range(1, run.steps + 1):
+        shift = best_match_shift(wave.state)
+        walkers = frozen_walker_step(walkers, FrozenWaveDrift(wave), shift, run.dt_pde,
+                                     t0 + step * run.dt_pde)
+        wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
+        if step % run.snapshot_every == 0:
+            snapshots[step] = walkers.positions
+    return snapshots
+
+
+def frozen_sample_walkers(config):
+    """Walker snapshots of the sample loop with the frozen step, keyed by step."""
+    spec, run = config.spec, config.run
+    drift = build_drift(config)
+    shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
+    walkers = initial_walkers(config, build_initial_wave(config), 0.0)
+    snapshots = {0: walkers.positions}
+    for step in range(1, run.steps + 1):
+        walkers = frozen_walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
+        if step % run.snapshot_every == 0:
+            snapshots[step] = walkers.positions
+    return snapshots
+
+
+def walker_config(tmp_path, potential, shift_mode, ensemble_k=64):
+    doc = {
+        "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "box": [16.0],
+                   "grid": [32, 32], "dt": 0.02},
+        "initial_state": {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [2.0, 2.5],
+                          "boost": [2.0 * np.pi / 16.0]},
+        "drift_or_potential": potential,
+        "shift_mode": shift_mode,
+        "run": {"steps": 6, "dt_pde": 0.01, "snapshot_every": 2, "ensemble_K": ensemble_k,
+                "seed": 9},
+        "outputs": str(tmp_path / "out"),
+    }
+    return parse_config(json.dumps(doc))
+
+
+def assert_walker_snapshots_equal(out, config, snapshots):
+    assert sorted(snapshots) == [0, 2, 4, 6]
+    for step, want in snapshots.items():
+        got = walkers_from_csv(out / f"walkers_{step:06d}.csv", config.spec).positions
+        assert np.array_equal(got, want), step
+
+
+def test_run_walkers_match_frozen_walker_loop(tmp_path):
+    config = walker_config(tmp_path, {"preset": "smooth_harmonic_relational", "k": 0.4},
+                           {"mode": "best_match"})
+    assert_walker_snapshots_equal(run_experiment(config), config, frozen_run_walkers(config))
+
+
+@pytest.mark.parametrize("potential", [
+    {"preset": "smooth_harmonic_relational", "k": 0.4},
+    {"preset": "linear", "coefficients": [3.0, -1.0]},
+    {"preset": "free"},
+])
+def test_sample_walkers_match_frozen_walker_loop(tmp_path, potential):
+    config = walker_config(tmp_path, potential, {"mode": "fixed", "values": [0.3]})
+    assert_walker_snapshots_equal(sample_experiment(config), config, frozen_sample_walkers(config))
+
+
+def test_evolve_ensemble_matches_frozen_loop():
+    spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), (32, 32), dt=0.03)
+    x0, x1 = spec.mesh()
+    drift = ScalarField(0.6 * np.sin(2 * np.pi * (x0 - 2.0 * x1) / 16.0), spec)
+    shift = ShiftVelocity(np.array([-0.4]), spec)
+    init = Ensemble(np.random.default_rng(4).uniform(0.0, 16.0, (200, 2)), spec, rng_seed=21,
+                    time=0.7, step_index=3)
+    got = evolve_ensemble(init, drift, shift, 7)
+    want = frozen_evolve_ensemble(init, drift, shift, 7)
+    assert np.array_equal(got.positions, want.positions)
+    assert got.time == want.time
+    assert got.step_index == want.step_index == 10

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from red.model import ConfigPoint, Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
+from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
 from red.sampler import (
-    TransitionKernel,
-    build_kernel,
+    GridDrift,
+    as_drift,
     constant_drift,
     empirical_moments,
     evolve_ensemble,
@@ -13,8 +13,8 @@ from red.sampler import (
     linear_drift,
     minimal_image,
     sample_from_density,
-    sample_step,
     stream,
+    walker_step,
     walkers_from_csv,
     walkers_to_csv,
 )
@@ -28,33 +28,33 @@ def spec_2p(dt=0.01, masses=(1.0, 2.0), n=32, box=20.0):
     return SystemSpec(2, 1, masses, (box,), (n, n), dt)
 
 
+def moments_at_one_point(spec, drift, shift):
+    mean, cov = kernel_moments(np.array([[5.0]]), drift, shift, spec, spec.dt)
+    assert mean.shape == (1, 1) and cov.shape == (1,)
+    return mean[0, 0], cov[0]
+
+
 def test_kernel_example_unit_drift():
     # phi = 3x, unit mass: mean 0.03, covariance 0.01
     spec = spec_1p()
-    kernel = build_kernel(
-        ConfigPoint(np.array([5.0]), spec), linear_drift([3.0]), ShiftVelocity.zero(spec), spec
-    )
-    assert kernel.mean_step[0] == pytest.approx(0.03, abs=1e-15)
-    assert kernel.covariance_diag[0] == pytest.approx(0.01, abs=1e-15)
+    mean, cov = moments_at_one_point(spec, linear_drift([3.0]), ShiftVelocity.zero(spec))
+    assert mean == pytest.approx(0.03, abs=1e-15)
+    assert cov == pytest.approx(0.01, abs=1e-15)
 
 
 def test_kernel_example_constant_drift():
     spec = spec_1p()
-    kernel = build_kernel(
-        ConfigPoint(np.array([5.0]), spec), constant_drift(), ShiftVelocity.zero(spec), spec
-    )
-    assert kernel.mean_step[0] == 0.0
-    assert kernel.covariance_diag[0] == pytest.approx(0.01)
+    mean, cov = moments_at_one_point(spec, constant_drift(), ShiftVelocity.zero(spec))
+    assert mean == 0.0
+    assert cov == pytest.approx(0.01)
 
 
 def test_kernel_example_with_shift():
     # shift 0.5 lowers the mean by 0.005
     spec = spec_1p()
-    kernel = build_kernel(
-        ConfigPoint(np.array([5.0]), spec), linear_drift([3.0]), ShiftVelocity(np.array([0.5]), spec), spec
-    )
-    assert kernel.mean_step[0] == pytest.approx(0.025, abs=1e-15)
-    assert kernel.covariance_diag[0] == pytest.approx(0.01)
+    mean, cov = moments_at_one_point(spec, linear_drift([3.0]), ShiftVelocity(np.array([0.5]), spec))
+    assert mean == pytest.approx(0.025, abs=1e-15)
+    assert cov == pytest.approx(0.01)
 
 
 def test_kernel_mass_scaling():
@@ -75,26 +75,25 @@ def test_grid_drift_gradient_matches_analytic():
     spec = spec_1p(n=256)
     x = spec.axis_coords[0]
     k = 2 * np.pi / 20.0
-    from red.sampler import GridDrift
-
-    drift = GridDrift(ScalarField(np.sin(k * x), spec))
+    drift = as_drift(ScalarField(np.sin(k * x), spec))
+    assert isinstance(drift, GridDrift)
     pts = np.array([[5.0], [7.3], [12.77]])
     grad = drift.gradient(pts)
     assert np.max(np.abs(grad[:, 0] - k * np.cos(k * pts[:, 0]))) < 5e-4  # multilinear interp error
 
 
-def test_sample_step_deterministic_and_degenerate():
+def test_walker_step_deterministic_and_accounted():
     spec = spec_1p()
-    kernel = build_kernel(
-        ConfigPoint(np.array([5.0]), spec), linear_drift([3.0]), ShiftVelocity.zero(spec), spec
-    )
-    a = sample_step(kernel, stream(123, 3, 0))
-    b = sample_step(kernel, stream(123, 3, 0))
-    assert a.coordinates[0] == b.coordinates[0]
-    # degenerate covariance: the step collapses to origin + mean
-    frozen = TransitionKernel(kernel.origin, kernel.mean_step, np.zeros(1), spec)
-    c = sample_step(frozen, stream(9, 3, 0))
-    assert c.coordinates[0] == pytest.approx(5.03, abs=1e-15)
+    init = Ensemble(np.array([[5.0], [19.99]]), spec, rng_seed=123, time=0.5, step_index=4)
+    drift, shift = linear_drift([3.0]), ShiftVelocity.zero(spec)
+    a = walker_step(init, drift, shift, spec.dt, 0.51)
+    b = walker_step(init, drift, shift, spec.dt, 0.51)
+    assert np.array_equal(a.positions, b.positions)
+    assert a.time == 0.51 and a.step_index == 5
+    assert np.all((a.positions >= 0.0) & (a.positions < 20.0))
+    # the landing point is origin + mean + sqrt(cov) * (noise of stream index 4)
+    noise = stream(123, 0, 4).standard_normal((2, 1))
+    assert a.positions[0, 0] == pytest.approx(5.03 + 0.1 * noise[0, 0], abs=1e-14)
 
 
 def test_one_step_moments_match_kernel():
@@ -147,10 +146,7 @@ def test_shift_covariance_path_by_path(xi, seed):
     # evolving with a shift equals evolving without it and translating each step
     spec = spec_1p(n=128)
     x = spec.axis_coords[0]
-    drift_field = ScalarField(np.sin(2 * np.pi * x / 20.0), spec)
-    from red.sampler import GridDrift
-
-    drift = GridDrift(drift_field)
+    drift = as_drift(ScalarField(np.sin(2 * np.pi * x / 20.0), spec))
     shift = ShiftVelocity(np.array([xi]), spec)
     init = Ensemble(np.linspace(1, 19, 20)[:, None], spec, rng_seed=seed % (2 ** 31))
     steps = 4

@@ -205,7 +205,7 @@ def test_diffuse_matches_complex_oracle(grid):
 
 # ---------------------------------------------------------------- guards
 # density underflow and the dispersive bound of hamilton_evolve are covered
-# in test_quantum through hamilton_step
+# in test_quantum
 
 
 def test_hamilton_evolve_non_finite_rates_are_caught():
