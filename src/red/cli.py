@@ -59,6 +59,18 @@ def _load_config(args):
     return config
 
 
+def _out_directory(args):
+    """Create the --out directory before any work is done; None without --out."""
+    if args.out is None:
+        return None
+    directory = Path(args.out)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([("--out", f"cannot create the output directory: {exc}")]) from exc
+    return directory
+
+
 def _command_run(args) -> int:
     from .experiment import run_experiment
 
@@ -78,28 +90,26 @@ def _command_sample(args) -> int:
 def _command_bestmatch(args) -> int:
     from .experiment import bestmatch_report
 
-    report = bestmatch_report(_load_config(args))
+    config = _load_config(args)
+    directory = _out_directory(args)
+    report = bestmatch_report(config)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
+    if directory is not None:
         (directory / "bestmatch.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
 
 
 def _command_verify(args) -> int:
+    from .io import write_json
     from .verify import run_suites
 
+    directory = _out_directory(args)
     reports = run_suites(args.suite)
     for report in reports:
         for line in report.lines():
             print(line)
-        if args.out is not None:
-            directory = Path(args.out)
-            directory.mkdir(parents=True, exist_ok=True)
-            from .io import write_json
-
+        if directory is not None:
             write_json(directory / f"verify_{report.suite}.json", report.as_dict())
     if all(report.passed for report in reports):
         return EXIT_OK

@@ -78,9 +78,7 @@ def _configuration_phase(spec: SystemSpec, slope: np.ndarray) -> np.ndarray:
     """sum_A slope_A x_A on the grid, built axis by axis."""
     out = np.zeros(spec.grid_points)
     for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = spec.grid_points[axis]
-        out = out + slope[axis] * spec.axis_coords[axis].reshape(shape)
+        out = out + slope[axis] * spec.along(axis, spec.axis_coords[axis])
     return out
 
 

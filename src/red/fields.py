@@ -221,9 +221,3 @@ def entropy_rate(state: EpistemicState) -> float:
     for axis in range(spec.dim):
         total -= float(np.sum(rho_grads[axis] * phase_grads[axis])) / spec.axis_masses[axis]
     return total * spec.cell_volume
-
-
-def sqrt_density_gradient_arrays(state: EpistemicState) -> list:
-    """grad sqrt(rho) per axis (clipping negligible negative cells)."""
-    root = np.sqrt(np.clip(state.rho.values, 0.0, None))
-    return gradient_arrays(root, state.spec)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import entropy_rate, masked_wave, phase_gradient_arrays, sqrt_density_gradient_arrays
+from .fields import entropy_rate, masked_wave
 from .model import (
     EpistemicState,
     ScalarField,
@@ -78,7 +78,7 @@ def ensemble_hamiltonian_h0(state: EpistemicState, shift: ShiftVelocity) -> floa
     spec = state.spec
     rho = state.rho.values
     phase_grads = state.phase_gradients
-    root_grads = sqrt_density_gradient_arrays(state)
+    root_grads = state.root_gradients
     total = 0.0
     for axis in range(spec.dim):
         mass = spec.axis_masses[axis]
@@ -178,13 +178,13 @@ def total_momentum(state: EpistemicState) -> np.ndarray:
     out = np.zeros(spec.spatial_dim)
     if state.phase_wrapped:
         _, psi = masked_wave(state)
-        power = np.abs(np.fft.fftn(psi)) ** 2
-        out += spec.hbar * spec.cell_volume / psi.size * mode_momentum(power, spec)
+        momentum, _ = mode_momentum(psi, spec)
+        out += spec.hbar * spec.cell_volume / psi.size * momentum
         mass = float(np.sum(rho)) * spec.cell_volume
         for axis in range(spec.dim):
             out[spec.spatial_of_axis(axis)] += state.phase_slope[axis] * mass
         return out
-    phase_grads = phase_gradient_arrays(state)
+    phase_grads = state.phase_gradients
     for axis in range(spec.dim):
         out[spec.spatial_of_axis(axis)] += float(np.sum(rho * phase_grads[axis])) * spec.cell_volume
     return out
@@ -205,7 +205,7 @@ def best_match_shift(state: EpistemicState, mode: str = "closed_form") -> ShiftV
         raise ValueError(f"unknown best-match mode {mode!r}")
 
     rho = state.rho.values
-    phase_grads = phase_gradient_arrays(state)
+    phase_grads = state.phase_gradients
 
     def quadrature_gradient(shift_components: np.ndarray) -> np.ndarray:
         # d(g_total)/d(shift_a) = -int rho sum_n (d_A Phi - m_A shift_a)

@@ -131,17 +131,11 @@ class SystemSpec:
             out.append(k)
         return out
 
-    def wavenumber_grid(self, axis: int) -> np.ndarray:
-        """Wavenumbers of one axis broadcast against the full grid shape."""
+    def along(self, axis: int, values: np.ndarray) -> np.ndarray:
+        """A 1-D array reshaped to broadcast along one axis of the grid or the half spectrum."""
         shape = [1] * self.dim
-        shape[axis] = self.grid_points[axis]
-        return self.wavenumbers[axis].reshape(shape)
-
-    def derivative_wavenumber_grid(self, axis: int) -> np.ndarray:
-        """Derivative wavenumbers of one axis broadcast against the grid shape."""
-        shape = [1] * self.dim
-        shape[axis] = self.grid_points[axis]
-        return self.derivative_wavenumbers[axis].reshape(shape)
+        shape[axis] = -1
+        return np.reshape(values, shape)
 
     def _half_spectrum(self, per_axis: list) -> list:
         """Per-axis modes on the real-FFT spectrum; the last axis keeps g//2 + 1 bins of |k|."""
@@ -149,10 +143,13 @@ class SystemSpec:
         for axis, k in enumerate(per_axis):
             if axis == self.dim - 1:
                 k = np.abs(k[: self.grid_points[axis] // 2 + 1])
-            shape = [1] * self.dim
-            shape[axis] = k.size
-            out.append(k.reshape(shape))
+            out.append(self.along(axis, k))
         return out
+
+    @cached_property
+    def ik(self) -> list:
+        """i*k_A on the full spectrum, with the even-grid Nyquist mode zeroed."""
+        return [1j * self.along(axis, k) for axis, k in enumerate(self.derivative_wavenumbers)]
 
     @cached_property
     def half_ik(self) -> list:
@@ -165,9 +162,8 @@ class SystemSpec:
         return [k ** 2 for k in self._half_spectrum(self.wavenumbers)]
 
     def mesh(self) -> list:
-        """Dense coordinate arrays, one full-shape array per configuration axis."""
-        grids = np.meshgrid(*self.axis_coords, indexing="ij", sparse=True)
-        return list(grids)
+        """Coordinate arrays, one per configuration axis, broadcast against the grid."""
+        return [self.along(axis, x) for axis, x in enumerate(self.axis_coords)]
 
 
 def wrap_array(spec: SystemSpec, positions: np.ndarray) -> np.ndarray:
@@ -204,11 +200,6 @@ class ShiftVelocity:
         """Shift replicated over configuration axes (upper index), shape (D,)."""
         return np.tile(self.components, self.spec.n_particles)
 
-    @cached_property
-    def mass_lowered(self) -> np.ndarray:
-        """m_n * shift per configuration axis (lower index), shape (D,)."""
-        return self.spec.axis_masses * self.per_axis
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -237,6 +228,16 @@ def quadrature(f: ScalarField) -> float:
     return float(np.sum(f.values) * f.spec.cell_volume)
 
 
+def fftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """Full spectrum of a real or complex grid array over every configuration axis."""
+    return np.fft.fftn(values, s=spec.grid_points, axes=tuple(range(spec.dim)))
+
+
+def ifftn(spectrum: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """Complex grid array from its full spectrum."""
+    return np.fft.ifftn(spectrum, s=spec.grid_points, axes=tuple(range(spec.dim)))
+
+
 def rfftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """Half spectrum of a real grid array over every configuration axis."""
     return np.fft.rfftn(values, s=spec.grid_points, axes=tuple(range(spec.dim)))
@@ -257,21 +258,22 @@ def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
     return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
 
 
-def mode_momentum(power: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """sum_k k_A |psi_k|^2 summed onto the spatial axes, shape (d,).
+def mode_momentum(psi: np.ndarray, spec: SystemSpec) -> tuple:
+    """(sum_k k_A |psi_k|^2 summed onto the spatial axes, shape (d,), sum_k |psi_k|^2).
 
-    power is |fftn(psi)|^2 on the full mode grid.  The k_A are the
-    odd-derivative wavenumbers of gradient_arrays, so by Parseval
-    hbar * cell_volume / N times this is the quadrature of
-    Im(conj(psi) grad_A psi) per spatial axis.  Each axis is reduced to its
-    1-D marginal first, which needs no full-grid wavenumber array.
+    psi_k = fftn(psi).  The k_A are the odd-derivative wavenumbers of
+    gradient_arrays, so by Parseval hbar * cell_volume / N times the first
+    part is the quadrature of Im(conj(psi) grad_A psi) per spatial axis.
+    Each axis is reduced to its 1-D marginal first, which needs no
+    full-grid wavenumber array.
     """
+    power = np.abs(fftn(psi, spec)) ** 2
     out = np.zeros(spec.spatial_dim)
     for axis in range(spec.dim):
         others = tuple(a for a in range(spec.dim) if a != axis)
         marginal = np.sum(power, axis=others)
         out[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
-    return out
+    return out, float(np.sum(power))
 
 
 def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
@@ -281,31 +283,23 @@ def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
     if np.isrealobj(values):
         spectrum = rfftn(values, spec)
         return [irfftn(ik * spectrum, spec) for ik in spec.half_ik]
-    spectrum = np.fft.fftn(values)
-    return [
-        np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * spectrum)
-        for axis in range(spec.dim)
-    ]
+    spectrum = fftn(values, spec)
+    return [ifftn(ik * spectrum, spec) for ik in spec.ik]
 
 
 def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:
     """Spectral translation: result(x) = values(x - displacement), exact for band-limited data."""
     displacement = np.asarray(displacement, dtype=float)
-    spectrum = np.fft.fftn(values)
-    for axis in range(spec.dim):
-        phase = np.exp(-1j * spec.wavenumber_grid(axis) * displacement[axis])
-        g = spec.grid_points[axis]
+    spectrum = fftn(values, spec)
+    for axis, (g, k) in enumerate(zip(spec.grid_points, spec.wavenumbers)):
+        phase = np.exp(-1j * k * displacement[axis])
         if g % 2 == 0:
             # the sawtooth mode has no definite sign of k; the symmetric
             # choice cos(k*s) keeps real fields real and matches np.roll
             # exactly for whole-cell displacements
-            index = [slice(None)] * spec.dim
-            index[axis] = slice(g // 2, g // 2 + 1)
-            phase[tuple(index)] = np.cos(
-                spec.wavenumber_grid(axis)[tuple(index)] * displacement[axis]
-            )
-        spectrum = spectrum * phase
-    out = np.fft.ifftn(spectrum)
+            phase[g // 2] = np.cos(k[g // 2] * displacement[axis])
+        spectrum = spectrum * spec.along(axis, phase)
+    out = ifftn(spectrum, spec)
     return out.real if np.isrealobj(values) else out
 
 
@@ -385,7 +379,6 @@ class EpistemicState:
     phase: ScalarField
     phase_slope: np.ndarray = None
     time: float = 0.0
-    phase_mask: np.ndarray = None
     phase_wrapped: bool = False
     wave_values: np.ndarray = None
 
@@ -406,11 +399,6 @@ class EpistemicState:
         total = quadrature(self.rho)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise StateError(f"density quadrature is {total!r}, expected 1 within {NORMALIZATION_TOL}")
-        if self.phase_mask is not None:
-            mask = np.asarray(self.phase_mask, dtype=bool)
-            if mask.shape != tuple(self.spec.grid_points):
-                raise StateError("phase_mask shape does not match the grid")
-            object.__setattr__(self, "phase_mask", mask)
         if self.wave_values is not None and np.shape(self.wave_values) != tuple(self.spec.grid_points):
             raise StateError("wave_values shape does not match the grid")
 
@@ -423,10 +411,19 @@ class EpistemicState:
         """fields.phase_gradient_arrays of this state, computed once; read-only arrays."""
         from .fields import phase_gradient_arrays  # fields builds on this module
 
-        grads = tuple(phase_gradient_arrays(self))
-        for g in grads:
-            g.flags.writeable = False
-        return grads
+        return _read_only(phase_gradient_arrays(self))
+
+    @cached_property
+    def root_gradients(self) -> tuple:
+        """grad sqrt(rho) per axis (negligible negative cells clipped), computed once; read-only."""
+        return _read_only(gradient_arrays(np.sqrt(np.clip(self.rho.values, 0.0, None)), self.spec))
+
+
+def _read_only(arrays) -> tuple:
+    arrays = tuple(arrays)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:
@@ -457,7 +454,3 @@ class Ensemble:
         object.__setattr__(self, "positions", wrap_array(self.spec, pos))
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]

@@ -28,12 +28,6 @@ def periodic_gaussian_axis(coords: np.ndarray, box: float, center: float, sigma:
     return out
 
 
-def _broadcast_axis(spec: SystemSpec, axis: int, values: np.ndarray) -> np.ndarray:
-    shape = [1] * spec.dim
-    shape[axis] = spec.grid_points[axis]
-    return values.reshape(shape)
-
-
 def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
     """Normalized product of wrapped Gaussians, one factor per configuration axis."""
     center = np.broadcast_to(np.asarray(center, dtype=float), (spec.dim,))
@@ -45,12 +39,12 @@ def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
         profile = periodic_gaussian_axis(
             spec.axis_coords[axis], spec.axis_box[axis], center[axis], sigma[axis]
         )
-        values = values * _broadcast_axis(spec, axis, profile)
+        values = values * spec.along(axis, profile)
     return normalized_density(spec, values)
 
 
 def gaussian_state(spec: SystemSpec, center=None, sigma=1.0, slope=None,
-                   uniform_mix: float = 0.0, time: float = 0.0) -> EpistemicState:
+                   uniform_mix: float = 0.0) -> EpistemicState:
     """Gaussian density with a linear phase of the given slope per axis.
 
     uniform_mix blends in a flat floor, useful when downstream steps divide
@@ -65,7 +59,7 @@ def gaussian_state(spec: SystemSpec, center=None, sigma=1.0, slope=None,
     slope = np.zeros(spec.dim) if slope is None else np.broadcast_to(
         np.asarray(slope, dtype=float), (spec.dim,)
     ).copy()
-    return EpistemicState(rho, ScalarField.constant(spec, 0.0), slope, time)
+    return EpistemicState(rho, ScalarField.constant(spec, 0.0), slope)
 
 
 def lattice_momentum(spec: SystemSpec, axis: int, mode: int) -> float:
@@ -98,7 +92,7 @@ def gaussian_wave_values(spec: SystemSpec, center, sigma, modes) -> np.ndarray:
         for image in range(-GAUSSIAN_IMAGES, GAUSSIAN_IMAGES + 1):
             amplitude += np.exp(-((coords - center[axis] + image * box) ** 2) / (4.0 * sigma[axis] ** 2))
         factor = amplitude * np.exp(2j * np.pi * modes[axis] * coords / box)
-        values = values * _broadcast_axis(spec, axis, factor)
+        values = values * spec.along(axis, factor)
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * spec.cell_volume)
     return values / norm
 
@@ -111,8 +105,8 @@ def minimal_image_difference(spec: SystemSpec, axis_a: int, axis_b: int) -> np.n
         raise ConsistencyError(
             "relative coordinates need matching grids on the two axes"
         )
-    xa = _broadcast_axis(spec, axis_a, spec.axis_coords[axis_a])
-    xb = _broadcast_axis(spec, axis_b, spec.axis_coords[axis_b])
+    xa = spec.along(axis_a, spec.axis_coords[axis_a])
+    xb = spec.along(axis_b, spec.axis_coords[axis_b])
     diff = xa - xb
     box = spec.axis_box[axis_a]
     return diff - box * np.round(diff / box)
@@ -154,5 +148,5 @@ def harmonic_external_values(spec: SystemSpec, k: float, axis: int = 0, center: 
     """U = k/2 * (x_axis - center)^2 along one configuration axis (box frame)."""
     if center is None:
         center = spec.axis_box[axis] / 2.0
-    coords = _broadcast_axis(spec, axis, spec.axis_coords[axis] - center)
+    coords = spec.along(axis, spec.axis_coords[axis] - center)
     return np.broadcast_to(0.5 * k * coords ** 2, spec.grid_points).copy()

@@ -35,7 +35,9 @@ from .model import (
     SystemSpec,
     check_rk4_bound,
     divergence_spectrum,
+    fftn,
     gradient_arrays,
+    ifftn,
     irfftn,
     laplacian_symbol,
     mode_momentum,
@@ -45,9 +47,7 @@ from .model import (
 )
 
 WAVE_NORM_TOL = 1e-10
-WAVE_MASK_RELATIVE = 1e-14
 HAMILTON_DENSITY_RELATIVE = 1e-12
-RELATIONAL_TOL = 1e-10
 RK4_IMAG_STABILITY = 2.82
 
 
@@ -80,7 +80,7 @@ class WaveField:
     def state(self) -> EpistemicState:
         """from_wavefunction(self), computed once; its arrays are read-only."""
         state = from_wavefunction(self)
-        for array in (state.rho.values, state.phase.values, state.phase_mask):
+        for array in (state.rho.values, state.phase.values):
             array.flags.writeable = False
         return state
 
@@ -90,8 +90,7 @@ class Potential:
     """Real potential energy on the grid.
 
     relational_flag declares that the values depend only on relative
-    particle positions; the declaration is checked, not trusted, by
-    relational_check.
+    particle positions, so the potential commutes with total momentum.
     """
 
     values: ScalarField
@@ -123,7 +122,7 @@ class Potential:
         if memo is None or memo[0] != dt_pde:
             spec = self.spec
             half = np.exp(-0.5j * dt_pde * self.values.values / spec.hbar)
-            rest = kinetic_factor(spec, ShiftVelocity.zero(spec), dt_pde)
+            rest = np.exp(-1j * dt_pde * kinetic_symbol(spec, ShiftVelocity.zero(spec)) / spec.hbar)
             half.flags.writeable = False
             rest.flags.writeable = False
             memo = (dt_pde, half, rest)
@@ -159,19 +158,17 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
     """Density and wrapped phase of a wavefunction.
 
     The phase is hbar * arg(psi), wrapped to (-pi hbar, pi hbar]; cells
-    with relative density below WAVE_MASK_RELATIVE carry no usable phase
-    information and are recorded in the state's mask rather than zeroed.
+    of negligible density carry no usable phase information, and the
+    consumers of the phase mask them out (fields.masked_wave).
     """
     spec = wave.spec
     rho = np.abs(wave.values) ** 2
     phase = spec.hbar * np.angle(wave.values)
-    mask = rho < WAVE_MASK_RELATIVE * float(np.max(rho))
     return EpistemicState(
         ScalarField(rho, spec),
         ScalarField(phase, spec),
         None,
         wave.time,
-        phase_mask=mask,
         phase_wrapped=True,
         wave_values=wave.values,
     )
@@ -180,15 +177,15 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
 def kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:
     """sum_A (hbar k_A - m_A shift_A)^2 / (2 m_A) on the full mode grid."""
     symbol = np.zeros(spec.grid_points)
-    for axis in range(spec.dim):
+    for axis, k in enumerate(spec.wavenumbers):
         mass = spec.axis_masses[axis]
-        offset = spec.hbar * spec.wavenumber_grid(axis) - mass * shift.per_axis[axis]
+        offset = spec.hbar * spec.along(axis, k) - mass * shift.per_axis[axis]
         symbol = symbol + offset ** 2 / (2.0 * mass)
     return symbol
 
 
 def kinetic_factor(spec: SystemSpec, shift: ShiftVelocity, dt_pde: float,
-                   rest: np.ndarray = None) -> np.ndarray:
+                   rest: np.ndarray) -> np.ndarray:
     """exp(-i dt_pde kinetic_symbol / hbar) from the rest-frame factor (Galilean covariance).
 
     (hbar k_A - m_A s_A)^2 / (2 m_A hbar) = hbar k_A^2 / (2 m_A) - k_A s_A + m_A s_A^2 / (2 hbar),
@@ -197,14 +194,12 @@ def kinetic_factor(spec: SystemSpec, shift: ShiftVelocity, dt_pde: float,
     cell instead of a full-grid exponential.  rest is the shift-free factor
     (Potential.split_factors keeps it); with a zero shift it is returned as is.
     """
-    if rest is None:
-        rest = np.exp(-1j * dt_pde * kinetic_symbol(spec, ShiftVelocity.zero(spec)) / spec.hbar)
     if not np.any(shift.components):
         return rest
     per_axis = shift.per_axis
     moved = np.exp(-1j * dt_pde * float(np.sum(spec.axis_masses * per_axis ** 2)) / (2.0 * spec.hbar))
-    for axis in range(spec.dim):
-        moved = moved * np.exp(1j * dt_pde * spec.wavenumber_grid(axis) * per_axis[axis])
+    for axis, k in enumerate(spec.wavenumbers):
+        moved = moved * np.exp(1j * dt_pde * spec.along(axis, k) * per_axis[axis])
     return rest * moved
 
 
@@ -230,7 +225,7 @@ def schrodinger_evolve(
     values = wave.values
     for _ in range(steps):
         values = values * half_potential
-        values = np.fft.ifftn(kinetic * np.fft.fftn(values))
+        values = ifftn(kinetic * fftn(values, spec), spec)
         values = values * half_potential
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         raise NumericalAbort(
@@ -246,8 +241,8 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     Re[psi* (-i hbar) sum_n d psi / dx_n^a] exactly (both use the
     odd-derivative wavenumbers, so the empty sawtooth mode counts as 0).
     """
-    power = np.abs(np.fft.fftn(wave.values)) ** 2
-    return wave.spec.hbar * mode_momentum(power, wave.spec) / float(np.sum(power))
+    momentum, weight = mode_momentum(wave.values, wave.spec)
+    return wave.spec.hbar * momentum / weight
 
 
 def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) -> float:
@@ -262,40 +257,6 @@ def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) ->
 
     h0 = ensemble_hamiltonian_h0(state, shift)
     return h0 + float(np.sum(potential.values.values * state.rho.values)) * wave.spec.cell_volume
-
-
-@dataclass(frozen=True)
-class RelationalReport:
-    """Outcome of sampling global translations against a potential."""
-
-    max_deviation: float
-    tolerance: float
-    trials: int
-
-    @property
-    def passes(self) -> bool:
-        return self.max_deviation < self.tolerance
-
-
-def relational_check(potential: Potential, trials: int, rng: np.random.Generator) -> RelationalReport:
-    """Sample global whole-cell translations and report max |U(x+c) - U(x)|.
-
-    A potential built from periodic relative coordinates is bitwise
-    invariant under translating every particle by the same number of
-    cells, so a genuinely relational potential reports exactly zero.
-    """
-    spec = potential.spec
-    values = potential.values.values
-    worst = 0.0
-    for _ in range(max(int(trials), 1)):
-        rolled = values
-        for spatial in range(spec.spatial_dim):
-            cells = int(rng.integers(0, spec.grid_points[spatial]))
-            for axis in range(spec.dim):
-                if spec.spatial_of_axis(axis) == spatial:
-                    rolled = np.roll(rolled, cells, axis=axis)
-        worst = max(worst, float(np.max(np.abs(rolled - values))))
-    return RelationalReport(worst, RELATIONAL_TOL, int(trials))
 
 
 def finite_difference_gradient(values: np.ndarray, spec: SystemSpec, axis: int) -> np.ndarray:

@@ -139,20 +139,6 @@ def minimal_image(spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:
     return displacement - box * np.round(displacement / box)
 
 
-def empirical_moments(before: Ensemble, after: Ensemble):
-    """Unbiased mean and variance of per-walker displacements (minimal image)."""
-    if before.size != after.size:
-        raise ConsistencyError(
-            f"ensembles have different sizes: {before.size} vs {after.size}"
-        )
-    if before.spec != after.spec:
-        raise ConsistencyError("ensembles live on different systems")
-    if before.size < 2:
-        raise ConsistencyError("need at least two walkers for an unbiased variance")
-    disp = minimal_image(before.spec, after.positions - before.positions)
-    return disp.mean(axis=0), disp.var(axis=0, ddof=1)
-
-
 def sample_from_density(rho: ScalarField, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points from the grid measure rho * cell_volume (support on grid nodes)."""
     spec = rho.spec

@@ -191,3 +191,20 @@ def test_red_threads_caps_openblas_before_numpy_loads():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1"
+
+
+def test_verify_out_that_cannot_be_created_exits_2_before_running(tmp_path, capsys):
+    (tmp_path / "plain").write_text("a regular file\n")
+    assert main(["verify", "spreading", "--out", str(tmp_path / "plain" / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""
+
+
+def test_bestmatch_out_that_cannot_be_created_exits_2(tmp_path, capsys):
+    (tmp_path / "plain").write_text("a regular file\n")
+    path = write_config(tmp_path)
+    assert main(["bestmatch", "--config", str(path), "--out", str(tmp_path / "plain" / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""

@@ -82,8 +82,7 @@ def test_mode_space_momentum_matches_gradient_form(grid):
 def test_mode_space_momentum_keeps_the_slope_term(grid):
     wrapped = from_wavefunction(narrow_wave(grid))
     slope = np.array([0.37, -1.25])
-    state = EpistemicState(wrapped.rho, wrapped.phase, slope, phase_mask=wrapped.phase_mask,
-                           phase_wrapped=True)
+    state = EpistemicState(wrapped.rho, wrapped.phase, slope, phase_wrapped=True)
     got = total_momentum(state)
     want = gradient_form_momentum(state)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -95,7 +94,8 @@ def test_kinetic_factor_matches_full_grid_exponential(components):
     shift = ShiftVelocity(np.array(components), spec)
     dt_pde = 0.013
     want = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
-    got = kinetic_factor(spec, shift, dt_pde)
+    _, rest = Potential.free(spec).split_factors(dt_pde)
+    got = kinetic_factor(spec, shift, dt_pde, rest)
     assert got.shape == spec.grid_points
     assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -104,7 +104,9 @@ def test_zero_shift_kinetic_factor_is_the_full_grid_exponential():
     spec = SystemSpec(2, 1, (1.0, 1.5), (16.0,), (16, 17), dt=0.05)
     zero = ShiftVelocity.zero(spec)
     want = np.exp(-1j * 0.01 * kinetic_symbol(spec, zero) / spec.hbar)
-    assert np.array_equal(kinetic_factor(spec, zero, 0.01), want)
+    _, rest = Potential.free(spec).split_factors(0.01)
+    assert np.array_equal(rest, want)
+    assert kinetic_factor(spec, zero, 0.01, rest) is rest
 
 
 def test_split_factors_are_kept_per_dt():
@@ -115,7 +117,8 @@ def test_split_factors_are_kept_per_dt():
     assert again[0] is half and again[1] is rest
     assert not half.flags.writeable and not rest.flags.writeable
     assert np.array_equal(half, np.exp(-0.5j * 0.01 * potential.values.values / spec.hbar))
-    assert np.array_equal(rest, kinetic_factor(spec, ShiftVelocity.zero(spec), 0.01))
+    zero = ShiftVelocity.zero(spec)
+    assert np.array_equal(rest, np.exp(-1j * 0.01 * kinetic_symbol(spec, zero) / spec.hbar))
     half, _ = potential.split_factors(0.02)
     assert np.array_equal(half, np.exp(-0.5j * 0.02 * potential.values.values / spec.hbar))
 
@@ -132,6 +135,11 @@ def test_wave_state_and_phase_gradients_are_cached_read_only():
     grads = state.phase_gradients
     assert state.phase_gradients is grads
     for got, want in zip(grads, phase_gradient_arrays(fresh)):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+    roots = state.root_gradients
+    assert state.root_gradients is roots
+    for got, want in zip(roots, gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)):
         assert not got.flags.writeable
         assert np.array_equal(got, want)
 
@@ -154,7 +162,7 @@ def frozen_expected_momentum(values, spec):
     weight = float(np.sum(spectrum))
     out = np.zeros(spec.spatial_dim)
     for axis in range(spec.dim):
-        k = spec.derivative_wavenumber_grid(axis)
+        k = spec.along(axis, spec.derivative_wavenumbers[axis])
         out[spec.spatial_of_axis(axis)] += spec.hbar * float(np.sum(k * spectrum)) / weight
     return out
 

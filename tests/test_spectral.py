@@ -1,13 +1,17 @@
-"""Real-FFT spectral layer: oracles against the complex transforms.
+"""The spectral layer of red.model: oracles against the bare numpy transforms.
 
 The steppers below are frozen copies of the complex-FFT right-hand sides
 that hamilton_evolve and diffuse used before they moved to half-spectrum
 transforms; the ported integrators must reproduce them to roundoff.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import red
 from red.errors import GridError, NumericalAbort, StabilityError
 from red.fields import diffuse
 from red.model import (
@@ -16,7 +20,9 @@ from red.model import (
     ShiftVelocity,
     SystemSpec,
     divergence_spectrum,
+    fftn,
     gradient_arrays,
+    ifftn,
     irfftn,
     laplacian_symbol,
     rfftn,
@@ -37,8 +43,39 @@ def spec_for(shape):
 
 
 def complex_derivative(values, spec, axis):
-    k = spec.derivative_wavenumber_grid(axis)
+    k = spec.along(axis, spec.derivative_wavenumbers[axis])
     return np.fft.ifftn(1j * k * np.fft.fftn(values)).real
+
+
+def test_only_the_model_module_names_numpy_fft():
+    package = Path(red.__file__).parent
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if re.search(r"\bnp\.fft\b|\bnumpy\.fft\b", path.read_text()))
+    assert naming == ["model.py"]
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16, 16), (128, 128), (31, 33), (7,)])
+def test_full_transforms_are_the_bare_numpy_calls(shape):
+    spec = SystemSpec(len(shape), 1, (1.0,) * len(shape), (5.0,), shape, dt=0.01)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(fftn(values, spec), np.fft.fftn(values))
+    assert np.array_equal(fftn(values.real, spec), np.fft.fftn(values.real))
+    assert np.array_equal(ifftn(values, spec), np.fft.ifftn(values))
+
+
+def test_along_broadcasts_on_the_grid_and_the_half_spectrum():
+    spec = spec_for((4, 5, 6))
+    grid_shapes = [(4, 1, 1), (1, 5, 1), (1, 1, 6)]
+    for axis, want in enumerate(grid_shapes):
+        assert spec.along(axis, spec.axis_coords[axis]).shape == want
+        assert spec.mesh()[axis].shape == want
+        assert spec.ik[axis].shape == want
+    assert spec.along(2, np.arange(4.0)).shape == (1, 1, 4)
+    assert [k.shape for k in spec.half_ik] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
+    assert [k.shape for k in spec.half_k2] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
+    half = rfftn(np.ones(spec.grid_points), spec)
+    assert (spec.half_ik[2] * half).shape == half.shape == (4, 5, 4)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -65,7 +102,8 @@ def test_half_spectrum_round_trip_divergence_and_laplacian(shape):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     weights = [0.5 + axis for axis in range(spec.dim)]
-    full_symbol = sum(w * spec.wavenumber_grid(axis) ** 2 for axis, w in enumerate(weights))
+    full_symbol = sum(w * spec.along(axis, spec.wavenumbers[axis]) ** 2
+                      for axis, w in enumerate(weights))
     expected = np.fft.ifftn(-full_symbol * np.fft.fftn(values)).real
     got = irfftn(-laplacian_symbol(spec, weights) * rfftn(values, spec), spec)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11 * np.max(full_symbol))
@@ -76,7 +114,7 @@ def test_complex_gradient_keeps_complex_path():
     rng = np.random.default_rng(3)
     values = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
     for axis, g in enumerate(gradient_arrays(values, spec)):
-        k = spec.derivative_wavenumber_grid(axis)
+        k = spec.along(axis, spec.derivative_wavenumbers[axis])
         assert np.iscomplexobj(g)
         np.testing.assert_array_equal(g, np.fft.ifftn(1j * k * np.fft.fftn(values)))
 
@@ -101,13 +139,13 @@ def complex_hamilton(state, potential, shift, steps, dt_pde):
     for axis in range(spec.dim):
         curvature_weights = curvature_weights + (
             spec.hbar ** 2 / (2.0 * spec.axis_masses[axis])
-        ) * spec.wavenumber_grid(axis) ** 2
+        ) * spec.along(axis, spec.wavenumbers[axis]) ** 2
     slope = state.phase_slope
 
     def rates(rho_values, phase_values):
         spectrum = np.fft.fftn(phase_values)
         phase_grads = [
-            np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * spectrum).real
+            np.fft.ifftn(1j * spec.along(axis, spec.derivative_wavenumbers[axis]) * spectrum).real
             for axis in range(spec.dim)
         ]
         root = np.sqrt(rho_values)
@@ -121,7 +159,7 @@ def complex_hamilton(state, potential, shift, steps, dt_pde):
             velocity = total_grad * inverse_masses[axis] - shift.per_axis[axis]
             flux = np.fft.fftn(rho_values * velocity)
             rho_rate = rho_rate - np.fft.ifftn(
-                1j * spec.derivative_wavenumber_grid(axis) * flux
+                1j * spec.along(axis, spec.derivative_wavenumbers[axis]) * flux
             ).real
         return rho_rate, phase_rate
 
@@ -150,11 +188,11 @@ def complex_diffuse(rho, drift_phi, shift, steps, dt_pde):
         spectrum = np.fft.fftn(rho_values)
         heat_symbol = np.zeros(spec.grid_points)
         for axis in range(spec.dim):
-            heat_symbol = heat_symbol + osmotic[axis] * spec.wavenumber_grid(axis) ** 2
+            heat_symbol = heat_symbol + osmotic[axis] * spec.along(axis, spec.wavenumbers[axis]) ** 2
         out = np.fft.ifftn(-heat_symbol * spectrum).real
         for axis in range(spec.dim):
             flux = np.fft.fftn(rho_values * drift_velocity[axis])
-            out -= np.fft.ifftn(1j * spec.derivative_wavenumber_grid(axis) * flux).real
+            out -= np.fft.ifftn(1j * spec.along(axis, spec.derivative_wavenumbers[axis]) * flux).real
         return out
 
     for _ in range(steps):
