@@ -102,8 +102,9 @@ def _command_bestmatch(args) -> int:
 
 def _command_verify(args) -> int:
     from .io import write_json
-    from .verify import run_suites
+    from .verify import run_suites, suite_names
 
+    suite_names(args.suite)  # an unknown suite exits 2 before --out is created
     directory = _out_directory(args)
     reports = run_suites(args.suite)
     for report in reports:

@@ -19,7 +19,6 @@ alone, one entropic step spec.dt per step.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -272,8 +271,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 shift = best_match_shift(wave.state)
             if walkers is not None:
                 walkers = walker_step(walkers, _wave_drift(wave), shift, run.dt_pde, time)
-            wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
-            wave = replace(wave, time=time)
+            wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)
             if step % run.snapshot_every == 0:
                 snapshot(step)
     except RedError as exc:

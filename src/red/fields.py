@@ -19,7 +19,6 @@ which is an identity for spectral derivatives on the periodic grid.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DensityFloorError, NumericalAbort
 from .model import (
@@ -205,7 +204,7 @@ def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
 def entropy(rho: ScalarField) -> float:
     """S = -int rho log rho with 0 log 0 = 0."""
     vals = np.clip(rho.values, 0.0, None)
-    return float(-np.sum(xlogy(vals, vals)) * rho.spec.cell_volume)
+    return float(-np.sum(vals * np.log(np.where(vals > 0, vals, 1.0))) * rho.spec.cell_volume)
 
 
 def entropy_rate(state: EpistemicState) -> float:

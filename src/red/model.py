@@ -14,7 +14,6 @@ lattice mode of the box still have exact gradients.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -344,19 +343,48 @@ def rk4_step(rate, values: tuple, dt_pde: float) -> tuple:
                  for v, a, b, c, d in zip(values, k1, k2, k3, k4))
 
 
-def interpolate(values: np.ndarray, spec: SystemSpec, points: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation of a grid array at (K, D) points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    scaled = points / spec.spacing
-    base = np.floor(scaled).astype(int)
-    frac = scaled - base
-    shape = np.asarray(spec.grid_points)
-    result = np.zeros(points.shape[0], dtype=values.dtype)
-    for corner in itertools.product((0, 1), repeat=spec.dim):
-        corner = np.asarray(corner)
-        idx = np.mod(base + corner, shape)
-        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
-        result += weight * values[tuple(idx.T)]
+@dataclass(frozen=True)
+class Stencil:
+    """Periodic multilinear interpolation weights for K points, shared by every grid array.
+
+    Entry c of `index` and of `weight` belongs to corner c of the 2^D-cell,
+    in itertools.product((0, 1), repeat=D) order: a (K,) array of the
+    corner's flat C-order grid index, and one of its weight, the product of
+    the per-axis factors multiplied left to right.  A stencil holds
+    16 * 2^D * K bytes (3.2 MB for K = 50,000 at D = 2), so build it once
+    per set of points.
+    """
+
+    index: tuple
+    weight: tuple
+
+    @classmethod
+    def at(cls, spec: SystemSpec, points: np.ndarray) -> "Stencil":
+        """The stencil of (K, D) points, which need not lie in the box."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        index, weight = [0], [None]
+        for axis, g in enumerate(spec.grid_points):
+            scaled = points[:, axis] / spec.spacing[axis]
+            base = np.floor(scaled).astype(int)
+            frac = scaled - base
+            low = np.mod(base, g)
+            high = low + 1
+            high[high == g] = 0
+            stride = int(np.prod(spec.grid_points[axis + 1:]))
+            corners = ((low * stride, 1.0 - frac), (high * stride, frac))
+            # axis 0 varies slowest; each weight gains one factor per axis, left to right
+            index = [prefix + offset for prefix in index for offset, _ in corners]
+            weight = [factor if prefix is None else prefix * factor
+                      for prefix in weight for _, factor in corners]
+        return cls(tuple(index), tuple(weight))
+
+
+def interpolate(values: np.ndarray, stencil: Stencil) -> np.ndarray:
+    """Periodic multilinear interpolation of a grid array at a stencil's points."""
+    flat = values.reshape(-1)
+    result = np.zeros(len(stencil.index[0]), dtype=values.dtype)
+    for index, weight in zip(stencil.index, stencil.weight):
+        result += weight * flat.take(index)
     return result
 
 

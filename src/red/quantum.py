@@ -209,8 +209,9 @@ def schrodinger_evolve(
     shift: ShiftVelocity,
     total_time: float,
     dt_pde: float,
+    time: float = None,
 ) -> WaveField:
-    """Strang split-step evolution.
+    """Strang split-step evolution, landing at `time` (default wave.time + steps * dt_pde).
 
     The half-potential and rest-frame kinetic factors are kept on the
     potential between calls with the same dt_pde; the shift enters through
@@ -231,7 +232,7 @@ def schrodinger_evolve(
         raise NumericalAbort(
             f"non-finite wave values after {steps} split steps of {dt_pde!r}"
         )
-    return WaveField(values, spec, wave.time + steps * dt_pde)
+    return WaveField(values, spec, wave.time + steps * dt_pde if time is None else time)
 
 
 def expected_momentum(wave: WaveField) -> np.ndarray:

@@ -26,6 +26,7 @@ from .model import (
     Ensemble,
     ScalarField,
     ShiftVelocity,
+    Stencil,
     SystemSpec,
     gradient_arrays,
     interpolate,
@@ -53,9 +54,10 @@ class GridDrift:
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
+        stencil = Stencil.at(self.spec, points)  # one stencil serves all D axes
         out = np.empty_like(points)
         for axis in range(self.spec.dim):
-            out[:, axis] = interpolate(self.grids[axis], self.spec, points)
+            out[:, axis] = interpolate(self.grids[axis], stencil)
         return out
 
 

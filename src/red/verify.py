@@ -400,8 +400,18 @@ def run_suite(name: str) -> SuiteReport:
     return SuiteReport(name, tuple(checks), elapsed)
 
 
-def run_suites(name: str) -> list:
-    """One report per suite; `all` runs the full registry in order."""
+def suite_names(name: str) -> list:
+    """The suites a name selects; `all` is the full registry in order.
+
+    Unknown names raise with the list of known suites.
+    """
     if name == "all":
-        return [run_suite(suite) for suite in SUITES]
-    return [run_suite(name)]
+        return list(SUITES)
+    if name not in SUITES:
+        raise UnknownSuiteError(name, list(SUITES) + ["all"])
+    return [name]
+
+
+def run_suites(name: str) -> list:
+    """One report per suite that the name selects."""
+    return [run_suite(suite) for suite in suite_names(name)]

@@ -115,6 +115,13 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "available" in capsys.readouterr().err
 
 
+def test_verify_unknown_suite_creates_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["verify", "bogus", "--out", str(out)]) == 2
+    assert "available" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_suite_reports_and_writes(tmp_path, capsys):
     assert main(["verify", "spreading", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -208,3 +215,16 @@ def test_bestmatch_out_that_cannot_be_created_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "--out" in captured.err
     assert captured.out == ""
+
+
+def test_entry_points_load_no_scipy():
+    probe = (
+        "import sys\n"
+        "import red.cli, red.experiment, red.verify\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(red.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from red.model import (
     EpistemicState,
     ScalarField,
     ShiftVelocity,
+    Stencil,
     SystemSpec,
     gradient_arrays,
     interpolate,
@@ -181,12 +182,27 @@ def test_interpolate_exact_at_nodes_and_periodic():
     rng = np.random.default_rng(3)
     values = rng.normal(size=spec.grid_points)
     pts = np.array([[spec.spacing[0] * 5, spec.spacing[1] * 11]])
-    assert interpolate(values, spec, pts)[0] == pytest.approx(values[5, 11], abs=1e-13)
+    assert interpolate(values, Stencil.at(spec, pts))[0] == pytest.approx(values[5, 11], abs=1e-13)
     # halfway between the last node and the wrapped first node
     h = spec.spacing[0]
     pts = np.array([[16.0 - 0.5 * h, 0.0]])
     expected = 0.5 * (values[15, 0] + values[0, 0])
-    assert interpolate(values, spec, pts)[0] == pytest.approx(expected, abs=1e-13)
+    assert interpolate(values, Stencil.at(spec, pts))[0] == pytest.approx(expected, abs=1e-13)
+
+
+def test_stencil_layout_and_weights():
+    spec = SystemSpec(1, 3, (1.0,), (2.0, 3.0, 4.0), (4, 5, 6), 0.01)
+    pts = np.random.default_rng(8).uniform(0.0, 4.0, (50, 3))
+    stencil = Stencil.at(spec, pts)
+    assert len(stencil.index) == len(stencil.weight) == 8
+    assert all(index.shape == weight.shape == (50,)
+               for index, weight in zip(stencil.index, stencil.weight))
+    assert all(np.all((index >= 0) & (index < 120)) for index in stencil.index)
+    assert np.allclose(sum(stencil.weight), 1.0, atol=1e-14)
+    # values linear in the grid indices are reproduced inside a cell off the periodic seam
+    inner = Stencil.at(spec, np.array([[0.5, 1.2, 1.9]]))  # indices (1, 2, 2.85)
+    values = np.arange(120, dtype=float).reshape(4, 5, 6)  # 30 i + 6 j + k
+    assert interpolate(values, inner)[0] == pytest.approx(30 + 12 + 2.85, abs=1e-12)
 
 
 def test_epistemic_state_validation():

@@ -1,5 +1,6 @@
 """The `red run` step: mode-space best matching, split-step factors, cached state, and the loop."""
 
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from red.model import (
     EpistemicState,
     ScalarField,
     ShiftVelocity,
+    Stencil,
     SystemSpec,
     gradient_arrays,
     interpolate,
@@ -39,7 +41,7 @@ from red.quantum import (
 from red.sampler import (
     STREAM_INIT,
     STREAM_WALK,
-    as_drift,
+    GridDrift,
     evolve_ensemble,
     kernel_moments,
     sample_from_density,
@@ -238,28 +240,49 @@ def test_run_observables_match_frozen_loop(tmp_path):
 # ---------------------------------------------------------------- frozen walker paths
 
 
-class FrozenWaveDrift:
-    """The run's wave drift as it was, a class of its own next to the sampler's GridDrift."""
+def frozen_interpolate(values, spec, points):
+    """model.interpolate as it was: corners, indices and weights rebuilt per call."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    scaled = points / spec.spacing
+    base = np.floor(scaled).astype(int)
+    frac = scaled - base
+    shape = np.asarray(spec.grid_points)
+    result = np.zeros(points.shape[0], dtype=values.dtype)
+    for corner in itertools.product((0, 1), repeat=spec.dim):
+        corner = np.asarray(corner)
+        idx = np.mod(base + corner, shape)
+        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
+        result += weight * values[tuple(idx.T)]
+    return result
 
-    def __init__(self, wave):
-        spec = wave.spec
-        psi = wave.values
-        rho = np.abs(psi) ** 2
-        alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
-        safe_rho = np.where(alive, rho, 1.0)
-        grads = gradient_arrays(psi, spec)
+
+class FrozenGridDrift:
+    """The sampler's GridDrift as it was: frozen_interpolate from the raw points, once per axis."""
+
+    def __init__(self, spec, grids):
         self.spec = spec
-        self._grids = [
-            np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
-            for product in (np.conj(psi) * g for g in grads)
-        ]
+        self._grids = grids
 
     def gradient(self, points):
         points = np.atleast_2d(points)
         out = np.empty_like(points)
         for axis in range(self.spec.dim):
-            out[:, axis] = interpolate(self._grids[axis], self.spec, points)
+            out[:, axis] = frozen_interpolate(self._grids[axis], self.spec, points)
         return out
+
+
+def frozen_wave_drift(wave):
+    """The run's wave-drift grids as they were, read through FrozenGridDrift."""
+    spec = wave.spec
+    psi = wave.values
+    rho = np.abs(psi) ** 2
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    safe_rho = np.where(alive, rho, 1.0)
+    grads = gradient_arrays(psi, spec)
+    return FrozenGridDrift(spec, [
+        np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
+        for product in (np.conj(psi) * g for g in grads)
+    ])
 
 
 def frozen_walker_step(walkers, drift, shift, dt, time):
@@ -274,9 +297,9 @@ def frozen_walker_step(walkers, drift, shift, dt, time):
 
 
 def frozen_evolve_ensemble(ensemble, drift_phi, shift, steps):
-    """evolve_ensemble as it was: its own loop over a bare positions array."""
+    """evolve_ensemble of a ScalarField drift as it was: its own loop over bare positions."""
     spec = ensemble.spec
-    drift = as_drift(drift_phi)
+    drift = FrozenGridDrift(spec, gradient_arrays(drift_phi.values, spec))
     positions = ensemble.positions.copy()
     dt = spec.dt
     for s in range(steps):
@@ -307,7 +330,7 @@ def frozen_run_walkers(config):
     snapshots = {0: walkers.positions}
     for step in range(1, run.steps + 1):
         shift = best_match_shift(wave.state)
-        walkers = frozen_walker_step(walkers, FrozenWaveDrift(wave), shift, run.dt_pde,
+        walkers = frozen_walker_step(walkers, frozen_wave_drift(wave), shift, run.dt_pde,
                                      t0 + step * run.dt_pde)
         wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
         if step % run.snapshot_every == 0:
@@ -319,6 +342,8 @@ def frozen_sample_walkers(config):
     """Walker snapshots of the sample loop with the frozen step, keyed by step."""
     spec, run = config.spec, config.run
     drift = build_drift(config)
+    if isinstance(drift, GridDrift):
+        drift = FrozenGridDrift(spec, drift.grids)
     shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
     walkers = initial_walkers(config, build_initial_wave(config), 0.0)
     snapshots = {0: walkers.positions}
@@ -329,7 +354,7 @@ def frozen_sample_walkers(config):
     return snapshots
 
 
-def walker_config(tmp_path, potential, shift_mode, ensemble_k=64):
+def walker_config(tmp_path, potential, shift_mode, ensemble_k=64, snapshot_every=2):
     doc = {
         "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "box": [16.0],
                    "grid": [32, 32], "dt": 0.02},
@@ -337,8 +362,8 @@ def walker_config(tmp_path, potential, shift_mode, ensemble_k=64):
                           "boost": [2.0 * np.pi / 16.0]},
         "drift_or_potential": potential,
         "shift_mode": shift_mode,
-        "run": {"steps": 6, "dt_pde": 0.01, "snapshot_every": 2, "ensemble_K": ensemble_k,
-                "seed": 9},
+        "run": {"steps": 6, "dt_pde": 0.01, "snapshot_every": snapshot_every,
+                "ensemble_K": ensemble_k, "seed": 9},
         "outputs": str(tmp_path / "out"),
     }
     return parse_config(json.dumps(doc))
@@ -379,3 +404,56 @@ def test_evolve_ensemble_matches_frozen_loop():
     assert np.array_equal(got.positions, want.positions)
     assert got.time == want.time
     assert got.step_index == want.step_index == 10
+
+
+# ---------------------------------------------------------------- interpolation stencil
+
+
+def stencil_points(spec, rng, count):
+    """Random points in and around the box, the origin, grid nodes, and L - ulp after wrapping."""
+    box = spec.axis_box
+    nodes = np.stack([np.arange(6) % g for g in spec.grid_points], axis=1) * spec.spacing
+    top = wrap_array(spec, np.nextafter(box, 0.0)[None, :])
+    return np.concatenate([
+        np.zeros((1, spec.dim)), nodes, top,
+        wrap_array(spec, rng.uniform(0.0, 1.0, (count, spec.dim)) * box),
+        rng.uniform(-box, 2.0 * box, (count // 4, spec.dim)),
+    ])
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim, box, grid", [
+    (1, 1, (3.0,), (8,)),
+    (2, 1, (7.3,), (31, 33)),
+    (2, 1, (16.0,), (128, 128)),
+    (1, 3, (1.0, 2.0, 3.3), (6, 7, 5)),
+    (2, 2, (5.0, 6.5), (16, 16, 16, 16)),
+])
+def test_stencil_interpolation_matches_frozen_interpolate_bitwise(n_particles, spatial_dim,
+                                                                  box, grid):
+    spec = SystemSpec(n_particles, spatial_dim, (1.0,) * n_particles, box, grid, dt=0.01)
+    rng = np.random.default_rng(sum(grid))
+    points = stencil_points(spec, rng, 4000)
+    stencil = Stencil.at(spec, points)
+    assert len(stencil.index) == len(stencil.weight) == 2 ** spec.dim
+    for values in (rng.normal(size=grid), rng.normal(size=grid) + 1j * rng.normal(size=grid)):
+        got = interpolate(values, stencil)
+        want = frozen_interpolate(values, spec, points)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_run_validates_one_wave_per_step(tmp_path, monkeypatch):
+    config = walker_config(tmp_path, {"preset": "smooth_harmonic_relational", "k": 0.4},
+                           {"mode": "best_match"}, ensemble_k=0, snapshot_every=6)
+    built = []
+    original = WaveField.__post_init__
+
+    def counted(self):
+        built.append(self.time)
+        original(self)
+
+    monkeypatch.setattr(WaveField, "__post_init__", counted)
+    run_experiment(config)
+    run = config.run
+    assert len(built) == run.steps + 1
+    assert built[1:] == [step * run.dt_pde for step in range(1, run.steps + 1)]
