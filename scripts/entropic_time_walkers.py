@@ -11,8 +11,8 @@ from red.model import Ensemble, ShiftVelocity, SystemSpec
 from red.presets import gaussian_density
 from red.sampler import (
     STREAM_INIT,
+    Drift,
     evolve_ensemble,
-    linear_drift,
     minimal_image,
     sample_from_density,
     stream,
@@ -23,7 +23,7 @@ STEPS = 8
 SEED = 11
 
 spec = SystemSpec(2, 1, (1.0, 4.0), (20.0,), (128, 128), dt=0.01)
-drift = linear_drift([3.0, -1.0])
+drift = Drift(spec, slope=[3.0, -1.0])
 rest = ShiftVelocity(np.zeros(1), spec)
 
 density = gaussian_density(spec, (10.0, 10.0), (0.05, 0.05))

@@ -49,20 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     from .config import load_config
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError([("/run/seed", "--seed must fit in an unsigned 64-bit integer")])
-        config = config.with_overrides(seed=args.seed)
-    if args.out is not None:
-        config = config.with_overrides(outputs=args.out)
-    return config
+    return load_config(args.config, seed=args.seed, outputs=args.out)
 
 
 def _out_directory(args):
     """Create the --out directory before any work is done; None without --out."""
     if args.out is None:
         return None
+    if not args.out:
+        raise ConfigError([("--out", "must be a non-empty path string")])
     directory = Path(args.out)
     try:
         directory.mkdir(parents=True, exist_ok=True)

@@ -88,19 +88,6 @@ class ExperimentConfig:
     outputs: str
     resolved: dict
 
-    def with_overrides(self, seed: int = None, outputs: str = None) -> "ExperimentConfig":
-        """Copy with the CLI-level seed/outputs overrides applied."""
-        run = self.run
-        resolved = json.loads(json.dumps(self.resolved))
-        if seed is not None:
-            run = RunSettings(run.steps, run.dt_pde, run.snapshot_every, run.ensemble_k, seed)
-            resolved["run"]["seed"] = seed
-        out = self.outputs if outputs is None else outputs
-        resolved["outputs"] = out
-        return ExperimentConfig(
-            self.spec, self.initial_state, self.potential, self.shift_mode, run, out, resolved
-        )
-
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -432,12 +419,14 @@ def _parse_run(collect: _Collector, doc: dict) -> dict:
     }
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, seed: int = None, outputs: str = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
     Raises ConfigError carrying every violation found, each tagged with a
     JSON-pointer path.  On success the returned config's `resolved` dict
-    spells out every applied default.
+    spells out every applied default.  A given seed or outputs replaces the
+    document's /run/seed or /outputs before validation, so the same checks
+    judge them.
     """
     collect = _Collector()
     try:
@@ -446,6 +435,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([("/", f"not valid JSON: {exc}")])
     if not isinstance(doc, dict):
         raise ConfigError([("/", "top level must be a JSON object")])
+    if seed is not None and isinstance(doc.get("run"), dict):
+        doc["run"]["seed"] = seed
+    if outputs is not None:
+        doc["outputs"] = outputs
 
     known = {"system", "initial_state", "drift_or_potential", "shift_mode", "run", "outputs"}
     for key in doc:
@@ -519,9 +512,10 @@ def _tup(value):
     return None if value is None else tuple(value)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: int = None, outputs: str = None) -> ExperimentConfig:
+    """parse_config of the file at path, with the same seed and outputs overrides."""
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError([("/", f"cannot read config file: {err}")]) from err
-    return parse_config(text)
+    return parse_config(text, seed, outputs)

@@ -28,7 +28,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, RedError
 from .fields import PHASE_DEAD_RELATIVE, entropy
 from .geometry import best_match_shift, info_metric_g, total_momentum
-from .io import ObservablesWriter, wave_from_csv, wave_to_csv, write_json
+from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
     Ensemble,
     ScalarField,
@@ -55,9 +55,7 @@ from .quantum import (
 )
 from .sampler import (
     STREAM_INIT,
-    GridDrift,
-    as_drift,
-    linear_drift,
+    Drift,
     sample_from_density,
     stream,
     walker_step,
@@ -112,14 +110,14 @@ def build_potential(config: ExperimentConfig) -> Potential:
     spec = config.spec
     choice = config.potential
     if choice.file is not None:
-        from .io import read_json
-
         try:
             payload = read_json(choice.file)
             values = np.asarray(payload["values"], dtype=float)
-            relational = bool(payload.get("relational", False))
+            relational = payload.get("relational", False)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError([("/drift_or_potential/file", f"unreadable potential file: {exc}")])
+        if not isinstance(relational, bool):
+            raise ConfigError([("/drift_or_potential/file", "`relational` must be true or false")])
         if values.shape != spec.grid_points:
             raise ConfigError([
                 ("/drift_or_potential/file",
@@ -145,17 +143,17 @@ def build_potential(config: ExperimentConfig) -> Potential:
     ])
 
 
-def build_drift(config: ExperimentConfig):
-    """Prescribed drift for the sample path; None means pure diffusion."""
+def build_drift(config: ExperimentConfig) -> Drift:
+    """Prescribed drift for the sample path: none, linear, or a grid potential's."""
     choice = config.potential
     if choice.preset == "free":
-        return None
+        return Drift(config.spec)
     if choice.preset == "linear":
-        return linear_drift(choice.coefficients)
-    return as_drift(ScalarField(build_potential(config).values.values, config.spec))
+        return Drift(config.spec, slope=choice.coefficients)
+    return Drift.of(ScalarField(build_potential(config).values.values, config.spec))
 
 
-def _wave_drift(wave: WaveField) -> GridDrift:
+def _wave_drift(wave: WaveField) -> Drift:
     """Drift-potential gradient of a wavefunction on the grid.
 
     grad(phi) = [Im + Re](conj(psi) grad psi) / |psi|^2 combines the phase
@@ -168,7 +166,7 @@ def _wave_drift(wave: WaveField) -> GridDrift:
     alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
     safe_rho = np.where(alive, rho, 1.0)
     grads = gradient_arrays(psi, spec)
-    return GridDrift(spec, [
+    return Drift(spec, [
         np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
         for product in (np.conj(psi) * g for g in grads)
     ])

@@ -32,11 +32,10 @@ from .model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    gradient_arrays,
     mode_momentum,
     quadrature,
 )
-from .sampler import STREAM_MONTE_CARLO, stream
+from .sampler import STREAM_MONTE_CARLO, Drift, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
 BEST_MATCH_MAX_ITER = 10_000
@@ -115,12 +114,11 @@ def info_metric_g(state: EpistemicState, shift: ShiftVelocity) -> MismatchReport
 
 def info_metric_g_mc(
     rho: ScalarField,
-    drift_phi: ScalarField,
+    drift: Drift,
     shift: ShiftVelocity,
     n_samples: int,
     seed: int,
     sample_index: int = 0,
-    drift_slope=None,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the mismatch from the kernel's own variables.
 
@@ -130,21 +128,15 @@ def info_metric_g_mc(
         f(x) = sum_A m_A v_A(x)^2 / 2,   v_A = hbar d_A(phi) / m_A - shift_A,
 
     plus the deterministic spread constant.  Standard error scales with the
-    sample variance of f: quadrupling the sample count halves it.
-
-    drift_slope carries the linear part of phi per configuration axis, the
-    same device EpistemicState uses for its phase: a boost is not periodic
-    on the grid, so it must bypass the spectral gradient.
+    sample variance of f: quadrupling the sample count halves it.  The
+    samples sit on grid cells, so d_A(phi) is the drift's gradient grid
+    there plus its slope, with no interpolation.
     """
     if n_samples < 2:
         raise ConsistencyError("need at least two samples for a standard error")
     spec = rho.spec
-    if drift_phi.spec != spec:
+    if drift.spec != spec:
         raise ConsistencyError("density and drift potential live on different grids")
-    if drift_slope is None:
-        drift_slope = np.zeros(spec.dim)
-    drift_slope = np.broadcast_to(np.asarray(drift_slope, dtype=float), (spec.dim,))
-    drift_grads = gradient_arrays(drift_phi.values, spec)
 
     weights = np.clip(rho.values.reshape(-1), 0.0, None)
     total = float(np.sum(weights))
@@ -156,7 +148,8 @@ def info_metric_g_mc(
     statistic = np.zeros(n_samples)
     for axis in range(spec.dim):
         mass = spec.axis_masses[axis]
-        grads = drift_grads[axis].reshape(-1)[flat_cells] + drift_slope[axis]
+        cells = drift.grids[axis].reshape(-1)[flat_cells] if drift.grids else 0.0
+        grads = cells + drift.slope[axis]
         velocity = spec.hbar * grads / mass - shift.per_axis[axis]
         statistic += 0.5 * mass * velocity ** 2
     value = kernel_spread_constant(spec) + float(np.mean(statistic))

@@ -21,6 +21,7 @@ from .quantum import WaveField
 
 FLOAT_FORMAT = ".17g"
 CSV_BLOCK_ROWS = 4096
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def write_float_csv(path, header: list, table: np.ndarray) -> None:
@@ -77,30 +78,64 @@ def wave_to_csv(wave: WaveField, csv_path) -> None:
     write_json(_sidecar_path(csv_path), _grid_sidecar(wave.spec, wave.time, "wavefunction"))
 
 
-def wave_from_csv(csv_path, spec: SystemSpec) -> WaveField:
-    sidecar = read_json(_sidecar_path(csv_path))
-    if tuple(sidecar["shape"]) != spec.grid_points:
-        raise ConsistencyError(
-            f"snapshot shape {sidecar['shape']} does not match grid {list(spec.grid_points)}"
-        )
-    with open(csv_path, newline="") as handle:
+def read_float_csv(path) -> tuple:
+    """Header and (rows, columns) float table of a CSV, as write_float_csv writes it.
+
+    A missing header, a malformed row or a row whose width differs from the
+    header raises ConsistencyError.
+    """
+    with open(path, newline="") as handle:
         header = next(csv.reader(handle), None)
+    if not header:
+        raise ConsistencyError(f"CSV {path} has no header row")
+    try:
+        with warnings.catch_warnings():  # an empty body is a table of zero rows
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ConsistencyError(f"malformed CSV row in {path}: {exc}") from None
+    if table.size == 0:
+        table = table.reshape(0, len(header))
+    if table.shape[1] != len(header):
+        raise ConsistencyError(
+            f"CSV {path} rows hold {table.shape[1]} values under a header of {len(header)}"
+        )
+    return header, table
+
+
+def _wave_sidecar(csv_path) -> tuple:
+    """(shape, time) of a wavefunction snapshot's JSON sidecar, validated."""
+    try:
+        sidecar = read_json(_sidecar_path(csv_path))
+    except ValueError as exc:
+        raise ConsistencyError(f"wavefunction sidecar is not valid JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ConsistencyError("wavefunction sidecar must be a JSON object")
+    shape, time = sidecar.get("shape"), sidecar.get("time")
+    if not isinstance(shape, list):
+        raise ConsistencyError("wavefunction sidecar needs a `shape` list")
+    # a comparison, not isfinite: it also rejects JSON integers too large for a float
+    if isinstance(time, bool) or not isinstance(time, (int, float)) or not abs(time) <= FLOAT_MAX:
+        raise ConsistencyError(f"wavefunction sidecar needs a finite `time`, got {time!r}")
+    return shape, float(time)
+
+
+def wave_from_csv(csv_path, spec: SystemSpec) -> WaveField:
+    shape, time = _wave_sidecar(csv_path)
+    if tuple(shape) != spec.grid_points:
+        raise ConsistencyError(
+            f"snapshot shape {shape} does not match grid {list(spec.grid_points)}"
+        )
+    header, table = read_float_csv(csv_path)
     if header != ["real", "imaginary"]:
         raise ConsistencyError(f"wavefunction CSV header {header} is not [real, imaginary]")
     cells = int(np.prod(spec.grid_points))
-    try:
-        with warnings.catch_warnings():  # an empty body is reported by the shape check
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ConsistencyError(f"malformed wavefunction CSV row: {exc}") from None
-    if table.shape != (cells, 2):
+    if table.shape[0] != cells:
         raise ConsistencyError(
-            f"wavefunction CSV holds {table.shape[0]} rows of {table.shape[1]} values, "
-            f"expected {cells} rows of 2"
+            f"wavefunction CSV holds {table.shape[0]} rows, expected {cells}"
         )
     flat = table.view(complex).reshape(spec.grid_points)
-    return WaveField(flat, spec, time=float(sidecar["time"]))
+    return WaveField(flat, spec, time=time)
 
 
 class ObservablesWriter:
@@ -137,9 +172,5 @@ class ObservablesWriter:
 
 def read_observables(path) -> dict:
     """Columns of an observables.csv as {name: array}."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    header, table = read_float_csv(path)
     return {name: table[:, i] for i, name in enumerate(header)}

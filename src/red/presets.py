@@ -43,19 +43,11 @@ def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
     return normalized_density(spec, values)
 
 
-def gaussian_state(spec: SystemSpec, center=None, sigma=1.0, slope=None,
-                   uniform_mix: float = 0.0) -> EpistemicState:
-    """Gaussian density with a linear phase of the given slope per axis.
-
-    uniform_mix blends in a flat floor, useful when downstream steps divide
-    by sqrt(rho) and the corners of the box would otherwise underflow.
-    """
+def gaussian_state(spec: SystemSpec, center=None, sigma=1.0, slope=None) -> EpistemicState:
+    """Gaussian density with a linear phase of the given slope per axis."""
     if center is None:
         center = spec.axis_box / 2.0
     rho = gaussian_density(spec, center, sigma)
-    if uniform_mix:
-        mixed = (1.0 - uniform_mix) * rho.values + uniform_mix / spec.volume
-        rho = normalized_density(spec, mixed)
     slope = np.zeros(spec.dim) if slope is None else np.broadcast_to(
         np.asarray(slope, dtype=float), (spec.dim,)
     ).copy()

@@ -16,12 +16,10 @@ identical streams.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import ConsistencyError
-from .io import write_float_csv
+from .io import read_float_csv, write_float_csv
 from .model import (
     Ensemble,
     ScalarField,
@@ -45,60 +43,43 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-class GridDrift:
-    """Drift-potential gradient held per configuration axis on the grid, evaluated multilinearly."""
+class Drift:
+    """Gradient of a drift potential phi: per-axis grids plus a constant per-axis slope.
 
-    def __init__(self, spec: SystemSpec, grids: list):
+    phi splits the way a boosted state's phase does: a periodic part, held
+    as its spectral gradient on the grid and read multilinearly through one
+    Stencil per call, and a linear part slope . x.  A linear phi has no
+    grids; a periodic phi has a zero slope.
+    """
+
+    def __init__(self, spec: SystemSpec, grids=(), slope=None):
         self.spec = spec
-        self.grids = grids
+        self.grids = tuple(grids)
+        self.slope = np.zeros(spec.dim) if slope is None else np.broadcast_to(
+            np.asarray(slope, dtype=float), (spec.dim,)).copy()
+
+    @classmethod
+    def of(cls, drift_phi: ScalarField, slope=None) -> "Drift":
+        """Drift of the grid potential drift_phi (differentiated spectrally) plus slope . x."""
+        return cls(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec), slope)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
+        if not self.grids:
+            return np.broadcast_to(self.slope, points.shape).copy()
         stencil = Stencil.at(self.spec, points)  # one stencil serves all D axes
         out = np.empty_like(points)
         for axis in range(self.spec.dim):
-            out[:, axis] = interpolate(self.grids[axis], stencil)
+            out[:, axis] = interpolate(self.grids[axis], stencil) + self.slope[axis]
         return out
 
 
-class AnalyticDrift:
-    """Drift potential with a closed-form gradient, evaluated exactly."""
-
-    def __init__(self, gradient_fn):
-        self._gradient_fn = gradient_fn
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.asarray(self._gradient_fn(points), dtype=float).reshape(points.shape)
-
-
-def linear_drift(coefficients) -> AnalyticDrift:
-    """phi(x) = c . x; the gradient is the constant coefficient vector."""
-    coeffs = np.asarray(coefficients, dtype=float)
-    return AnalyticDrift(lambda pts: np.broadcast_to(coeffs, pts.shape).copy())
-
-
-def constant_drift() -> AnalyticDrift:
-    """phi constant: no drift, pure diffusion."""
-    return AnalyticDrift(lambda pts: np.zeros_like(pts))
-
-
-def as_drift(drift_phi):
-    """Accept a ScalarField (differentiated spectrally), a drift object, or None (no drift)."""
-    if drift_phi is None:
-        return constant_drift()
-    if isinstance(drift_phi, ScalarField):
-        return GridDrift(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec))
-    if hasattr(drift_phi, "gradient"):
-        return drift_phi
-    raise TypeError(f"cannot interpret {type(drift_phi).__name__} as a drift potential")
-
-
-def kernel_moments(points: np.ndarray, drift, shift: ShiftVelocity, spec: SystemSpec, dt: float):
+def kernel_moments(points: np.ndarray, drift: Drift, shift: ShiftVelocity, spec: SystemSpec,
+                   dt: float):
     """Vectorized kernel mean (K, D) and shared covariance diagonal (D,)."""
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    grad = as_drift(drift).gradient(points)
+    grad = drift.gradient(points)
     if not np.all(np.isfinite(grad)):
         raise ConsistencyError("drift gradient is not finite at a requested point")
     inv_mass = 1.0 / spec.axis_masses
@@ -107,7 +88,7 @@ def kernel_moments(points: np.ndarray, drift, shift: ShiftVelocity, spec: System
     return mean, cov
 
 
-def walker_step(ensemble: Ensemble, drift, shift: ShiftVelocity, dt: float,
+def walker_step(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, dt: float,
                 time: float) -> Ensemble:
     """One kernel step of duration dt for every walker, landing at `time`.
 
@@ -124,11 +105,10 @@ def walker_step(ensemble: Ensemble, drift, shift: ShiftVelocity, dt: float,
                     ensemble.rng_seed, time, ensemble.step_index + 1)
 
 
-def evolve_ensemble(ensemble: Ensemble, drift_phi, shift: ShiftVelocity, steps: int) -> Ensemble:
+def evolve_ensemble(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, steps: int) -> Ensemble:
     """Advance every walker `steps` entropic instants of duration spec.dt."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    drift = as_drift(drift_phi)
     t0, dt = ensemble.time, ensemble.spec.dt
     for s in range(1, steps + 1):
         ensemble = walker_step(ensemble, drift, shift, dt, t0 + s * dt)
@@ -158,11 +138,8 @@ def walkers_to_csv(ensemble: Ensemble, path) -> None:
 
 def walkers_from_csv(path, spec: SystemSpec, rng_seed: int = 0, time: float = 0.0) -> Ensemble:
     """Read walker positions written by walkers_to_csv."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        expected = [f"x_{a}" for a in range(spec.dim)]
-        if header != expected:
-            raise ConsistencyError(f"walker CSV header {header} does not match {expected}")
-        rows = [[float(v) for v in row] for row in reader]
-    return Ensemble(np.asarray(rows, dtype=float), spec, rng_seed, time)
+    header, table = read_float_csv(path)
+    expected = [f"x_{a}" for a in range(spec.dim)]
+    if header != expected:
+        raise ConsistencyError(f"walker CSV header {header} does not match {expected}")
+    return Ensemble(table, spec, rng_seed, time)

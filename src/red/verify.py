@@ -56,8 +56,8 @@ from .quantum import (
     to_wavefunction,
 )
 from .sampler import (
+    Drift,
     evolve_ensemble,
-    linear_drift,
     minimal_image,
     sample_from_density,
     stream,
@@ -133,7 +133,7 @@ class SuiteReport:
 def suite_moments() -> list:
     """One-step kernel statistics at K = 1e5 against the exact moments."""
     spec = SystemSpec(2, 1, (1.0, 2.0), (20.0,), (16, 16), dt=0.01)
-    drift = linear_drift([3.0, 1.0])
+    drift = Drift(spec, slope=[3.0, 1.0])
     shift = ShiftVelocity(np.array([0.4]), spec)
     k_samples = 100_000
     start = np.tile(np.array([10.0, 10.0]), (k_samples, 1))
@@ -167,7 +167,7 @@ def suite_mcfp() -> list:
 
     positions = sample_from_density(rho0, k_samples, stream(DEFAULT_SEED, STREAM_CHECKS, 0))
     walkers = Ensemble(positions, spec, DEFAULT_SEED, 0.0, 0)
-    walkers = evolve_ensemble(walkers, None, ShiftVelocity.zero(spec), 100)
+    walkers = evolve_ensemble(walkers, Drift(spec), ShiftVelocity.zero(spec), 100)
     hist, _ = np.histogram(walkers.positions[:, 0], bins=bins, range=(0.0, 40.0))
     hist = hist / k_samples
 
@@ -194,9 +194,8 @@ def suite_gdecomp() -> list:
     state = gaussian_state(spec, sigma=1.0, slope=np.full(3, 0.5))
     shift = ShiftVelocity.zero(spec)
     report = info_metric_g(state, shift)
-    drift, slope = state_drift_potential(state)
-    estimate = info_metric_g_mc(state.rho, drift, shift, n_samples=100_000,
-                                seed=DEFAULT_SEED, drift_slope=slope)
+    estimate = info_metric_g_mc(state.rho, Drift.of(*state_drift_potential(state)), shift,
+                                n_samples=100_000, seed=DEFAULT_SEED)
     return [
         below("constant_term_deviation", abs(report.constant_term - 15.0), 0.0),
         below("mc_vs_field_se_units",

@@ -54,6 +54,43 @@ def test_seed_and_out_flags_override(tmp_path):
     assert manifest["config"]["run"]["seed"] == 42
 
 
+@pytest.mark.parametrize("command", ["run", "sample", "bestmatch"])
+def test_empty_out_flag_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    path = write_config(tmp_path, run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8},
+                        shift_mode={"mode": "fixed", "values": [0.0]})
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", str(path), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "/outputs" in captured.err
+    assert captured.out == ""
+    assert list(work.iterdir()) == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_empty_out_flag_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "spreading", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sidecar", ['{"kind": "wavefunction"}', "not json",
+                                     '{"kind": "wavefunction", "shape": [64, 64], "time": "abc"}'])
+def test_bad_initial_wave_sidecar_exits_2(tmp_path, capsys, sidecar):
+    spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
+    wave_to_csv(WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec), tmp_path / "wave.csv")
+    (tmp_path / "wave.json").write_text(sidecar)
+    path = write_config(tmp_path, initial_state={"file": str(tmp_path / "wave.csv")})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "/initial_state/file" in err
+    assert "sidecar" in err
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, system={"n_particles": 1, "spatial_dim": 1,
                                           "box": [16.0], "grid": [64],

@@ -200,12 +200,26 @@ def test_scalars_broadcast_to_lists():
     assert config.initial_state.sigma == (1.5, 1.5)
 
 
-def test_with_overrides_updates_resolved_copy():
-    config = parse(MINIMAL)
-    updated = config.with_overrides(seed=99, outputs="elsewhere")
+def test_load_config_flags_update_resolved_copy(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MINIMAL))
+    updated = load_config(path, seed=99, outputs="elsewhere")
     assert updated.run.seed == 99
     assert updated.outputs == "elsewhere"
     assert updated.resolved["run"]["seed"] == 99
     assert updated.resolved["outputs"] == "elsewhere"
+    config = load_config(path)
     assert config.run.seed == 0
     assert config.resolved["run"]["seed"] == 0
+    assert json.loads(path.read_text()) == MINIMAL
+
+
+@pytest.mark.parametrize("seed, outputs, pointer", [
+    (-1, None, "/run/seed"), (2 ** 64, None, "/run/seed"), (None, "", "/outputs"),
+])
+def test_load_config_flags_are_validated(tmp_path, seed, outputs, pointer):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MINIMAL))
+    with pytest.raises(ConfigError) as err:
+        load_config(path, seed=seed, outputs=outputs)
+    assert [v[0] for v in err.value.violations] == [pointer]

@@ -91,6 +91,16 @@ def test_potential_file_round_trip_and_shape_check(tmp_path):
     assert err.value.violations[0][0] == "/drift_or_potential/file"
 
 
+@pytest.mark.parametrize("relational", ["false", 0, None])
+def test_potential_file_relational_must_be_a_boolean(tmp_path, relational):
+    path = tmp_path / "pot.json"
+    write_json(path, {"values": np.zeros((64, 64)).tolist(), "relational": relational})
+    doc = config_doc(tmp_path, drift_or_potential={"file": str(path)})
+    with pytest.raises(ConfigError, match="relational") as err:
+        build_potential(parse(doc))
+    assert err.value.violations[0][0] == "/drift_or_potential/file"
+
+
 def test_zero_step_run_emits_manifest_and_single_snapshot(tmp_path):
     doc = config_doc(tmp_path)
     doc["run"]["steps"] = 0

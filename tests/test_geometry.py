@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from red.errors import ConsistencyError
+from red.fields import state_drift_potential
 from red.geometry import (
+    MonteCarloEstimate,
     best_match_shift,
     ensemble_hamiltonian_h0,
     info_metric_g,
@@ -19,9 +21,11 @@ from red.model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
+    gradient_arrays,
     normalized_density,
 )
 from red.presets import gaussian_density, gaussian_state
+from red.sampler import STREAM_MONTE_CARLO, Drift, stream
 
 
 def uniform_state(spec, slope=None):
@@ -87,7 +91,7 @@ def test_info_metric_terms_sum_to_total():
 def test_info_metric_mc_zero_variance_case():
     # a flat drift gives constant per-sample statistic: stderr exactly zero
     spec = SystemSpec(1, 1, (2.0,), (20.0,), (128,), dt=0.05)
-    drift = ScalarField.constant(spec, 0.0)
+    drift = Drift(spec)
     state = uniform_state(spec, np.array([0.9 * spec.axis_masses[0]]))
     shift = ShiftVelocity(np.array([0.25]), spec)
     report = info_metric_g(state, shift)
@@ -110,7 +114,7 @@ def test_info_metric_field_form_matches_sampled_form():
     state = EpistemicState(rho, ScalarField(spec.hbar * (drift.values - 0.5 * np.log(rho.values)), spec))
     shift = ShiftVelocity(np.array([0.03]), spec)
     report = info_metric_g(state, shift)
-    estimate = info_metric_g_mc(rho, drift, shift, n_samples=200_000, seed=11)
+    estimate = info_metric_g_mc(rho, Drift.of(drift), shift, n_samples=200_000, seed=11)
     assert abs(estimate.value - report.g_total) < 5.0 * estimate.stderr
     assert estimate.stderr < 1e-3
 
@@ -118,7 +122,7 @@ def test_info_metric_field_form_matches_sampled_form():
 def test_mc_estimate_reproducible_and_stream_separated():
     spec = SystemSpec(1, 1, (1.0,), (40.0,), (256,), dt=0.05)
     x = spec.axis_coords[0]
-    drift = ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec)
+    drift = Drift.of(ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec))
     rho = gaussian_density(spec, 20.0, 2.0)
     shift = ShiftVelocity.zero(spec)
     a = info_metric_g_mc(rho, drift, shift, n_samples=500, seed=3)
@@ -131,7 +135,7 @@ def test_mc_estimate_reproducible_and_stream_separated():
 def test_mc_standard_error_scales_with_sample_count():
     spec = SystemSpec(1, 1, (1.0,), (40.0,), (256,), dt=0.05)
     x = spec.axis_coords[0]
-    drift = ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec)
+    drift = Drift.of(ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec))
     rho = gaussian_density(spec, 20.0, 2.0)
     shift = ShiftVelocity.zero(spec)
     small = info_metric_g_mc(rho, drift, shift, n_samples=2_000, seed=5)
@@ -144,14 +148,44 @@ def test_mc_standard_error_scales_with_sample_count():
 def test_mc_rejects_degenerate_inputs():
     spec = SystemSpec(1, 1, (1.0,), (20.0,), (64,), dt=0.05)
     rho = gaussian_density(spec, 10.0, 1.0)
-    drift = ScalarField.constant(spec, 0.0)
+    drift = Drift(spec)
     with pytest.raises(ConsistencyError):
         info_metric_g_mc(rho, drift, ShiftVelocity.zero(spec), n_samples=1, seed=0)
     other = SystemSpec(1, 1, (1.0,), (20.0,), (128,), dt=0.05)
     with pytest.raises(ConsistencyError):
-        info_metric_g_mc(
-            rho, ScalarField.constant(other, 0.0), ShiftVelocity.zero(spec), 10, 0
-        )
+        info_metric_g_mc(rho, Drift(other), ShiftVelocity.zero(spec), 10, 0)
+
+
+def frozen_info_metric_g_mc(rho, drift_phi, shift, n_samples, seed, drift_slope):
+    """The Monte Carlo mismatch as it was: phi as a (field, slope) pair, differentiated here."""
+    spec = rho.spec
+    drift_slope = np.broadcast_to(np.asarray(drift_slope, dtype=float), (spec.dim,))
+    drift_grads = gradient_arrays(drift_phi.values, spec)
+    weights = np.clip(rho.values.reshape(-1), 0.0, None)
+    rng = stream(seed, STREAM_MONTE_CARLO, 0)
+    flat_cells = rng.choice(weights.size, size=n_samples, p=weights / float(np.sum(weights)))
+    statistic = np.zeros(n_samples)
+    for axis in range(spec.dim):
+        mass = spec.axis_masses[axis]
+        grads = drift_grads[axis].reshape(-1)[flat_cells] + drift_slope[axis]
+        velocity = spec.hbar * grads / mass - shift.per_axis[axis]
+        statistic += 0.5 * mass * velocity ** 2
+    return MonteCarloEstimate(value=kernel_spread_constant(spec) + float(np.mean(statistic)),
+                              stderr=float(np.std(statistic, ddof=1) / np.sqrt(n_samples)),
+                              n_samples=n_samples)
+
+
+def test_mc_of_a_sloped_drift_matches_frozen_pair_estimator():
+    # the gdecomp suite's kind of state, on a small grid: a boosted Gaussian
+    spec = SystemSpec(1, 3, (1.0,), (16.0, 16.0, 16.0), (16, 16, 16), dt=0.05)
+    state = gaussian_state(spec, sigma=2.0, slope=np.array([0.5, -0.25, 0.75]))
+    shift = ShiftVelocity(np.array([0.1, 0.0, -0.2]), spec)
+    grid, slope = state_drift_potential(state)
+    assert np.all(slope != 0.0)
+    got = info_metric_g_mc(state.rho, Drift.of(grid, slope), shift, n_samples=5_000, seed=7)
+    want = frozen_info_metric_g_mc(state.rho, grid, shift, 5_000, 7, slope)
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert np.float64(got.stderr).tobytes() == np.float64(want.stderr).tobytes()
 
 
 def test_total_momentum_uniform_slopes():

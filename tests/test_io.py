@@ -9,6 +9,7 @@ from red.errors import ConsistencyError
 from red.io import (
     CSV_BLOCK_ROWS,
     ObservablesWriter,
+    read_float_csv,
     read_json,
     read_observables,
     wave_from_csv,
@@ -191,3 +192,49 @@ def test_observables_writer_rejects_bad_rows():
     full = {name: 0.0 for name in writer.header}
     with pytest.raises(ConsistencyError, match="unknown observable"):
         writer.add(extra=1.0, **full)
+
+
+@pytest.mark.parametrize("sidecar", [
+    "not json",
+    "[1, 2]",
+    '{"kind": "wavefunction"}',
+    '{"kind": "wavefunction", "shape": 32, "time": 0.0}',
+    '{"kind": "wavefunction", "shape": [32]}',
+    '{"kind": "wavefunction", "shape": [32], "time": "abc"}',
+    '{"kind": "wavefunction", "shape": [32], "time": NaN}',
+    '{"kind": "wavefunction", "shape": [32], "time": true}',
+    '{"kind": "wavefunction", "shape": [32], "time": 1' + "0" * 400 + '}',
+])
+def test_wave_sidecar_validated(tmp_path, sidecar):
+    wave_to_csv(make_wave(SPEC), tmp_path / "wave.csv")
+    (tmp_path / "wave.json").write_text(sidecar)
+    with pytest.raises(ConsistencyError, match="sidecar"):
+        wave_from_csv(tmp_path / "wave.csv", SPEC)
+
+
+def test_read_float_csv_header_and_table(tmp_path):
+    table = _edge_table(5, 3)
+    write_float_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    header, back = read_float_csv(tmp_path / "t.csv")
+    assert header == ["a", "b", "c"]
+    assert back.tobytes() == table.tobytes()
+    write_float_csv(tmp_path / "empty.csv", ["a", "b"], np.zeros((0, 2)))
+    header, back = read_float_csv(tmp_path / "empty.csv")
+    assert header == ["a", "b"] and back.shape == (0, 2)
+
+
+@pytest.mark.parametrize("text", ["", "a,b\r\n1.0,abc\r\n", "a,b\r\n1.0\r\n", "a,b\r\n1,2,3\r\n4,5,6\r\n"])
+def test_read_float_csv_rejects_malformed_tables(tmp_path, text):
+    (tmp_path / "t.csv").write_text(text)
+    with pytest.raises(ConsistencyError):
+        read_float_csv(tmp_path / "t.csv")
+
+
+def test_read_observables_rejects_a_malformed_row(tmp_path):
+    writer = ObservablesWriter(spatial_dim=1)
+    writer.add(**{name: 1.0 for name in writer.header})
+    writer.write(tmp_path / "obs.csv")
+    text = (tmp_path / "obs.csv").read_text()
+    (tmp_path / "obs.csv").write_text(text.replace("1,", "one,", 1))
+    with pytest.raises(ConsistencyError, match="malformed"):
+        read_observables(tmp_path / "obs.csv")

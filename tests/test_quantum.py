@@ -13,6 +13,7 @@ from red.model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
+    normalized_density,
     quadrature,
     translate_array,
 )
@@ -39,6 +40,13 @@ from red.quantum import (
 
 SPEC_1D = SystemSpec(1, 1, (1.0,), (16.0,), (64,), dt=0.05)
 SPEC_2P = SystemSpec(2, 1, (1.0, 2.0), (16.0,), (64, 64), dt=0.05)
+
+
+def floored_state(state, floor=1e-3):
+    """state with a flat floor mixed into its density, so sqrt(rho) never underflows."""
+    spec = state.spec
+    rho = normalized_density(spec, (1.0 - floor) * state.rho.values + floor / spec.volume)
+    return EpistemicState(rho, state.phase, state.phase_slope)
 
 
 def packet_wave(spec, centers, sigmas, modes, weights=None):
@@ -375,7 +383,7 @@ def test_hamilton_matches_schrodinger_on_smooth_potential():
     # remaining gap is the splitting error
     spec = SPEC_1D
     x = spec.mesh()[0]
-    base = gaussian_state(spec, sigma=1.5, uniform_mix=1e-3)
+    base = floored_state(gaussian_state(spec, sigma=1.5))
     phase = ScalarField(0.2 * np.sin(2.0 * np.pi * x / spec.axis_box[0]), spec)
     state = EpistemicState(base.rho, phase, None)
     potential = Potential.from_values(
@@ -396,7 +404,7 @@ def test_hamilton_matches_schrodinger_on_smooth_potential():
 
 
 def test_hamilton_step_rejects_wrapped_phase():
-    state = from_wavefunction(to_wavefunction(gaussian_state(SPEC_1D, sigma=1.5, uniform_mix=1e-3)))
+    state = from_wavefunction(to_wavefunction(floored_state(gaussian_state(SPEC_1D, sigma=1.5))))
     potential = Potential.free(SPEC_1D)
     with pytest.raises(StateError):
         hamilton_evolve(state, potential, ShiftVelocity.zero(SPEC_1D), 1e-3, 1e-3)
@@ -411,7 +419,7 @@ def test_hamilton_step_underflow_points_to_wavefunction_path():
 
 
 def test_hamilton_step_guards_dispersive_stability():
-    state = gaussian_state(SPEC_1D, sigma=1.5, uniform_mix=1e-3)
+    state = floored_state(gaussian_state(SPEC_1D, sigma=1.5))
     potential = Potential.free(SPEC_1D)
     with pytest.raises(StabilityError) as info:
         hamilton_evolve(state, potential, ShiftVelocity.zero(SPEC_1D), 0.1, 0.1)
@@ -436,6 +444,6 @@ def test_expected_momentum_of_lattice_packet():
 
 def test_hamilton_time_comes_from_the_step_index():
     # a running sum of 100 * 1e-3 gives 0.10000000000000007
-    state = gaussian_state(SPEC_1D, sigma=1.5, uniform_mix=1e-3)
+    state = floored_state(gaussian_state(SPEC_1D, sigma=1.5))
     evolved = hamilton_evolve(state, Potential.free(SPEC_1D), ShiftVelocity.zero(SPEC_1D), 0.1, 1e-3)
     assert evolved.time == 0.1

@@ -41,7 +41,7 @@ from red.quantum import (
 from red.sampler import (
     STREAM_INIT,
     STREAM_WALK,
-    GridDrift,
+    Drift,
     evolve_ensemble,
     kernel_moments,
     sample_from_density,
@@ -257,7 +257,7 @@ def frozen_interpolate(values, spec, points):
 
 
 class FrozenGridDrift:
-    """The sampler's GridDrift as it was: frozen_interpolate from the raw points, once per axis."""
+    """The sampler's grid drift as it was: frozen_interpolate from the raw points, once per axis."""
 
     def __init__(self, spec, grids):
         self.spec = spec
@@ -342,7 +342,8 @@ def frozen_sample_walkers(config):
     """Walker snapshots of the sample loop with the frozen step, keyed by step."""
     spec, run = config.spec, config.run
     drift = build_drift(config)
-    if isinstance(drift, GridDrift):
+    if drift.grids:
+        assert not np.any(drift.slope)
         drift = FrozenGridDrift(spec, drift.grids)
     shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
     walkers = initial_walkers(config, build_initial_wave(config), 0.0)
@@ -399,7 +400,7 @@ def test_evolve_ensemble_matches_frozen_loop():
     shift = ShiftVelocity(np.array([-0.4]), spec)
     init = Ensemble(np.random.default_rng(4).uniform(0.0, 16.0, (200, 2)), spec, rng_seed=21,
                     time=0.7, step_index=3)
-    got = evolve_ensemble(init, drift, shift, 7)
+    got = evolve_ensemble(init, Drift.of(drift), shift, 7)
     want = frozen_evolve_ensemble(init, drift, shift, 7)
     assert np.array_equal(got.positions, want.positions)
     assert got.time == want.time
@@ -440,6 +441,13 @@ def test_stencil_interpolation_matches_frozen_interpolate_bitwise(n_particles, s
         want = frozen_interpolate(values, spec, points)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+    # the drift reads its spectral gradient grids through the same stencil
+    field = ScalarField(rng.normal(size=grid), spec)
+    gradient = Drift.of(field).gradient(points)
+    assert gradient.dtype == np.float64
+    for axis, grid_values in enumerate(gradient_arrays(field.values, spec)):
+        want = frozen_interpolate(grid_values, spec, points)
+        assert gradient[:, axis].tobytes() == want.tobytes()
 
 
 def test_run_validates_one_wave_per_step(tmp_path, monkeypatch):

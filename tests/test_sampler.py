@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from red.errors import ConsistencyError
 from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
 from red.sampler import (
-    GridDrift,
-    as_drift,
-    constant_drift,
+    Drift,
     evolve_ensemble,
     kernel_moments,
-    linear_drift,
     minimal_image,
     sample_from_density,
     stream,
@@ -36,14 +34,14 @@ def moments_at_one_point(spec, drift, shift):
 def test_kernel_example_unit_drift():
     # phi = 3x, unit mass: mean 0.03, covariance 0.01
     spec = spec_1p()
-    mean, cov = moments_at_one_point(spec, linear_drift([3.0]), ShiftVelocity.zero(spec))
+    mean, cov = moments_at_one_point(spec, Drift(spec, slope=[3.0]), ShiftVelocity.zero(spec))
     assert mean == pytest.approx(0.03, abs=1e-15)
     assert cov == pytest.approx(0.01, abs=1e-15)
 
 
 def test_kernel_example_constant_drift():
     spec = spec_1p()
-    mean, cov = moments_at_one_point(spec, constant_drift(), ShiftVelocity.zero(spec))
+    mean, cov = moments_at_one_point(spec, Drift(spec), ShiftVelocity.zero(spec))
     assert mean == 0.0
     assert cov == pytest.approx(0.01)
 
@@ -51,40 +49,53 @@ def test_kernel_example_constant_drift():
 def test_kernel_example_with_shift():
     # shift 0.5 lowers the mean by 0.005
     spec = spec_1p()
-    mean, cov = moments_at_one_point(spec, linear_drift([3.0]), ShiftVelocity(np.array([0.5]), spec))
+    mean, cov = moments_at_one_point(spec, Drift(spec, slope=[3.0]), ShiftVelocity(np.array([0.5]), spec))
     assert mean == pytest.approx(0.025, abs=1e-15)
     assert cov == pytest.approx(0.01)
 
 
 def test_kernel_mass_scaling():
     spec = spec_2p(masses=(1.0, 2.0))
-    _, cov = kernel_moments(np.zeros((1, 2)), constant_drift(), ShiftVelocity.zero(spec), spec, spec.dt)
+    _, cov = kernel_moments(np.zeros((1, 2)), Drift(spec), ShiftVelocity.zero(spec), spec, spec.dt)
     assert np.allclose(cov, [0.01, 0.005])
 
 
 def test_kernel_rejects_bad_dt():
     spec = spec_1p()
     with pytest.raises(ValueError, match="dt"):
-        kernel_moments(np.zeros((1, 1)), constant_drift(), ShiftVelocity.zero(spec), spec, 0.0)
+        kernel_moments(np.zeros((1, 1)), Drift(spec), ShiftVelocity.zero(spec), spec, 0.0)
     with pytest.raises(ValueError, match="dt"):
-        kernel_moments(np.zeros((1, 1)), constant_drift(), ShiftVelocity.zero(spec), spec, np.nan)
+        kernel_moments(np.zeros((1, 1)), Drift(spec), ShiftVelocity.zero(spec), spec, np.nan)
 
 
 def test_grid_drift_gradient_matches_analytic():
     spec = spec_1p(n=256)
     x = spec.axis_coords[0]
     k = 2 * np.pi / 20.0
-    drift = as_drift(ScalarField(np.sin(k * x), spec))
-    assert isinstance(drift, GridDrift)
+    drift = Drift.of(ScalarField(np.sin(k * x), spec))
     pts = np.array([[5.0], [7.3], [12.77]])
     grad = drift.gradient(pts)
     assert np.max(np.abs(grad[:, 0] - k * np.cos(k * pts[:, 0]))) < 5e-4  # multilinear interp error
 
 
+def test_drift_without_grids_is_its_slope():
+    spec = spec_2p()
+    points = np.array([[1.0, 2.0], [3.5, 19.0], [0.0, 0.0]])
+    drift = Drift(spec, slope=[3, -1])  # integer coefficients still give float64
+    grad = drift.gradient(points)
+    assert grad.dtype == np.float64
+    assert np.array_equal(grad, np.tile([3.0, -1.0], (3, 1)))
+    grad[0, 0] = 7.0  # a copy: the drift's own slope is untouched
+    assert np.array_equal(drift.gradient(points[:1]), [[3.0, -1.0]])
+    still = Drift(spec).gradient(points)
+    assert still.dtype == np.float64
+    assert np.array_equal(still, np.zeros((3, 2)))
+
+
 def test_walker_step_deterministic_and_accounted():
     spec = spec_1p()
     init = Ensemble(np.array([[5.0], [19.99]]), spec, rng_seed=123, time=0.5, step_index=4)
-    drift, shift = linear_drift([3.0]), ShiftVelocity.zero(spec)
+    drift, shift = Drift(spec, slope=[3.0]), ShiftVelocity.zero(spec)
     a = walker_step(init, drift, shift, spec.dt, 0.51)
     b = walker_step(init, drift, shift, spec.dt, 0.51)
     assert np.array_equal(a.positions, b.positions)
@@ -99,7 +110,7 @@ def test_one_step_moments_match_kernel():
     # Monte-Carlo mean within 5 standard errors, variance within 3 percent
     spec = spec_2p(masses=(1.0, 2.0))
     shift = ShiftVelocity(np.array([0.4]), spec)
-    drift = linear_drift([3.0, 1.0])
+    drift = Drift(spec, slope=[3.0, 1.0])
     K = 100_000
     init = Ensemble(np.full((K, 2), 10.0), spec, rng_seed=42)
     out = evolve_ensemble(init, drift, shift, steps=1)
@@ -115,7 +126,7 @@ def test_one_step_moments_match_kernel():
 def test_evolve_zero_steps_identity():
     spec = spec_1p()
     init = Ensemble(np.array([[1.0], [2.0]]), spec, rng_seed=5, time=1.5, step_index=7)
-    out = evolve_ensemble(init, None, ShiftVelocity.zero(spec), steps=0)
+    out = evolve_ensemble(init, Drift(spec), ShiftVelocity.zero(spec), steps=0)
     assert np.array_equal(out.positions, init.positions)
     assert out.time == init.time
     assert out.step_index == 7
@@ -124,7 +135,7 @@ def test_evolve_zero_steps_identity():
 def test_evolution_time_and_step_accounting():
     spec = spec_1p()
     init = Ensemble(np.zeros((4, 1)), spec, rng_seed=5)
-    out = evolve_ensemble(init, None, ShiftVelocity.zero(spec), steps=10)
+    out = evolve_ensemble(init, Drift(spec), ShiftVelocity.zero(spec), steps=10)
     assert out.time == pytest.approx(0.1)
     assert out.step_index == 10
 
@@ -133,7 +144,7 @@ def test_chained_evolution_reproduces_single_call():
     # counter-based streams make 5+5 steps identical to 10 steps, path by path
     spec = spec_1p()
     init = Ensemble(np.linspace(0, 19, 50)[:, None], spec, rng_seed=77)
-    drift = linear_drift([1.0])
+    drift = Drift(spec, slope=[1.0])
     shift = ShiftVelocity(np.array([0.2]), spec)
     once = evolve_ensemble(init, drift, shift, steps=10)
     twice = evolve_ensemble(evolve_ensemble(init, drift, shift, steps=5), drift, shift, steps=5)
@@ -146,7 +157,7 @@ def test_shift_covariance_path_by_path(xi, seed):
     # evolving with a shift equals evolving without it and translating each step
     spec = spec_1p(n=128)
     x = spec.axis_coords[0]
-    drift = as_drift(ScalarField(np.sin(2 * np.pi * x / 20.0), spec))
+    drift = Drift.of(ScalarField(np.sin(2 * np.pi * x / 20.0), spec))
     shift = ShiftVelocity(np.array([xi]), spec)
     init = Ensemble(np.linspace(1, 19, 20)[:, None], spec, rng_seed=seed % (2 ** 31))
     steps = 4
@@ -170,8 +181,8 @@ def test_fluctuations_shift_independent():
     # identical seeds: the noise part of each path must not depend on the shift
     spec = spec_1p()
     init = Ensemble(np.full((1000, 1), 10.0), spec, rng_seed=3)
-    a = evolve_ensemble(init, None, ShiftVelocity.zero(spec), steps=1)
-    b = evolve_ensemble(init, None, ShiftVelocity(np.array([0.7]), spec), steps=1)
+    a = evolve_ensemble(init, Drift(spec), ShiftVelocity.zero(spec), steps=1)
+    b = evolve_ensemble(init, Drift(spec), ShiftVelocity(np.array([0.7]), spec), steps=1)
     gap = minimal_image(spec, a.positions - b.positions)
     assert np.allclose(gap, 0.7 * spec.dt, atol=1e-12)
 
@@ -193,6 +204,14 @@ def test_sample_from_density_histogram():
     assert pts.shape == (40_000, 1)
     assert abs(pts.mean() - 10.0) < 0.025
     assert abs(pts.std() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("body", ["1.0,abc\r\n", "1.0\r\n", "1.0,2.0,3.0\r\n"])
+def test_walker_csv_malformed_rows_rejected(tmp_path, body):
+    path = tmp_path / "walkers.csv"
+    path.write_text("x_0,x_1\r\n" + body)
+    with pytest.raises(ConsistencyError):
+        walkers_from_csv(path, spec_2p())
 
 
 def test_walker_csv_round_trip(tmp_path):

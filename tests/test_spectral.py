@@ -25,12 +25,20 @@ from red.model import (
     ifftn,
     irfftn,
     laplacian_symbol,
+    normalized_density,
     rfftn,
 )
 from red.presets import gaussian_density, gaussian_state
 from red.quantum import Potential, hamilton_evolve
 
 SHAPES = [(8,), (7,), (6, 7), (7, 6), (4, 5, 6), (5, 6, 5)]
+
+
+def floored_state(state, floor=1e-3):
+    """state with a flat floor mixed into its density, so sqrt(rho) never underflows."""
+    spec = state.spec
+    rho = normalized_density(spec, (1.0 - floor) * state.rho.values + floor / spec.volume)
+    return EpistemicState(rho, state.phase, state.phase_slope)
 
 
 def spec_for(shape):
@@ -212,8 +220,8 @@ def relative_gap(got, want):
 def test_hamilton_evolve_matches_complex_oracle(grid):
     spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), grid, dt=0.05)
     x0, x1 = spec.mesh()
-    base = gaussian_state(spec, center=np.array([7.0, 9.0]), sigma=2.0,
-                          slope=np.array([2.0 * np.pi / 16.0, 0.0]), uniform_mix=1e-3)
+    base = floored_state(gaussian_state(spec, center=np.array([7.0, 9.0]), sigma=2.0,
+                                        slope=np.array([2.0 * np.pi / 16.0, 0.0])))
     phase = ScalarField(0.3 * np.sin(2.0 * np.pi * (x0 - x1) / 16.0), spec)
     state = EpistemicState(base.rho, phase, base.phase_slope)
     potential = Potential.from_values(0.2 * np.cos(2.0 * np.pi * (x0 - x1) / 16.0), spec)
@@ -250,7 +258,7 @@ def test_hamilton_evolve_non_finite_rates_are_caught():
     # a potential this steep overflows the squared phase gradient within a step
     spec = SystemSpec(1, 1, (1.0,), (16.0,), (32,), dt=0.05)
     x = spec.mesh()[0]
-    state = gaussian_state(spec, sigma=2.0, uniform_mix=1e-3)
+    state = floored_state(gaussian_state(spec, sigma=2.0))
     potential = Potential.from_values(1e300 * np.sin(2.0 * np.pi * x / 16.0), spec)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(GridError, match="non-finite"):
