@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import GRID_BUDGET, SystemSpec
+from .model import FLOAT_MAX, GRID_BUDGET, SystemSpec
 
 MIN_SIGMA_CELLS = 4.0
 NYQUIST_FRACTION = 0.5
@@ -90,7 +90,8 @@ class ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # a comparison, not isfinite: it also rejects JSON integers too large for a float
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= FLOAT_MAX
 
 
 def _is_int(value) -> bool:
@@ -222,6 +223,9 @@ def _parse_system(collect: _Collector, doc: dict) -> dict:
 
 def _lattice_check(collect: _Collector, momentum: float, box: float, hbar: float, pointer: str) -> None:
     winding = momentum * box / (2.0 * math.pi * hbar)
+    if not math.isfinite(winding):
+        collect.add(pointer, "momentum winds the box more times than a float can count")
+        return
     if abs(winding - round(winding)) > LATTICE_TOL:
         nearest = round(winding) * 2.0 * math.pi * hbar / box
         collect.add(pointer, f"momentum must wind the box an integer number of times; nearest lattice value is {nearest:.17g}")
@@ -356,6 +360,12 @@ def _parse_potential(collect: _Collector, doc: dict, system: dict) -> dict:
                 particles = None
         if k is None or particles is None:
             return None
+        grid = system["grid"]
+        for a in range(d):
+            first, second = (p * d + a for p in particles)
+            if grid[first] != grid[second]:
+                collect.add("/system/grid", f"{preset} pairs axes {first} and {second}, "
+                                            f"so they need equal grids, not {grid[first]} and {grid[second]}")
         return {"preset": preset, "k": k, "particles": particles}
     # harmonic_external
     collect.reject_unknown(section, {"preset", "k", "axis", "center"}, "/drift_or_potential")

@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConsistencyError
-from .model import SystemSpec
+from .model import FLOAT_MAX, SystemSpec
 from .quantum import WaveField
 
 FLOAT_FORMAT = ".17g"
 CSV_BLOCK_ROWS = 4096
-FLOAT_MAX = float(np.finfo(float).max)
 
 
 def write_float_csv(path, header: list, table: np.ndarray) -> None:

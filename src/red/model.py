@@ -22,6 +22,7 @@ import numpy as np
 from .errors import GridError, StabilityError, StateError
 
 GRID_BUDGET = 2 ** 22
+FLOAT_MAX = float(np.finfo(float).max)
 NORMALIZATION_TOL = 1e-10
 NEGATIVE_DENSITY_TOL = -1e-10
 
@@ -166,13 +167,21 @@ class SystemSpec:
 
 
 def wrap_array(spec: SystemSpec, positions: np.ndarray) -> np.ndarray:
-    """Reduce coordinates into [0, L) per configuration axis.
+    """Reduce (..., D) coordinates into [0, L) per configuration axis, as a new array.
 
-    np.mod of a tiny negative value can round up to exactly L; fold that
-    case back to 0 so the half-open interval invariant really holds.
+    np.mod(x, L) returns x itself for 0 < x < L, so only the coordinates
+    outside that open interval go through it (±0.0 too, which maps -0.0 to
+    +0.0).  np.mod of a tiny negative value can round up to exactly L; fold
+    that case back to 0 so the half-open interval invariant really holds.
     """
-    wrapped = np.mod(positions, spec.axis_box)
-    return np.where(wrapped == spec.axis_box, 0.0, wrapped)
+    wrapped = np.array(positions, dtype=float, order="C")
+    for column, length in zip(wrapped.reshape(-1, spec.dim).T, spec.axis_box):
+        outside = np.flatnonzero((column <= 0.0) | (column >= length))
+        if outside.size:
+            folded = np.mod(column[outside], length)
+            folded[folded == length] = 0.0
+            column[outside] = folded
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -362,21 +371,43 @@ class Stencil:
     def at(cls, spec: SystemSpec, points: np.ndarray) -> "Stencil":
         """The stencil of (K, D) points, which need not lie in the box."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        index, weight = [0], [None]
+        index = weight = None
         for axis, g in enumerate(spec.grid_points):
-            scaled = points[:, axis] / spec.spacing[axis]
-            base = np.floor(scaled).astype(int)
-            frac = scaled - base
-            low = np.mod(base, g)
+            # in place: frac goes from the scaled coordinate to its fractional part, and
+            # rest from its floor to the low corner's factor 1 - frac
+            frac = points[:, axis] / spec.spacing[axis]
+            rest = np.floor(frac)
+            low = rest.astype(int)
+            frac -= rest
+            np.subtract(1.0, frac, out=rest)
+            outside = (low < 0) | (low >= g)
+            if outside.any():
+                low[outside] = np.mod(low[outside], g)
             high = low + 1
             high[high == g] = 0
             stride = int(np.prod(spec.grid_points[axis + 1:]))
-            corners = ((low * stride, 1.0 - frac), (high * stride, frac))
-            # axis 0 varies slowest; each weight gains one factor per axis, left to right
-            index = [prefix + offset for prefix in index for offset, _ in corners]
-            weight = [factor if prefix is None else prefix * factor
-                      for prefix in weight for _, factor in corners]
+            low *= stride
+            high *= stride
+            if index is None:
+                index, weight = [low, high], [rest, frac]
+                continue
+            index = _corners(np.add, index, low, high)
+            weight = _corners(np.multiply, weight, rest, frac)
         return cls(tuple(index), tuple(weight))
+
+
+def _corners(op, prefixes: list, low: np.ndarray, high: np.ndarray) -> list:
+    """[op(p, low), op(p, high) for p in prefixes]: axis 0 varies slowest, factors join left to right.
+
+    Each result goes into an array that is not read again (a prefix, or the
+    factors for the last prefix); op commutes bitwise, so the order of its
+    operands does not matter.
+    """
+    out = []
+    for prefix in prefixes[:-1]:
+        out += [op(prefix, low), op(prefix, high, out=prefix)]
+    last = prefixes[-1]
+    return out + [op(low, last, out=low), op(high, last, out=high)]
 
 
 def interpolate(values: np.ndarray, stencil: Stencil) -> np.ndarray:

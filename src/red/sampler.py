@@ -64,6 +64,7 @@ class Drift:
         return cls(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec), slope)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
+        """grad phi at (K, D) points, as a new (K, D) array the caller owns."""
         points = np.atleast_2d(points)
         if not self.grids:
             return np.broadcast_to(self.slope, points.shape).copy()
@@ -79,11 +80,16 @@ def kernel_moments(points: np.ndarray, drift: Drift, shift: ShiftVelocity, spec:
     """Vectorized kernel mean (K, D) and shared covariance diagonal (D,)."""
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    grad = drift.gradient(points)
-    if not np.all(np.isfinite(grad)):
+    mean = drift.gradient(points)
+    if not np.all(np.isfinite(mean)):
         raise ConsistencyError("drift gradient is not finite at a requested point")
     inv_mass = 1.0 / spec.axis_masses
-    mean = spec.hbar * dt * grad * inv_mass - shift.per_axis * dt
+    # ((hbar dt) grad) (1/m) - shift dt, in place on the gradient's own new array and one
+    # column at a time: a (D,) row broadcast over (K, D) runs numpy's loop D elements at a time
+    for column, inv, drift_shift in zip(mean.T, inv_mass, shift.per_axis * dt):
+        column *= spec.hbar * dt
+        column *= inv
+        column -= drift_shift
     cov = spec.hbar * dt * inv_mass
     return mean, cov
 
@@ -97,12 +103,17 @@ def walker_step(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, dt: floa
     points into the box.
     """
     spec = ensemble.spec
-    mean, cov = kernel_moments(ensemble.positions, drift, shift, spec, dt)
+    landing, cov = kernel_moments(ensemble.positions, drift, shift, spec, dt)
     noise = stream(ensemble.rng_seed, STREAM_WALK, ensemble.step_index).standard_normal(
         ensemble.positions.shape
     )
-    return Ensemble(ensemble.positions + mean + np.sqrt(cov) * noise, spec,
-                    ensemble.rng_seed, time, ensemble.step_index + 1)
+    # (positions + mean) + sqrt(cov) * noise, in place on the mean's and the noise's arrays
+    # (the noise scaled a column at a time, as in kernel_moments)
+    landing += ensemble.positions
+    for column, sigma in zip(noise.T, np.sqrt(cov)):
+        column *= sigma
+    landing += noise
+    return Ensemble(landing, spec, ensemble.rng_seed, time, ensemble.step_index + 1)
 
 
 def evolve_ensemble(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, steps: int) -> Ensemble:

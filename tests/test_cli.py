@@ -99,6 +99,42 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "/system/masses/0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, pointer", [
+    ("system", "dt", 10 ** 400, "/system/dt"),
+    ("system", "box", [10 ** 400], "/system/box/0"),
+    ("initial_state", "boost", [1e308], "/initial_state/boost/0"),
+], ids=["dt", "box", "boost"])
+def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys, section, key, value, pointer):
+    doc = json.loads(write_config(tmp_path).read_text())
+    doc[section][key] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    assert pointer in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("preset", ["harmonic_relational", "smooth_harmonic_relational"])
+@pytest.mark.parametrize("spatial_dim, grid", [(1, [63, 65]), (2, [32, 30, 32, 32])])
+def test_relational_preset_on_unequal_paired_grids_exits_2(tmp_path, capsys, command, preset,
+                                                           spatial_dim, grid):
+    path = write_config(
+        tmp_path,
+        system={"n_particles": 2, "spatial_dim": spatial_dim, "box": [16.0] * spatial_dim,
+                "grid": grid, "dt": 0.05},
+        initial_state={"preset": "gaussian_packet", "sigma": 2.0},
+        drift_or_potential={"preset": preset, "k": 0.3},
+        shift_mode={"mode": "fixed", "values": [0.0] * spatial_dim},
+        run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8},
+    )
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "/system/grid" in captured.err and "equal grids" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_oversized_grid_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
                                           "grid": [4096, 4096], "dt": 0.05})

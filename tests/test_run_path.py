@@ -43,7 +43,6 @@ from red.sampler import (
     STREAM_WALK,
     Drift,
     evolve_ensemble,
-    kernel_moments,
     sample_from_density,
     stream,
     walkers_from_csv,
@@ -285,14 +284,29 @@ def frozen_wave_drift(wave):
     ])
 
 
+def frozen_wrap_array(spec, positions):
+    """model.wrap_array as it was: np.mod of every coordinate, then the L -> 0 fold."""
+    wrapped = np.mod(positions, spec.axis_box)
+    return np.where(wrapped == spec.axis_box, 0.0, wrapped)
+
+
+def frozen_kernel_moments(points, drift, shift, spec, dt):
+    """sampler.kernel_moments as it was: the mean as one expression of fresh arrays."""
+    grad = drift.gradient(points)
+    inv_mass = 1.0 / spec.axis_masses
+    mean = spec.hbar * dt * grad * inv_mass - shift.per_axis * dt
+    cov = spec.hbar * dt * inv_mass
+    return mean, cov
+
+
 def frozen_walker_step(walkers, drift, shift, dt, time):
     """The run's own walker step as it was, wrapping before the Ensemble wraps again."""
     spec = walkers.spec
-    mean, cov = kernel_moments(walkers.positions, drift, shift, spec, dt)
+    mean, cov = frozen_kernel_moments(walkers.positions, drift, shift, spec, dt)
     noise = stream(walkers.rng_seed, STREAM_WALK, walkers.step_index).standard_normal(
         walkers.positions.shape
     )
-    positions = wrap_array(spec, walkers.positions + mean + np.sqrt(cov) * noise)
+    positions = frozen_wrap_array(spec, walkers.positions + mean + np.sqrt(cov) * noise)
     return Ensemble(positions, spec, walkers.rng_seed, time, walkers.step_index + 1)
 
 
@@ -303,11 +317,11 @@ def frozen_evolve_ensemble(ensemble, drift_phi, shift, steps):
     positions = ensemble.positions.copy()
     dt = spec.dt
     for s in range(steps):
-        mean, cov = kernel_moments(positions, drift, shift, spec, dt)
+        mean, cov = frozen_kernel_moments(positions, drift, shift, spec, dt)
         noise = stream(ensemble.rng_seed, STREAM_WALK, ensemble.step_index + s).standard_normal(
             positions.shape
         )
-        positions = wrap_array(spec, positions + mean + np.sqrt(cov) * noise)
+        positions = frozen_wrap_array(spec, positions + mean + np.sqrt(cov) * noise)
     return Ensemble(positions, spec, ensemble.rng_seed, ensemble.time + steps * dt,
                     ensemble.step_index + steps)
 
@@ -374,7 +388,7 @@ def assert_walker_snapshots_equal(out, config, snapshots):
     assert sorted(snapshots) == [0, 2, 4, 6]
     for step, want in snapshots.items():
         got = walkers_from_csv(out / f"walkers_{step:06d}.csv", config.spec).positions
-        assert np.array_equal(got, want), step
+        assert got.tobytes() == want.tobytes(), step
 
 
 def test_run_walkers_match_frozen_walker_loop(tmp_path):
@@ -387,6 +401,9 @@ def test_run_walkers_match_frozen_walker_loop(tmp_path):
     {"preset": "smooth_harmonic_relational", "k": 0.4},
     {"preset": "linear", "coefficients": [3.0, -1.0]},
     {"preset": "free"},
+    # mean steps hbar dt c / m of 20 and -13 in a 16-wide box: every walker wraps on axis 0
+    # on every step, and most do on axis 1
+    {"preset": "linear", "coefficients": [1000.0, -1300.0]},
 ])
 def test_sample_walkers_match_frozen_walker_loop(tmp_path, potential):
     config = walker_config(tmp_path, potential, {"mode": "fixed", "values": [0.3]})
@@ -394,17 +411,49 @@ def test_sample_walkers_match_frozen_walker_loop(tmp_path, potential):
 
 
 def test_evolve_ensemble_matches_frozen_loop():
-    spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), (32, 32), dt=0.03)
-    x0, x1 = spec.mesh()
-    drift = ScalarField(0.6 * np.sin(2 * np.pi * (x0 - 2.0 * x1) / 16.0), spec)
-    shift = ShiftVelocity(np.array([-0.4]), spec)
-    init = Ensemble(np.random.default_rng(4).uniform(0.0, 16.0, (200, 2)), spec, rng_seed=21,
-                    time=0.7, step_index=3)
-    got = evolve_ensemble(init, Drift.of(drift), shift, 7)
-    want = frozen_evolve_ensemble(init, drift, shift, 7)
-    assert np.array_equal(got.positions, want.positions)
-    assert got.time == want.time
-    assert got.step_index == want.step_index == 10
+    # the second spec's hbar and 1/m are not powers of two, so the kernel mean's operation
+    # order shows in its bits
+    for spec in (SystemSpec(2, 1, (1.0, 2.0), (16.0,), (32, 32), dt=0.03),
+                 SystemSpec(2, 1, (1.3, 0.7), (16.0,), (32, 32), dt=0.03, hbar=0.9)):
+        x0, x1 = spec.mesh()
+        drift = ScalarField(0.6 * np.sin(2 * np.pi * (x0 - 2.0 * x1) / 16.0), spec)
+        shift = ShiftVelocity(np.array([-0.4]), spec)
+        init = Ensemble(np.random.default_rng(4).uniform(0.0, 16.0, (200, 2)), spec, rng_seed=21,
+                        time=0.7, step_index=3)
+        got = evolve_ensemble(init, Drift.of(drift), shift, 7)
+        want = frozen_evolve_ensemble(init, drift, shift, 7)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.time == want.time
+        assert got.step_index == want.step_index == 10
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim, box", [
+    (1, 1, (16.0,)),
+    (1, 2, (16.0, 0.7)),
+    (2, 2, (3.3, 1e3)),
+])
+def test_wrap_array_matches_frozen_wrap_bitwise(n_particles, spatial_dim, box):
+    spec = SystemSpec(n_particles, spatial_dim, (1.0,) * n_particles, box,
+                      (8,) * (n_particles * spatial_dim), dt=0.01)
+    edges = np.stack([
+        np.array([0.0, -0.0, -5e-324, -1e-17, np.nextafter(length, 0.0), length, 3.0 * length,
+                  1e6 * length + 0.3, -length, -3.0 * length, 0.5 * length])
+        for length in spec.axis_box
+    ], axis=1)
+    rng = np.random.default_rng(spec.dim)
+    positions = np.concatenate([
+        edges, edges[::-1],
+        rng.uniform(-2.0, 3.0, (500, spec.dim)) * spec.axis_box,
+        rng.uniform(0.0, 1.0, (500, spec.dim)) * spec.axis_box,
+    ])
+    got = wrap_array(spec, positions)
+    want = frozen_wrap_array(spec, positions)
+    assert got.shape == positions.shape == (len(positions), spec.dim)
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got)) and np.all(got < spec.axis_box)
+    # -1e-17 and -5e-324 round up to L under np.mod and fold back to +0.0
+    assert got[2].tobytes() == got[3].tobytes() == np.zeros(spec.dim).tobytes()
+    assert got is not positions and positions[1].tobytes() == np.full(spec.dim, -0.0).tobytes()
 
 
 # ---------------------------------------------------------------- interpolation stencil
