@@ -30,6 +30,8 @@ MIN_SIGMA_CELLS = 4.0
 NYQUIST_FRACTION = 0.5
 LATTICE_TOL = 1e-9
 MAX_SEED = 2 ** 64
+# ensemble_K · 2^D: the walker step's stencil holds a flat index and a weight (16 bytes) per corner
+STENCIL_BUDGET = 2 ** 24
 
 STATE_PRESETS = ("gaussian_packet", "plane_wave", "two_packet")
 POTENTIAL_PRESETS = (
@@ -210,7 +212,7 @@ def _parse_system(collect: _Collector, doc: dict) -> dict:
                                  required=False, default=[1.0] * n, positive=True)
     box = collect.number_list(section, "box", "/system", d, positive=True)
     grid = collect.number_list(section, "grid", "/system", n * d, positive=True, integers=True)
-    if None in (dt, masses, box, grid):
+    if None in (dt, hbar, masses, box, grid):
         return None
     if math.prod(grid) > GRID_BUDGET:
         collect.add("/system/grid", f"grid has {math.prod(grid)} cells, budget is {GRID_BUDGET}")
@@ -407,7 +409,7 @@ def _parse_shift_mode(collect: _Collector, doc: dict, system: dict) -> dict:
     return {"mode": mode}
 
 
-def _parse_run(collect: _Collector, doc: dict) -> dict:
+def _parse_run(collect: _Collector, doc: dict, system: dict) -> dict:
     section = collect.section(doc, "run", "/", required=True)
     if section is None:
         return None
@@ -421,6 +423,13 @@ def _parse_run(collect: _Collector, doc: dict) -> dict:
                                  default=0, minimum=0)
     seed = collect.integer(section, "seed", "/run", required=False, default=0,
                            minimum=0, maximum=MAX_SEED)
+    if ensemble_k is not None and system is not None:
+        corners = 2 ** len(system["grid"])
+        if ensemble_k * corners > STENCIL_BUDGET:
+            collect.add("/run/ensemble_K", f"{ensemble_k} walkers need {ensemble_k * corners} stencil corners, "
+                                           f"budget is {STENCIL_BUDGET}: at most {STENCIL_BUDGET // corners} "
+                                           f"walkers on this {len(system['grid'])}-axis grid")
+            ensemble_k = None
     if None in (steps, dt_pde, snapshot_every, ensemble_k, seed):
         return None
     return {
@@ -459,7 +468,7 @@ def parse_config(text: str, seed: int = None, outputs: str = None) -> Experiment
     initial = _parse_initial_state(collect, doc, system)
     potential = _parse_potential(collect, doc, system)
     shift = _parse_shift_mode(collect, doc, system)
-    run = _parse_run(collect, doc)
+    run = _parse_run(collect, doc, system)
 
     outputs = doc.get("outputs", "out")
     if not isinstance(outputs, str) or not outputs:

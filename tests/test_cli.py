@@ -135,6 +135,20 @@ def test_relational_preset_on_unequal_paired_grids_exits_2(tmp_path, capsys, com
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, "x", None], ids=["zero", "negative", "string", "null"])
+@pytest.mark.parametrize("initial_state", [
+    {"preset": "gaussian_packet", "sigma": 1.5, "boost": [BOOST]},
+    {"preset": "plane_wave", "k": [BOOST, -BOOST]},
+], ids=["boosted_gaussian", "plane_wave"])
+def test_invalid_hbar_exits_2(tmp_path, capsys, hbar, initial_state):
+    path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
+                                          "grid": [64, 64], "dt": 0.05, "hbar": hbar},
+                        initial_state=initial_state)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "/system/hbar" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_oversized_grid_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
                                           "grid": [4096, 4096], "dt": 0.05})

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from red.config import load_config, parse_config
+from red.config import STENCIL_BUDGET, load_config, parse_config
 from red.errors import ConfigError
 
 MINIMAL = {
@@ -223,3 +223,32 @@ def test_load_config_flags_are_validated(tmp_path, seed, outputs, pointer):
     with pytest.raises(ConfigError) as err:
         load_config(path, seed=seed, outputs=outputs)
     assert [v[0] for v in err.value.violations] == [pointer]
+
+
+def _walker_doc(grid, ensemble_k):
+    dims = len(grid) // 2
+    return {
+        "system": {"n_particles": 2, "spatial_dim": dims, "box": [8.0] * dims, "grid": grid, "dt": 0.05},
+        "initial_state": {"preset": "gaussian_packet", "sigma": 4.0},
+        "run": {"steps": 1, "dt_pde": 0.01, "ensemble_K": ensemble_k},
+    }
+
+
+@pytest.mark.parametrize("grid, ensemble_k", [
+    ([32, 32], 1_000_000_000),
+    ([32, 32], STENCIL_BUDGET // 4 + 1),
+    ([8, 8, 8, 8], STENCIL_BUDGET // 16 + 1),
+])
+def test_ensemble_k_beyond_the_stencil_budget_is_rejected(grid, ensemble_k):
+    pointers, _ = violations_of(_walker_doc(grid, ensemble_k))
+    assert "/run/ensemble_K" in pointers
+    assert str(STENCIL_BUDGET) in pointers["/run/ensemble_K"]
+
+
+@pytest.mark.parametrize("grid, ensemble_k", [
+    ([32, 32], STENCIL_BUDGET // 4),
+    ([128, 128], 50_000),
+    ([8, 8, 8, 8], 2000),
+])
+def test_ensemble_k_within_the_stencil_budget_is_accepted(grid, ensemble_k):
+    assert parse(_walker_doc(grid, ensemble_k)).run.ensemble_k == ensemble_k

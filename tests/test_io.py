@@ -1,14 +1,20 @@
 """Snapshot and table formats: round trips, validation, determinism."""
 
 import csv
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from red.errors import ConsistencyError
 from red.io import (
     CSV_BLOCK_ROWS,
     ObservablesWriter,
+    _block_rows,
+    _render_tables,
+    _significand,
     read_float_csv,
     read_json,
     read_observables,
@@ -238,3 +244,106 @@ def test_read_observables_rejects_a_malformed_row(tmp_path):
     (tmp_path / "obs.csv").write_text(text.replace("1,", "one,", 1))
     with pytest.raises(ConsistencyError, match="malformed"):
         read_observables(tmp_path / "obs.csv")
+
+
+# ---------------------------------------------------------------- the renderer against '%.17g'
+
+
+def _oracle(header, table):
+    """The bytes of csv.writer over '%.17g' % v of every value: what write_float_csv must write."""
+    lines = [",".join(header)] + [",".join(["%.17g" % v for v in row]) for row in table.tolist()]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+def _assert_renders_like_oracle(tmp_path, values, columns=1):
+    table = np.asarray(values, dtype=float).reshape(-1, columns)
+    header = [f"c{i}" for i in range(columns)]
+    write_float_csv(tmp_path / "rendered.csv", header, table)
+    assert (tmp_path / "rendered.csv").read_bytes() == _oracle(header, table)
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def test_renderer_matches_oracle_on_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64)
+    values = bits.view(float).copy()
+    # one pattern in 2^63 is an infinity: put both in, beside the random nan and subnormals
+    values[:4] = [np.inf, -np.inf, 2.2250738585072009e-308, -5e-324]
+    kinds = np.isnan(values), np.isinf(values), (values != 0) & (np.abs(values) < 2.2250738585072014e-308)
+    assert all(kind.any() for kind in kinds)
+    _assert_renders_like_oracle(tmp_path, values, columns=2)
+
+
+def test_renderer_matches_oracle_on_powers_of_ten(tmp_path):
+    powers = [float(f"1e{k}") for k in range(-307, 309)]
+    _assert_renders_like_oracle(tmp_path, np.concatenate([_with_neighbours(powers), -np.array(powers)]))
+
+
+def test_renderer_matches_oracle_on_exact_ties(tmp_path):
+    # 2^-25 has 18 significant digits ending in 5: %.17g rounds the tie to even
+    assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"
+    halves = [2.0 ** -k for k in range(1, 1075)]
+    _assert_renders_like_oracle(tmp_path, halves + [-h for h in halves] + [2.0 ** -25])
+
+
+def test_renderer_matches_oracle_at_the_style_edges(tmp_path):
+    edges = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-05, 9.9999999999999995e-06,
+             99999999999999998.0, 9999999999999998.0, 0.1, 1.0, 10.0]
+    _assert_renders_like_oracle(tmp_path, np.concatenate([_with_neighbours(edges), -_with_neighbours(edges)]))
+
+
+def test_renderer_matches_oracle_on_zeros_and_integers(tmp_path):
+    rng = np.random.default_rng(21)
+    integers = rng.integers(0, 2 ** 63, size=20_000, dtype=np.uint64, endpoint=True).astype(float)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** 63, 2.0 ** 53 + 2, 1.0, 100.0, 123456789.0]
+    powers_of_two = [2.0 ** k for k in range(64)]
+    _assert_renders_like_oracle(tmp_path, np.concatenate([special, powers_of_two, integers]))
+
+
+def test_renderer_matches_oracle_on_a_real_wave(tmp_path):
+    # a real initial wave (two_packet, an unboosted gaussian_packet) has an imaginary column
+    # of signed zeros, and its tails underflow to subnormals and zeros
+    x = np.linspace(-40.0, 40.0, 3 * _block_rows(2) + 5)
+    table = np.column_stack((np.exp(-x ** 2), np.where(x < 0, -0.0, 0.0)))
+    _assert_renders_like_oracle(tmp_path, table, columns=2)
+
+
+def test_renderer_renders_zeros_without_the_fallback():
+    significand, e, slow = _significand(np.array([0.0, -0.0, 1.0, 5e-324]), _render_tables()[0])
+    assert significand[:2].tolist() == [0, 0] and e[:2].tolist() == [0, 0]
+    assert slow.tolist() == [3]
+
+
+BLOCK_SHAPES = {
+    "empty": lambda block: 0,
+    "one_row": lambda block: 1,
+    "block_less_one": lambda block: block - 1,
+    "block": lambda block: block,
+    "block_plus_one": lambda block: block + 1,
+}
+
+
+@pytest.mark.parametrize("columns", [1, 2, 4, 12])
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_renderer_matches_oracle_on_every_block_shape(tmp_path, shape, columns):
+    rows = BLOCK_SHAPES[shape](_block_rows(columns))
+    rng = np.random.default_rng(rows * 13 + columns)
+    values = rng.normal(size=rows * columns) * 10.0 ** rng.integers(-8, 8, size=rows * columns)
+    values[::7] = 0.0
+    values[::11] = np.inf
+    _assert_renders_like_oracle(tmp_path, values, columns)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_renderer_matches_oracle_on_any_floats(tmp_path_factory, values):
+    _assert_renders_like_oracle(tmp_path_factory.mktemp("floats"), values)
+
+
+def test_renderer_tables_are_built_on_first_write_not_at_import():
+    code = "import red.cli, red.io; print(red.io._render_tables.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0"
