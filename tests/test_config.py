@@ -1,6 +1,7 @@
 """Config parsing: defaults, strictness, exhaustive pointer diagnostics."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +253,128 @@ def test_ensemble_k_beyond_the_stencil_budget_is_rejected(grid, ensemble_k):
 ])
 def test_ensemble_k_within_the_stencil_budget_is_accepted(grid, ensemble_k):
     assert parse(_walker_doc(grid, ensemble_k)).run.ensemble_k == ensemble_k
+
+
+LATTICE_16 = 2.0 * np.pi / 16.0
+PAIR = {
+    "system": {"n_particles": 2, "spatial_dim": 1, "box": [16.0], "grid": [64, 64], "dt": 0.05},
+    "initial_state": {"preset": "gaussian_packet", "sigma": 1.5},
+    "run": {"steps": 2, "dt_pde": 0.01},
+}
+NO_SIDECAR = str(Path(__file__).resolve())
+
+
+def _pair(**sections):
+    """PAIR with whole sections replaced; None drops a section."""
+    doc = json.loads(json.dumps(PAIR))
+    for key, value in sections.items():
+        if value is None:
+            doc.pop(key)
+        else:
+            doc[key] = value
+    return doc
+
+
+def _pair_system(**fields):
+    return {**PAIR["system"], **fields}
+
+
+PINNED_VIOLATIONS = [
+    ("unknown_keys", _pair(mystery=1, system=_pair_system(flux=1), run={**PAIR["run"], "verbose": True}),
+     [("/mystery", "unknown key"), ("/system/flux", "unknown key"), ("/run/verbose", "unknown key")]),
+    ("missing_sections", _pair(system=None, run=None),
+     [("/system", "required section is missing"), ("/run", "required section is missing")]),
+    ("sections_not_objects", _pair(system=[1], initial_state="x", shift_mode=3),
+     [("/system", "must be a JSON object"), ("/initial_state", "must be a JSON object"),
+      ("/shift_mode", "must be a JSON object")]),
+    ("system_types", _pair(system=_pair_system(n_particles=2.0, spatial_dim=4, dt="x", hbar=0)),
+     [("/system/n_particles", "must be an integer"), ("/system/spatial_dim", "must be below 4"),
+      ("/system/dt", "must be a finite number"), ("/system/hbar", "must be positive")]),
+    ("broadcast_negative_mass", _pair(system=_pair_system(masses=-1.0)),
+     [("/system/masses/0", "must be positive"), ("/system/masses/1", "must be positive")]),
+    ("list_lengths", _pair(system=_pair_system(masses=[1.0], box=[16.0, 16.0], grid=[64])),
+     [("/system/masses", "must have 2 entries, got 1"), ("/system/box", "must have 1 entries, got 2"),
+      ("/system/grid", "must have 2 entries, got 1")]),
+    ("grid_entries", _pair(system=_pair_system(grid=[64.0, 0])),
+     [("/system/grid/0", "must be a finite integer"), ("/system/grid/1", "must be positive")]),
+    ("grid_budget", _pair(system=_pair_system(grid=[4096, 4096])),
+     [("/system/grid", "grid has 16777216 cells, budget is 4194304")]),
+    ("huge_numbers", _pair(system=_pair_system(dt=10 ** 400, box=[10 ** 400])),
+     [("/system/dt", "must be a finite number"), ("/system/box/0", "must be a finite number")]),
+    ("preset_and_file", _pair(initial_state={"preset": "gaussian_packet", "file": "x.csv"},
+                              drift_or_potential={"preset": "free", "file": "v.json"}),
+     [("/initial_state", "give either a preset or a file, not both"),
+      ("/drift_or_potential", "give either a preset or a file, not both")]),
+    ("file_not_a_string", _pair(initial_state={"file": 3, "sigma": 1.0}, drift_or_potential={"file": None}),
+     [("/initial_state/sigma", "unknown key"), ("/initial_state/file", "must be a path string"),
+      ("/drift_or_potential/file", "must be a path string")]),
+    ("missing_files", _pair(initial_state={"file": "no/such/state.csv"},
+                            drift_or_potential={"file": "no/such/v.json"}),
+     [("/initial_state/file", "file does not exist: no/such/state.csv"),
+      ("/drift_or_potential/file", "file does not exist: no/such/v.json")]),
+    ("missing_sidecar", _pair(initial_state={"file": NO_SIDECAR},
+                              drift_or_potential={"file": NO_SIDECAR, "k": 1.0}),
+     [("/initial_state/file", "snapshot sidecar .json is missing"), ("/drift_or_potential/k", "unknown key")]),
+    ("unknown_presets", _pair(initial_state={"preset": "soliton"}, drift_or_potential={"preset": "coulomb"},
+                              shift_mode={"mode": "free"}),
+     [("/initial_state/preset", "must be one of gaussian_packet, plane_wave, two_packet"),
+      ("/drift_or_potential/preset",
+       "must be one of free, harmonic_relational, smooth_harmonic_relational, harmonic_external, linear"),
+      ("/shift_mode/mode", "must be one of fixed, best_match, zero_constrained")]),
+    ("plane_wave_lattice_and_nyquist",
+     _pair(initial_state={"preset": "plane_wave", "k": [0.3, 64 * LATTICE_16], "sigma": 1.0}),
+     [("/initial_state/sigma", "unknown key"),
+      ("/initial_state/k/0", "momentum must wind the box an integer number of times; "
+                             "nearest lattice value is 0.39269908169872414"),
+      ("/initial_state/k/1", "|momentum| must stay below half the grid Nyquist momentum 12.566370614359172")]),
+    ("gaussian_fields", _pair(initial_state={"preset": "gaussian_packet", "sigma": [0.5, "x"], "boost": 0.3,
+                                             "center": [1.0]}),
+     [("/initial_state/center", "must have 2 entries, got 1"), ("/initial_state/sigma/1", "must be a finite number"),
+      ("/initial_state/boost/0", "momentum must wind the box an integer number of times; "
+                                 "nearest lattice value is 0.39269908169872414")]),
+    ("broadcast_boost_nyquist", _pair(initial_state={"preset": "gaussian_packet", "sigma": 1.5,
+                                                     "boost": 20 * LATTICE_16}),
+     [("/initial_state/boost/0", "|momentum| must stay below half the grid Nyquist momentum 12.566370614359172")]),
+    ("two_packet_zero_boost", _pair(initial_state={"preset": "two_packet", "sigma": 1.5, "boost": [0.0]}),
+     [("/initial_state/boost", "two_packet needs a nonzero boost to superpose")]),
+    ("two_packet_missing_boost", _pair(initial_state={"preset": "two_packet", "sigma": 1.5}),
+     [("/initial_state/boost", "required value is missing")]),
+    ("relational_unequal_grids", _pair(system=_pair_system(grid=[64, 32]),
+                                       drift_or_potential={"preset": "harmonic_relational", "k": 0.3}),
+     [("/initial_state/sigma/1", "must span at least 4 cells (2)"),
+      ("/system/grid", "harmonic_relational pairs axes 0 and 1, so they need equal grids, not 64 and 32")]),
+    ("relational_particles", _pair(drift_or_potential={"preset": "smooth_harmonic_relational", "k": -1,
+                                                       "particles": [0, 2]}),
+     [("/drift_or_potential/k", "must be non-negative"),
+      ("/drift_or_potential/particles/1", "must index a particle in [0, 2)")]),
+    ("relational_one_particle", _pair(system=_pair_system(n_particles=1, grid=[64]),
+                                      drift_or_potential={"preset": "harmonic_relational", "k": 0.3, "extra": 1}),
+     [("/drift_or_potential/extra", "unknown key"),
+      ("/drift_or_potential/preset", "relational potentials need at least two particles")]),
+    ("external_axis", _pair(drift_or_potential={"preset": "harmonic_external", "k": 1.0, "axis": 2,
+                                                "center": "mid"}),
+     [("/drift_or_potential/axis", "must be below 2")]),
+    ("linear_coefficients", _pair(drift_or_potential={"preset": "linear", "coefficients": [1.0, 2.0, 3.0]}),
+     [("/drift_or_potential/coefficients", "must have 2 entries, got 3")]),
+    ("fixed_shift_values", _pair(shift_mode={"mode": "fixed", "values": [0.1, 0.2]}),
+     [("/shift_mode/values", "must have 1 entries, got 2")]),
+    ("best_match_values", _pair(shift_mode={"mode": "best_match", "values": [0.1], "extra": 1}),
+     [("/shift_mode/values", "unknown key"), ("/shift_mode/extra", "unknown key"),
+      ("/shift_mode/values", "best_match mode does not take fixed values")]),
+    ("run_values", _pair(run={"steps": -1, "dt_pde": 0, "snapshot_every": 0, "seed": 2 ** 64, "ensemble_K": -3}),
+     [("/run/steps", "must be at least 0"), ("/run/dt_pde", "must be positive"),
+      ("/run/snapshot_every", "must be at least 1"), ("/run/ensemble_K", "must be at least 0"),
+      ("/run/seed", "must be below 18446744073709551616")]),
+    ("stencil_budget", _pair(run={"steps": 1, "dt_pde": 0.01, "ensemble_K": STENCIL_BUDGET // 4 + 1}),
+     [("/run/ensemble_K", "4194305 walkers need 16777220 stencil corners, budget is 16777216: "
+                          "at most 4194304 walkers on this 2-axis grid")]),
+    ("outputs_empty", _pair(outputs=""), [("/outputs", "must be a non-empty path string")]),
+]
+
+
+@pytest.mark.parametrize("doc, expected", [case[1:] for case in PINNED_VIOLATIONS],
+                         ids=[case[0] for case in PINNED_VIOLATIONS])
+def test_violation_lists_are_pinned(doc, expected):
+    with pytest.raises(ConfigError) as err:
+        parse(doc)
+    assert err.value.violations == expected
