@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import FLOAT_MAX, GRID_BUDGET, SystemSpec
+from .model import FLOAT_MAX, GRID_BUDGET, MAX_DIM, SystemSpec
 
 MIN_SIGMA_CELLS = 4.0
 NYQUIST_FRACTION = 0.5
@@ -44,8 +44,17 @@ POTENTIAL_PRESETS = (
 SHIFT_MODES = ("fixed", "best_match", "zero_constrained")
 
 
+class _Section:
+    """Typed fields of one resolved config section; its JSON lists become tuples."""
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
+
+
 @dataclass(frozen=True)
-class InitialStateChoice:
+class InitialStateChoice(_Section):
     preset: str = None
     file: str = None
     center: tuple = None
@@ -55,7 +64,7 @@ class InitialStateChoice:
 
 
 @dataclass(frozen=True)
-class PotentialChoice:
+class PotentialChoice(_Section):
     preset: str = None
     file: str = None
     k: float = None
@@ -66,7 +75,7 @@ class PotentialChoice:
 
 
 @dataclass(frozen=True)
-class ShiftChoice:
+class ShiftChoice(_Section):
     mode: str
     values: tuple = None
 
@@ -126,74 +135,72 @@ class _Collector:
             if key not in allowed:
                 self.add(f"{pointer}/{key}", "unknown key")
 
+    def lookup(self, section: dict, key: str, pointer: str, required: bool, default):
+        """(pointer, value) of a present key; (None, default) of a missing one, a violation if required."""
+        if key in section:
+            return f"{pointer}/{key}", section[key]
+        if required:
+            self.add(f"{pointer}/{key}", "required value is missing")
+            return None, None
+        return None, default
+
     def number(self, section: dict, key: str, pointer: str, required=True, default=None,
                positive=False, nonnegative=False):
-        if key not in section:
-            if required:
-                self.add(f"{pointer}/{key}", "required value is missing")
-                return None
-            return default
-        value = section[key]
-        if not _is_number(value):
-            self.add(f"{pointer}/{key}", "must be a finite number")
-            return None
-        if positive and not value > 0:
-            self.add(f"{pointer}/{key}", "must be positive")
-            return None
-        if nonnegative and value < 0:
-            self.add(f"{pointer}/{key}", "must be non-negative")
+        at, value = self.lookup(section, key, pointer, required, default)
+        if at is None:
+            return value
+        problem = _number_problem(value, positive, nonnegative)
+        if problem:
+            self.add(at, problem)
             return None
         return float(value)
 
     def integer(self, section: dict, key: str, pointer: str, required=True, default=None,
                 minimum=None, maximum=None):
-        if key not in section:
-            if required:
-                self.add(f"{pointer}/{key}", "required value is missing")
-                return None
-            return default
-        value = section[key]
+        at, value = self.lookup(section, key, pointer, required, default)
+        if at is None:
+            return value
         if not _is_int(value):
-            self.add(f"{pointer}/{key}", "must be an integer")
-            return None
-        if minimum is not None and value < minimum:
-            self.add(f"{pointer}/{key}", f"must be at least {minimum}")
-            return None
-        if maximum is not None and value >= maximum:
-            self.add(f"{pointer}/{key}", f"must be below {maximum}")
-            return None
-        return int(value)
+            self.add(at, "must be an integer")
+        elif minimum is not None and value < minimum:
+            self.add(at, f"must be at least {minimum}")
+        elif maximum is not None and value >= maximum:
+            self.add(at, f"must be below {maximum}")
+        else:
+            return int(value)
+        return None
 
     def number_list(self, section: dict, key: str, pointer: str, length: int,
                     required=True, default=None, positive=False, integers=False):
         """A list of `length` numbers; a bare scalar broadcasts."""
-        if key not in section:
-            if required:
-                self.add(f"{pointer}/{key}", "required value is missing")
-                return None
-            return default
-        value = section[key]
+        at, value = self.lookup(section, key, pointer, required, default)
+        if at is None:
+            return value
         if _is_number(value) if not integers else _is_int(value):
             value = [value] * length
         if not isinstance(value, list):
-            self.add(f"{pointer}/{key}", f"must be a number or a list of {length} numbers")
+            self.add(at, f"must be a number or a list of {length} numbers")
             return None
         if len(value) != length:
-            self.add(f"{pointer}/{key}", f"must have {length} entries, got {len(value)}")
+            self.add(at, f"must have {length} entries, got {len(value)}")
             return None
-        out = []
-        ok = True
-        for i, entry in enumerate(value):
-            valid = _is_int(entry) if integers else _is_number(entry)
-            if not valid:
-                self.add(f"{pointer}/{key}/{i}", "must be a finite integer" if integers else "must be a finite number")
-                ok = False
-            elif positive and not entry > 0:
-                self.add(f"{pointer}/{key}/{i}", "must be positive")
-                ok = False
-            else:
-                out.append(int(entry) if integers else float(entry))
-        return out if ok else None
+        bad = [(f"{at}/{i}", problem) for i, entry in enumerate(value)
+               if (problem := _number_problem(entry, positive, integers=integers))]
+        self.violations += bad
+        if bad:
+            return None
+        return [int(entry) if integers else float(entry) for entry in value]
+
+
+def _number_problem(value, positive=False, nonnegative=False, integers=False) -> str:
+    """What is wrong with one number, or "" when it is fine."""
+    if not (_is_int(value) if integers else _is_number(value)):
+        return "must be a finite integer" if integers else "must be a finite number"
+    if positive and not value > 0:
+        return "must be positive"
+    if nonnegative and value < 0:
+        return "must be non-negative"
+    return ""
 
 
 def _parse_system(collect: _Collector, doc: dict) -> dict:
@@ -207,6 +214,10 @@ def _parse_system(collect: _Collector, doc: dict) -> dict:
     dt = collect.number(section, "dt", "/system", positive=True)
     hbar = collect.number(section, "hbar", "/system", required=False, default=1.0, positive=True)
     if n is None or d is None:
+        return None
+    if n * d > MAX_DIM:
+        # checked before any list of length n exists
+        collect.add("/system/n_particles", f"n_particles · spatial_dim must be at most {MAX_DIM}")
         return None
     masses = collect.number_list(section, "masses", "/system", n,
                                  required=False, default=[1.0] * n, positive=True)
@@ -223,48 +234,53 @@ def _parse_system(collect: _Collector, doc: dict) -> dict:
     }
 
 
-def _lattice_check(collect: _Collector, momentum: float, box: float, hbar: float, pointer: str) -> None:
+def _momentum_check(collect: _Collector, momentum: float, box: float, cells: int, hbar: float,
+                    pointer: str) -> None:
+    """A momentum must wind the box a whole number of times and stay below half the grid Nyquist momentum."""
     winding = momentum * box / (2.0 * math.pi * hbar)
     if not math.isfinite(winding):
         collect.add(pointer, "momentum winds the box more times than a float can count")
-        return
-    if abs(winding - round(winding)) > LATTICE_TOL:
+    elif abs(winding - round(winding)) > LATTICE_TOL:
         nearest = round(winding) * 2.0 * math.pi * hbar / box
         collect.add(pointer, f"momentum must wind the box an integer number of times; nearest lattice value is {nearest:.17g}")
-
-
-def _nyquist_check(collect: _Collector, momentum: float, box: float, cells: int, hbar: float, pointer: str) -> None:
     limit = NYQUIST_FRACTION * math.pi * hbar * cells / box
     if abs(momentum) >= limit:
         collect.add(pointer, f"|momentum| must stay below half the grid Nyquist momentum {2 * limit:.17g}")
+
+
+def _preset_or_file(collect: _Collector, section: dict, pointer: str, presets, sidecar=False) -> dict:
+    """{"file": path} of an existing file, {"preset": name} of a known preset, or None after a violation."""
+    if "preset" in section and "file" in section:
+        collect.add(pointer, "give either a preset or a file, not both")
+        return None
+    if "file" not in section:
+        if section.get("preset") in presets:
+            return {"preset": section["preset"]}
+        collect.add(f"{pointer}/preset", f"must be one of {', '.join(presets)}")
+        return None
+    collect.reject_unknown(section, {"file"}, pointer)
+    path = section["file"]
+    if not isinstance(path, str):
+        collect.add(f"{pointer}/file", "must be a path string")
+    elif not Path(path).is_file():
+        collect.add(f"{pointer}/file", f"file does not exist: {path}")
+    elif sidecar and not Path(path).with_suffix(".json").is_file():
+        collect.add(f"{pointer}/file", "snapshot sidecar .json is missing")
+    else:
+        return {"file": path}
+    return None
 
 
 def _parse_initial_state(collect: _Collector, doc: dict, system: dict) -> dict:
     section = collect.section(doc, "initial_state", "/", required=True)
     if section is None:
         return None
-    if "preset" in section and "file" in section:
-        collect.add("/initial_state", "give either a preset or a file, not both")
-        return None
-    if "file" in section:
-        collect.reject_unknown(section, {"file"}, "/initial_state")
-        path = section["file"]
-        if not isinstance(path, str):
-            collect.add("/initial_state/file", "must be a path string")
-            return None
-        if not Path(path).is_file():
-            collect.add("/initial_state/file", f"file does not exist: {path}")
-            return None
-        if not Path(path).with_suffix(".json").is_file():
-            collect.add("/initial_state/file", "snapshot sidecar .json is missing")
-            return None
-        return {"file": path}
-    preset = section.get("preset")
-    if preset not in STATE_PRESETS:
-        collect.add("/initial_state/preset", f"must be one of {', '.join(STATE_PRESETS)}")
-        return None
+    choice = _preset_or_file(collect, section, "/initial_state", STATE_PRESETS, sidecar=True)
+    if choice is None or "file" in choice:
+        return choice
     if system is None:
         return None
+    preset = choice["preset"]
     n, d = system["n_particles"], system["spatial_dim"]
     dim = n * d
     hbar = system["hbar"]
@@ -277,8 +293,7 @@ def _parse_initial_state(collect: _Collector, doc: dict, system: dict) -> dict:
         if k is None:
             return None
         for axis in range(dim):
-            _lattice_check(collect, k[axis], axis_box[axis], hbar, f"/initial_state/k/{axis}")
-            _nyquist_check(collect, k[axis], axis_box[axis], axis_cells[axis], hbar, f"/initial_state/k/{axis}")
+            _momentum_check(collect, k[axis], axis_box[axis], axis_cells[axis], hbar, f"/initial_state/k/{axis}")
         return {"preset": preset, "k": k}
 
     allowed = {"preset", "center", "sigma", "boost"}
@@ -298,9 +313,8 @@ def _parse_initial_state(collect: _Collector, doc: dict, system: dict) -> dict:
                             f"must span at least {MIN_SIGMA_CELLS:g} cells ({MIN_SIGMA_CELLS * cell:.17g})")
     if boost is not None:
         for a in range(d):
-            _lattice_check(collect, boost[a], system["box"][a], hbar, f"/initial_state/boost/{a}")
-            _nyquist_check(collect, boost[a], system["box"][a],
-                           min(axis_cells[a::d]), hbar, f"/initial_state/boost/{a}")
+            _momentum_check(collect, boost[a], system["box"][a], min(axis_cells[a::d]), hbar,
+                            f"/initial_state/boost/{a}")
         if boost_required and all(b == 0.0 for b in boost):
             collect.add("/initial_state/boost", "two_packet needs a nonzero boost to superpose")
     if None in (center, sigma, boost):
@@ -313,25 +327,12 @@ def _parse_potential(collect: _Collector, doc: dict, system: dict) -> dict:
                               default={"preset": "free"})
     if section is None:
         return None
-    if "preset" in section and "file" in section:
-        collect.add("/drift_or_potential", "give either a preset or a file, not both")
-        return None
-    if "file" in section:
-        collect.reject_unknown(section, {"file"}, "/drift_or_potential")
-        path = section["file"]
-        if not isinstance(path, str):
-            collect.add("/drift_or_potential/file", "must be a path string")
-            return None
-        if not Path(path).is_file():
-            collect.add("/drift_or_potential/file", f"file does not exist: {path}")
-            return None
-        return {"file": path}
-    preset = section.get("preset")
-    if preset not in POTENTIAL_PRESETS:
-        collect.add("/drift_or_potential/preset", f"must be one of {', '.join(POTENTIAL_PRESETS)}")
-        return None
+    choice = _preset_or_file(collect, section, "/drift_or_potential", POTENTIAL_PRESETS)
+    if choice is None or "file" in choice:
+        return choice
     if system is None:
         return None
+    preset = choice["preset"]
     n, d = system["n_particles"], system["spatial_dim"]
 
     if preset == "free":
@@ -450,7 +451,7 @@ def parse_config(text: str, seed: int = None, outputs: str = None) -> Experiment
     collect = _Collector()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad syntax, or an integer past str's digit limit
         raise ConfigError([("/", f"not valid JSON: {exc}")])
     if not isinstance(doc, dict):
         raise ConfigError([("/", "top level must be a JSON object")])
@@ -478,63 +479,30 @@ def parse_config(text: str, seed: int = None, outputs: str = None) -> Experiment
     if collect.violations:
         raise ConfigError(collect.violations)
 
-    spec = SystemSpec(
-        n_particles=system["n_particles"],
-        spatial_dim=system["spatial_dim"],
-        masses=tuple(system["masses"]),
-        box_length=tuple(system["box"]),
-        grid_points=tuple(system["grid"]),
-        dt=system["dt"],
-        hbar=system["hbar"],
-    )
-    resolved = {
-        "system": system,
-        "initial_state": initial,
-        "drift_or_potential": potential,
-        "shift_mode": shift,
-        "run": run,
-        "outputs": outputs,
-    }
     return ExperimentConfig(
-        spec=spec,
-        initial_state=InitialStateChoice(
-            preset=initial.get("preset"),
-            file=initial.get("file"),
-            center=_tup(initial.get("center")),
-            sigma=_tup(initial.get("sigma")),
-            boost=_tup(initial.get("boost")),
-            k=_tup(initial.get("k")),
-        ),
-        potential=PotentialChoice(
-            preset=potential.get("preset"),
-            file=potential.get("file"),
-            k=potential.get("k"),
-            particles=_tup(potential.get("particles")),
-            axis=potential.get("axis"),
-            center=potential.get("center"),
-            coefficients=_tup(potential.get("coefficients")),
-        ),
-        shift_mode=ShiftChoice(mode=shift["mode"], values=_tup(shift.get("values"))),
-        run=RunSettings(
-            steps=run["steps"],
-            dt_pde=run["dt_pde"],
-            snapshot_every=run["snapshot_every"],
-            ensemble_k=run["ensemble_K"],
-            seed=run["seed"],
-        ),
+        spec=SystemSpec(system["n_particles"], system["spatial_dim"], system["masses"], system["box"],
+                        system["grid"], system["dt"], system["hbar"]),
+        initial_state=InitialStateChoice(**initial),
+        potential=PotentialChoice(**potential),
+        shift_mode=ShiftChoice(**shift),
+        # the resolved key ensemble_K is the field ensemble_k
+        run=RunSettings(**{key.lower(): value for key, value in run.items()}),
         outputs=outputs,
-        resolved=resolved,
+        resolved={
+            "system": system,
+            "initial_state": initial,
+            "drift_or_potential": potential,
+            "shift_mode": shift,
+            "run": run,
+            "outputs": outputs,
+        },
     )
-
-
-def _tup(value):
-    return None if value is None else tuple(value)
 
 
 def load_config(path, seed: int = None, outputs: str = None) -> ExperimentConfig:
     """parse_config of the file at path, with the same seed and outputs overrides."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError([("/", f"cannot read config file: {err}")]) from err
     return parse_config(text, seed, outputs)

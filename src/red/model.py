@@ -22,6 +22,9 @@ import numpy as np
 from .errors import GridError, StabilityError, StateError
 
 GRID_BUDGET = 2 ** 22
+# configuration axes D = N·d: past 22 the grid budget leaves some axis one cell wide,
+# and numpy 1.x caps arrays at 32 dimensions
+MAX_DIM = 22
 FLOAT_MAX = float(np.finfo(float).max)
 NORMALIZATION_TOL = 1e-10
 NEGATIVE_DENSITY_TOL = -1e-10
@@ -47,6 +50,8 @@ class SystemSpec:
             raise ValueError("n_particles must be at least 1")
         if self.spatial_dim not in (1, 2, 3):
             raise ValueError("spatial_dim must be 1, 2, or 3")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"n_particles · spatial_dim must be at most {MAX_DIM}")
         if len(self.masses) != self.n_particles:
             raise ValueError(f"need {self.n_particles} masses, got {len(self.masses)}")
         if any(m <= 0 for m in self.masses):

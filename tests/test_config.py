@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from red.config import STENCIL_BUDGET, load_config, parse_config
+from red.model import MAX_DIM
 from red.errors import ConfigError
 
 MINIMAL = {
@@ -378,3 +379,25 @@ def test_violation_lists_are_pinned(doc, expected):
     with pytest.raises(ConfigError) as err:
         parse(doc)
     assert err.value.violations == expected
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim", [(2 ** 62, 1), (10 ** 400, 1), (33, 2), (MAX_DIM + 1, 1)])
+def test_configuration_dimension_rejected_before_any_list_of_its_length(n_particles, spatial_dim):
+    doc = {
+        "system": {"n_particles": n_particles, "spatial_dim": spatial_dim, "box": [16.0] * spatial_dim,
+                   "grid": 1, "dt": 0.05},
+        "initial_state": {"preset": "gaussian_packet", "sigma": 64.0},
+        "run": {"steps": 1, "dt_pde": 0.01},
+    }
+    with pytest.raises(ConfigError) as err:
+        parse(doc)
+    assert err.value.violations == [("/system/n_particles", f"n_particles · spatial_dim must be at most {MAX_DIM}")]
+    doc["system"].update(n_particles=MAX_DIM // spatial_dim)
+    assert parse(doc).spec.dim == MAX_DIM // spatial_dim * spatial_dim
+
+
+def test_deeply_nested_or_oversized_json_is_a_config_error():
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config('{"outputs": ' + "9" * 5000 + "}")

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from red.errors import GridError, StateError
 from red.model import (
+    MAX_DIM,
     Ensemble,
     EpistemicState,
     ScalarField,
@@ -56,6 +57,12 @@ def test_spec_rejects_bad_input():
 def test_grid_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
         SystemSpec(1, 3, (1.0,), (1.0, 1.0, 1.0), (256, 256, 256), 0.01)
+
+
+def test_configuration_dimension_bounded():
+    assert SystemSpec(MAX_DIM, 1, (1.0,) * MAX_DIM, (1.0,), (1,) * MAX_DIM, 0.01).dim == MAX_DIM
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}"):
+        SystemSpec(MAX_DIM + 1, 1, (1.0,) * (MAX_DIM + 1), (1.0,), (1,) * (MAX_DIM + 1), 0.01)
 
 
 def test_quadrature_constant_field():
