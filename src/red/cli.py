@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownSuiteError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    except RedError as exc:
+    except (RedError, ArithmeticError) as exc:  # ArithmeticError: Python float arithmetic failed mid-run
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

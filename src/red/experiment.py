@@ -18,7 +18,6 @@ alone, one entropic step spec.dt per step.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -80,29 +79,32 @@ def _configuration_phase(spec: SystemSpec, slope: np.ndarray) -> np.ndarray:
 
 
 def build_initial_wave(config: ExperimentConfig) -> WaveField:
-    """Initial wavefunction from the configured preset or snapshot file."""
+    """Initial wavefunction from the configured preset or snapshot file.
+
+    A file or preset that makes no valid wave is a ConfigError at its pointer.
+    """
     spec = config.spec
     choice = config.initial_state
-    if choice.file is not None:
-        try:
+    try:
+        if choice.file is not None:
             return wave_from_csv(choice.file, spec)
-        except RedError as exc:
-            raise ConfigError([("/initial_state/file", str(exc))])
-    if choice.preset == "plane_wave":
-        phase = _configuration_phase(spec, np.asarray(choice.k) / spec.hbar)
-        values = np.exp(1j * phase) / np.sqrt(spec.volume)
-        return WaveField(values, spec)
-    slope = _boost_slope(spec, choice.boost)
-    if choice.preset == "gaussian_packet":
-        state = gaussian_state(spec, center=np.asarray(choice.center),
-                               sigma=np.asarray(choice.sigma), slope=slope)
-        return to_wavefunction(state)
-    # two_packet: symmetric superposition of opposite boosts over one envelope
-    envelope = np.sqrt(gaussian_density(spec, np.asarray(choice.center),
-                                        np.asarray(choice.sigma)).values)
-    values = envelope * np.cos(_configuration_phase(spec, slope / spec.hbar)).astype(complex)
-    norm = np.sqrt(float(np.sum(np.abs(values) ** 2)) * spec.cell_volume)
-    return WaveField(values / norm, spec)
+        if choice.preset == "plane_wave":
+            phase = _configuration_phase(spec, np.asarray(choice.k) / spec.hbar)
+            values = np.exp(1j * phase) / np.sqrt(spec.volume)
+            return WaveField(values, spec)
+        slope = _boost_slope(spec, choice.boost)
+        if choice.preset == "gaussian_packet":
+            state = gaussian_state(spec, center=np.asarray(choice.center),
+                                   sigma=np.asarray(choice.sigma), slope=slope)
+            return to_wavefunction(state)
+        # two_packet: symmetric superposition of opposite boosts over one envelope
+        envelope = np.sqrt(gaussian_density(spec, np.asarray(choice.center),
+                                            np.asarray(choice.sigma)).values)
+        values = envelope * np.cos(_configuration_phase(spec, slope / spec.hbar)).astype(complex)
+        norm = np.sqrt(float(np.sum(np.abs(values) ** 2)) * spec.cell_volume)
+        return WaveField(values / norm, spec)
+    except RedError as exc:
+        raise ConfigError([("/initial_state" if choice.file is None else "/initial_state/file", str(exc))])
 
 
 def build_potential(config: ExperimentConfig) -> Potential:
@@ -114,7 +116,7 @@ def build_potential(config: ExperimentConfig) -> Potential:
             payload = read_json(choice.file)
             values = np.asarray(payload["values"], dtype=float)
             relational = payload.get("relational", False)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise ConfigError([("/drift_or_potential/file", f"unreadable potential file: {exc}")])
         if not isinstance(relational, bool):
             raise ConfigError([("/drift_or_potential/file", "`relational` must be true or false")])
@@ -191,8 +193,19 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
     return best_match_shift(wave.state)
 
 
+def _initial_walkers(config: ExperimentConfig, wave: WaveField, time: float) -> Ensemble:
+    """ensemble_K walkers drawn from |psi|^2 on the seed's init stream."""
+    run = config.run
+    rho0 = ScalarField(np.abs(wave.values) ** 2, config.spec)
+    positions = sample_from_density(rho0, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
+    return Ensemble(positions, config.spec, run.seed, time, 0)
+
+
 def _open_outputs(config: ExperimentConfig) -> Path:
-    """Create the output directory and write the manifest into it."""
+    """Create the output directory and write the manifest into it.
+
+    Callers build every input first, so a rejected input leaves no directory.
+    """
     out = Path(config.outputs)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +213,6 @@ def _open_outputs(config: ExperimentConfig) -> Path:
             "artifact_version": __version__,
             "config": config.resolved,
             "seed": config.run.seed,
-            "red_threads": os.environ.get("RED_THREADS", "0"),
         })
     except OSError as exc:
         raise ConfigError([("/outputs", f"cannot write the output directory: {exc}")]) from exc
@@ -237,21 +249,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
     Any module error mid-run is recorded in error.json next to whatever
     snapshots and observable rows were already produced, then re-raised.
     """
-    spec = config.spec
     run = config.run
-    out = _open_outputs(config)
-
-    writer = ObservablesWriter(spec.spatial_dim)
     wave = build_initial_wave(config)
     potential = build_potential(config)
     shift = _resolve_shift(config, wave)
-
-    walkers = None
-    if run.ensemble_k > 0:
-        rho0 = ScalarField(np.abs(wave.values) ** 2, spec)
-        positions = sample_from_density(rho0, run.ensemble_k,
-                                        stream(run.seed, STREAM_INIT, 0))
-        walkers = Ensemble(positions, spec, run.seed, wave.time, 0)
+    walkers = _initial_walkers(config, wave, wave.time) if run.ensemble_k > 0 else None
+    out = _open_outputs(config)
+    writer = ObservablesWriter(config.spec.spatial_dim)
 
     def snapshot(step: int) -> None:
         wave_to_csv(wave, out / f"wave_{step:06d}.csv")
@@ -272,7 +276,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)
             if step % run.snapshot_every == 0:
                 snapshot(step)
-    except RedError as exc:
+    except (RedError, ArithmeticError) as exc:
         writer.write(out / "observables.csv")
         write_json(out / "error.json", {
             "error": type(exc).__name__,
@@ -298,14 +302,11 @@ def sample_experiment(config: ExperimentConfig) -> Path:
         raise ConfigError([
             ("/shift_mode/mode", "sampling a prescribed drift needs a fixed shift")
         ])
-    out = _open_outputs(config)
-
     wave = build_initial_wave(config)
-    rho0 = ScalarField(np.abs(wave.values) ** 2, spec)
     drift = build_drift(config)
     shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
-    positions = sample_from_density(rho0, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
-    walkers = Ensemble(positions, spec, run.seed, 0.0, 0)
+    walkers = _initial_walkers(config, wave, 0.0)
+    out = _open_outputs(config)
 
     try:
         walkers_to_csv(walkers, out / "walkers_000000.csv")
@@ -313,7 +314,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
             walkers = walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
             if step % run.snapshot_every == 0:
                 walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
-    except RedError as exc:
+    except (RedError, ArithmeticError) as exc:
         write_json(out / "error.json", {
             "error": type(exc).__name__,
             "message": str(exc),

@@ -245,7 +245,7 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _sidecar_path(csv_path) -> Path:
@@ -280,11 +280,14 @@ def wave_to_csv(wave: WaveField, csv_path) -> None:
 def read_float_csv(path) -> tuple:
     """Header and (rows, columns) float table of a CSV, as write_float_csv writes it.
 
-    A missing header, a malformed row or a row whose width differs from the
-    header raises ConsistencyError.
+    Text that is not UTF-8, a missing header, a malformed row or a row whose
+    width differs from the header raises ConsistencyError.
     """
-    with open(path, newline="") as handle:
-        header = next(csv.reader(handle), None)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle), None)
+    except UnicodeDecodeError as exc:
+        raise ConsistencyError(f"CSV {path} is not UTF-8 text: {exc}") from None
     if not header:
         raise ConsistencyError(f"CSV {path} has no header row")
     try:
@@ -306,7 +309,7 @@ def _wave_sidecar(csv_path) -> tuple:
     """(shape, time) of a wavefunction snapshot's JSON sidecar, validated."""
     try:
         sidecar = read_json(_sidecar_path(csv_path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConsistencyError(f"wavefunction sidecar is not valid JSON: {exc}") from None
     if not isinstance(sidecar, dict):
         raise ConsistencyError("wavefunction sidecar must be a JSON object")

@@ -262,31 +262,6 @@ def test_run_observables_columns(tmp_path):
     )
 
 
-def _bundled_openblas():
-    """numpy's own scipy-openblas library, when the wheel ships one."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    return libs[0] if libs else None
-
-
-@pytest.mark.skipif(_bundled_openblas() is None, reason="numpy bundles no scipy-openblas library")
-def test_red_threads_caps_openblas_before_numpy_loads():
-    probe = (
-        "import ctypes, sys\n"
-        "import red.cli\n"
-        "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
-        "get.argtypes, get.restype = [], ctypes.c_int\n"
-        "print(get())\n"
-    )
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["RED_THREADS"] = "1"
-    env["PYTHONPATH"] = str(Path(red.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", probe, str(_bundled_openblas())],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "1"
-
-
 def test_verify_out_that_cannot_be_created_exits_2_before_running(tmp_path, capsys):
     (tmp_path / "plain").write_text("a regular file\n")
     assert main(["verify", "spreading", "--out", str(tmp_path / "plain" / "sub")]) == 2
@@ -315,3 +290,90 @@ def test_entry_points_load_no_scipy():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _wave_file(tmp_path, name="wave.csv"):
+    spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
+    wave_to_csv(WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec), tmp_path / name)
+    return tmp_path / name
+
+
+def _config_not_utf8(tmp_path):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'"run"', b'"r\xffun"', 1))
+    return path
+
+
+def _config_nested(tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(DEEP)
+    return path
+
+
+def _sidecar_nested(tmp_path):
+    _wave_file(tmp_path).with_suffix(".json").write_text(DEEP)
+    return write_config(tmp_path, initial_state={"file": str(tmp_path / "wave.csv")})
+
+
+def _potential_nested(tmp_path):
+    (tmp_path / "potential.json").write_text(DEEP)
+    return write_config(tmp_path, drift_or_potential={"file": str(tmp_path / "potential.json")})
+
+
+def _csv_bad_byte(at):
+    def make(tmp_path):
+        path = _wave_file(tmp_path)
+        text = path.read_bytes()
+        # a byte in the header, or one in the last row, past the first read buffer
+        cut = text.index(b"imaginary") if at == "header" else len(text) - 3
+        path.write_bytes(text[:cut] + b"\xff" + text[cut + 1:])
+        return write_config(tmp_path, initial_state={"file": str(path)})
+    return make
+
+
+@pytest.mark.parametrize("make, pointer, words", [
+    (_config_not_utf8, "/", "cannot read config file"),
+    (_config_nested, "/", "not valid JSON"),
+    (_sidecar_nested, "/initial_state/file", "sidecar is not valid JSON"),
+    (_potential_nested, "/drift_or_potential/file", "unreadable potential file"),
+    (_csv_bad_byte("header"), "/initial_state/file", "not UTF-8"),
+    (_csv_bad_byte("body"), "/initial_state/file", "utf-8"),
+], ids=["config_not_utf8", "config_nested", "sidecar_nested", "potential_nested", "csv_header_not_utf8",
+        "csv_body_not_utf8"])
+def test_unreadable_text_exits_2(tmp_path, capsys, make, pointer, words):
+    path = make(tmp_path)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"  {pointer}: " in err and words in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("case", ["potential_shape", "packet_far_away"])
+def test_rejected_inputs_leave_no_output_directory(tmp_path, capsys, command, case):
+    potential = tmp_path / "potential.json"
+    potential.write_text(json.dumps({"values": np.zeros((32, 32)).tolist()}))  # the grid is 64 x 64
+    section, pointer = {
+        "potential_shape": ({"drift_or_potential": {"file": str(potential)}}, "/drift_or_potential/file"),
+        "packet_far_away": ({"initial_state": {"preset": "gaussian_packet", "sigma": 1.5,
+                                               "center": [1e300, 8.0]}}, "/initial_state"),
+    }[case]
+    path = write_config(tmp_path, shift_mode={"mode": "fixed", "values": [0.0]},
+                        run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8}, **section)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"  {pointer}: " in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_float_overflow_mid_run_exits_3_with_error_json(tmp_path, capsys):
+    path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
+                                          "grid": [64, 64], "dt": 0.05, "hbar": 1e308},
+                        initial_state={"preset": "gaussian_packet", "sigma": 1.5})
+    assert main(["run", "--config", str(path)]) == 3
+    assert "OverflowError" in capsys.readouterr().err
+    assert read_json(tmp_path / "run" / "error.json")["error"] == "OverflowError"
