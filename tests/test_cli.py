@@ -295,10 +295,10 @@ def test_entry_points_load_no_scipy():
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
-def _wave_file(tmp_path, name="wave.csv"):
+def _wave_file(tmp_path):
     spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
-    wave_to_csv(WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec), tmp_path / name)
-    return tmp_path / name
+    wave_to_csv(WaveField(np.full((64, 64), 1.0 / 16.0, dtype=complex), spec), tmp_path / "wave.csv")
+    return tmp_path / "wave.csv"
 
 
 def _config_not_utf8(tmp_path):
@@ -308,7 +308,7 @@ def _config_not_utf8(tmp_path):
 
 
 def _config_nested(tmp_path):
-    path = write_config(tmp_path)
+    path = tmp_path / "config.json"
     path.write_text(DEEP)
     return path
 
