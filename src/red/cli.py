@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
+
+# mallopt parameter numbers of glibc's malloc.h
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# The ceiling of glibc's own dynamic thresholds on 64-bit: the mmap threshold
+# grows to at most 32 MiB, and the trim threshold follows it at twice that.
+MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
+TRIM_THRESHOLD_BYTES = 64 * 2 ** 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +121,28 @@ def _command_verify(args) -> int:
     return EXIT_VERIFY
 
 
+def _keep_freed_grids() -> None:
+    """Pin glibc's heap thresholds so freed grid temporaries stay mapped.
+
+    Every step allocates and frees the same full-grid arrays.  Under glibc's
+    dynamic policy the heap top past twice the mmap threshold goes back to
+    the kernel between steps, and the next step faults every page in again.
+    Where the C library has no mallopt (macOS, Windows) or ignores it (musl
+    returns 0), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no library by None
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES):
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    """The `red` command; the allocator policy is set here, never on import."""
+    _keep_freed_grids()
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _command_run,

@@ -375,12 +375,11 @@ def _parse_potential(collect: _Collector, doc: dict, system: dict) -> dict:
     k = collect.number(section, "k", "/drift_or_potential", nonnegative=True)
     axis = collect.integer(section, "axis", "/drift_or_potential", required=False,
                            default=0, minimum=0, maximum=n * d)
-    if axis is None or k is None:
-        return None
-    default_center = system["box"][axis % d] / 2.0
+    # the default center needs a valid axis; a given center is checked either way
+    default_center = None if axis is None else system["box"][axis % d] / 2.0
     center = collect.number(section, "center", "/drift_or_potential", required=False,
                             default=default_center)
-    if center is None:
+    if None in (k, axis, center):
         return None
     return {"preset": preset, "k": k, "axis": axis, "center": center}
 
@@ -403,7 +402,7 @@ def _parse_shift_mode(collect: _Collector, doc: dict, system: dict) -> dict:
         if values is None:
             return None
         return {"mode": mode, "values": values}
-    collect.reject_unknown(section, {"mode"}, "/shift_mode")
+    collect.reject_unknown(section, {"mode", "values"}, "/shift_mode")
     if "values" in section:
         collect.add("/shift_mode/values", f"{mode} mode does not take fixed values")
         return None
@@ -427,8 +426,9 @@ def _parse_run(collect: _Collector, doc: dict, system: dict) -> dict:
     if ensemble_k is not None and system is not None:
         corners = 2 ** len(system["grid"])
         if ensemble_k * corners > STENCIL_BUDGET:
-            collect.add("/run/ensemble_K", f"{ensemble_k} walkers need {ensemble_k * corners} stencil corners, "
-                                           f"budget is {STENCIL_BUDGET}: at most {STENCIL_BUDGET // corners} "
+            # no walker count in the message: a JSON integer may have thousands of digits
+            collect.add("/run/ensemble_K", f"each walker needs {corners} stencil corners, budget is "
+                                           f"{STENCIL_BUDGET}: at most {STENCIL_BUDGET // corners} "
                                            f"walkers on this {len(system['grid'])}-axis grid")
             ensemble_k = None
     if None in (steps, dt_pde, snapshot_every, ensemble_k, seed):

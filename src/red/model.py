@@ -300,22 +300,6 @@ def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
     return [ifftn(ik * spectrum, spec) for ik in spec.ik]
 
 
-def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:
-    """Spectral translation: result(x) = values(x - displacement), exact for band-limited data."""
-    displacement = np.asarray(displacement, dtype=float)
-    spectrum = fftn(values, spec)
-    for axis, (g, k) in enumerate(zip(spec.grid_points, spec.wavenumbers)):
-        phase = np.exp(-1j * k * displacement[axis])
-        if g % 2 == 0:
-            # the sawtooth mode has no definite sign of k; the symmetric
-            # choice cos(k*s) keeps real fields real and matches np.roll
-            # exactly for whole-cell displacements
-            phase[g // 2] = np.cos(k[g // 2] * displacement[axis])
-        spectrum = spectrum * spec.along(axis, phase)
-    out = ifftn(spectrum, spec)
-    return out.real if np.isrealobj(values) else out
-
-
 def step_count(total_time: float, dt_pde: float) -> int:
     """Number of dt_pde steps spanning total_time; the one time-step validator."""
     if not (dt_pde > 0 and np.isfinite(dt_pde)):

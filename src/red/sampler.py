@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .io import read_float_csv, write_float_csv
+from .io import write_float_csv
 from .model import (
     Ensemble,
     ScalarField,
@@ -145,12 +145,3 @@ def sample_from_density(rho: ScalarField, n: int, rng: np.random.Generator) -> n
 def walkers_to_csv(ensemble: Ensemble, path) -> None:
     """Write walker positions as CSV with header x_0,...,x_{D-1}."""
     write_float_csv(path, [f"x_{a}" for a in range(ensemble.spec.dim)], ensemble.positions)
-
-
-def walkers_from_csv(path, spec: SystemSpec, rng_seed: int = 0, time: float = 0.0) -> Ensemble:
-    """Read walker positions written by walkers_to_csv."""
-    header, table = read_float_csv(path)
-    expected = [f"x_{a}" for a in range(spec.dim)]
-    if header != expected:
-        raise ConsistencyError(f"walker CSV header {header} does not match {expected}")
-    return Ensemble(table, spec, rng_seed, time)

@@ -279,17 +279,107 @@ def test_bestmatch_out_that_cannot_be_created_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(red.__file__).resolve().parent.parent))
+
+
 def test_entry_points_load_no_scipy():
     probe = (
         "import sys\n"
         "import red.cli, red.experiment, red.verify\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(red.__file__).resolve().parent.parent))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_only_main_sets_the_allocator_policy():
+    # every C function looked up by name passes CDLL.__getitem__; mallopt is replaced by a recorder
+    probe = (
+        "import ctypes, contextlib, io\n"
+        "calls = []\n"
+        "lookup = ctypes.CDLL.__getitem__\n"
+        "def spy(self, name):\n"
+        "    if name != 'mallopt':\n"
+        "        return lookup(self, name)\n"
+        "    def mallopt(param, value):\n"
+        "        calls.append([param, value])\n"
+        "        return 1\n"
+        "    return mallopt\n"
+        "ctypes.CDLL.__getitem__ = spy\n"
+        "import red, red.cli, red.config, red.experiment, red.io, red.verify\n"
+        "print(calls)\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    print(red.cli.main(['verify', 'no-such-suite']))\n"
+        "print(calls)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    on_import, code, in_main = done.stdout.splitlines()
+    assert on_import == "[]"
+    assert code == "2"
+    assert json.loads(in_main) == [[-3, 32 * 2 ** 20], [-1, 64 * 2 ** 20]]
+
+
+@pytest.mark.parametrize("libc", ["no_library", "no_mallopt", "mallopt_ignored"])
+def test_main_runs_where_the_allocator_policy_cannot_be_set(tmp_path, monkeypatch, libc):
+    import ctypes
+
+    calls = []
+    lookup = ctypes.CDLL.__getitem__
+
+    def spy(self, name):
+        if name != "mallopt":
+            return lookup(self, name)
+        if libc == "no_mallopt":
+            raise AttributeError(name)
+
+        def mallopt(param, value):  # musl's stub
+            calls.append(param)
+            return 0
+        return mallopt
+
+    def no_library(*args, **kwargs):
+        raise OSError("no C library")
+
+    if libc == "no_library":
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+    else:
+        monkeypatch.setattr(ctypes.CDLL, "__getitem__", spy)
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "run" / "observables.csv").is_file()
+    # a refused first setting is not followed by the second
+    assert calls == ([-3] if libc == "mallopt_ignored" else [])
+
+
+def test_cli_run_bytes_equal_a_library_run_with_no_allocator_policy(tmp_path):
+    # 256² complex grids are 1 MB, past glibc's default mmap threshold, so the policy changes
+    # where every grid temporary lives
+    path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
+                                          "grid": [256, 256], "dt": 0.05},
+                        shift_mode={"mode": "best_match"})
+    out = tmp_path / "out"
+    cli = subprocess.run([sys.executable, "-m", "red", "run", "--config", str(path), "--out", str(out)],
+                         env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert cli.returncode == 0, cli.stderr
+    out.rename(tmp_path / "cli")
+    library = (
+        "import sys\n"
+        "from red.config import load_config\n"
+        "from red.experiment import run_experiment\n"
+        "run_experiment(load_config(sys.argv[1], outputs=sys.argv[2]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", library, str(path), str(out)], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert "wave_000002.csv" in names
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "cli" / name).read_bytes(), name
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

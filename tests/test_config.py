@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from red.cli import main
 from red.config import STENCIL_BUDGET, load_config, parse_config
 from red.model import MAX_DIM
 from red.errors import ConfigError
@@ -247,6 +248,19 @@ def test_ensemble_k_beyond_the_stencil_budget_is_rejected(grid, ensemble_k):
     assert str(STENCIL_BUDGET) in pointers["/run/ensemble_K"]
 
 
+def test_ensemble_k_past_the_digit_limit_of_its_product_exits_2(tmp_path, capsys):
+    # 10**4299 is valid JSON, but ensemble_K · 2^D has more digits than str() renders
+    path = tmp_path / "walkers.json"
+    path.write_text(json.dumps(_walker_doc([8, 8, 8, 8], 10 ** 4299)))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.violations == [("/run/ensemble_K", "each walker needs 16 stencil corners, budget is "
+                                                        "16777216: at most 1048576 walkers on this 4-axis grid")]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "at most 1048576 walkers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid, ensemble_k", [
     ([32, 32], STENCIL_BUDGET // 4),
     ([128, 128], 50_000),
@@ -354,20 +368,19 @@ PINNED_VIOLATIONS = [
       ("/drift_or_potential/preset", "relational potentials need at least two particles")]),
     ("external_axis", _pair(drift_or_potential={"preset": "harmonic_external", "k": 1.0, "axis": 2,
                                                 "center": "mid"}),
-     [("/drift_or_potential/axis", "must be below 2")]),
+     [("/drift_or_potential/axis", "must be below 2"), ("/drift_or_potential/center", "must be a finite number")]),
     ("linear_coefficients", _pair(drift_or_potential={"preset": "linear", "coefficients": [1.0, 2.0, 3.0]}),
      [("/drift_or_potential/coefficients", "must have 2 entries, got 3")]),
     ("fixed_shift_values", _pair(shift_mode={"mode": "fixed", "values": [0.1, 0.2]}),
      [("/shift_mode/values", "must have 1 entries, got 2")]),
     ("best_match_values", _pair(shift_mode={"mode": "best_match", "values": [0.1], "extra": 1}),
-     [("/shift_mode/values", "unknown key"), ("/shift_mode/extra", "unknown key"),
-      ("/shift_mode/values", "best_match mode does not take fixed values")]),
+     [("/shift_mode/extra", "unknown key"), ("/shift_mode/values", "best_match mode does not take fixed values")]),
     ("run_values", _pair(run={"steps": -1, "dt_pde": 0, "snapshot_every": 0, "seed": 2 ** 64, "ensemble_K": -3}),
      [("/run/steps", "must be at least 0"), ("/run/dt_pde", "must be positive"),
       ("/run/snapshot_every", "must be at least 1"), ("/run/ensemble_K", "must be at least 0"),
       ("/run/seed", "must be below 18446744073709551616")]),
     ("stencil_budget", _pair(run={"steps": 1, "dt_pde": 0.01, "ensemble_K": STENCIL_BUDGET // 4 + 1}),
-     [("/run/ensemble_K", "4194305 walkers need 16777220 stencil corners, budget is 16777216: "
+     [("/run/ensemble_K", "each walker needs 4 stencil corners, budget is 16777216: "
                           "at most 4194304 walkers on this 2-axis grid")]),
     ("outputs_empty", _pair(outputs=""), [("/outputs", "must be a non-empty path string")]),
 ]

@@ -15,9 +15,8 @@ from red.experiment import (
     run_experiment,
     sample_experiment,
 )
-from red.io import read_json, read_observables, write_json
+from red.io import read_float_csv, read_json, read_observables, write_json
 from red.quantum import expected_momentum
-from red.sampler import walkers_from_csv
 
 BOOST = 2.0 * np.pi * 2 / 16.0  # lattice mode 2 of a 16-box
 
@@ -137,10 +136,11 @@ def test_run_with_walkers_writes_ensembles(tmp_path):
     doc["run"]["ensemble_K"] = 64
     config = parse(doc)
     out = run_experiment(config)
-    walkers = walkers_from_csv(out / "walkers_000004.csv", config.spec)
-    assert walkers.positions.shape == (64, 2)
-    assert np.all(walkers.positions >= 0.0)
-    assert np.all(walkers.positions < 16.0)
+    header, positions = read_float_csv(out / "walkers_000004.csv")
+    assert header == ["x_0", "x_1"]
+    assert positions.shape == (64, 2)
+    assert np.all(positions >= 0.0)
+    assert np.all(positions < 16.0)
 
 
 def test_zero_constrained_rejects_moving_state(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import translate_array
 from red.errors import StabilityError
 from red.fields import (
     diffuse,
@@ -18,7 +19,6 @@ from red.model import (
     SystemSpec,
     normalized_density,
     quadrature,
-    translate_array,
 )
 from red.presets import gaussian_density, gaussian_state
 

@@ -16,7 +16,6 @@ from red.model import (
     normalized_density,
     quadrature,
     step_count,
-    translate_array,
     wrap_array,
 )
 
@@ -174,14 +173,6 @@ def test_wrap_point_idempotent():
     spec = spec_1d(16, 4.0)
     p = wrap_array(spec, np.array([[3.9]]))
     assert np.array_equal(wrap_array(spec, p), p)
-
-
-def test_translate_array_whole_cell_matches_roll():
-    spec = spec_2p1d(n=32)
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=spec.grid_points)
-    shifted = translate_array(values, spec, np.array([3 * spec.spacing[0], 0.0]))
-    assert np.max(np.abs(shifted - np.roll(values, 3, axis=0))) < 1e-10
 
 
 def test_interpolate_exact_at_nodes_and_periodic():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import translate_array
 from red.errors import NumericalAbort, StabilityError, StateError
 from red.fields import masked_wave
 from red.geometry import total_momentum
@@ -15,7 +16,6 @@ from red.model import (
     SystemSpec,
     normalized_density,
     quadrature,
-    translate_array,
 )
 from red.presets import (
     gaussian_state,

@@ -16,7 +16,7 @@ from red.experiment import (
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
 from red.geometry import best_match_shift, info_metric_g, total_momentum
-from red.io import read_observables
+from red.io import read_float_csv, read_observables
 from red.model import (
     Ensemble,
     EpistemicState,
@@ -45,7 +45,6 @@ from red.sampler import (
     evolve_ensemble,
     sample_from_density,
     stream,
-    walkers_from_csv,
 )
 
 
@@ -387,7 +386,8 @@ def walker_config(tmp_path, potential, shift_mode, ensemble_k=64, snapshot_every
 def assert_walker_snapshots_equal(out, config, snapshots):
     assert sorted(snapshots) == [0, 2, 4, 6]
     for step, want in snapshots.items():
-        got = walkers_from_csv(out / f"walkers_{step:06d}.csv", config.spec).positions
+        header, got = read_float_csv(out / f"walkers_{step:06d}.csv")
+        assert header == [f"x_{a}" for a in range(config.spec.dim)]
         assert got.tobytes() == want.tobytes(), step
 
 

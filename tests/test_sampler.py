@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from red.errors import ConsistencyError
+from red.io import read_float_csv
 from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
 from red.sampler import (
     Drift,
@@ -12,7 +12,6 @@ from red.sampler import (
     sample_from_density,
     stream,
     walker_step,
-    walkers_from_csv,
     walkers_to_csv,
 )
 
@@ -206,20 +205,11 @@ def test_sample_from_density_histogram():
     assert abs(pts.std() - 1.0) < 0.02
 
 
-@pytest.mark.parametrize("body", ["1.0,abc\r\n", "1.0\r\n", "1.0,2.0,3.0\r\n"])
-def test_walker_csv_malformed_rows_rejected(tmp_path, body):
-    path = tmp_path / "walkers.csv"
-    path.write_text("x_0,x_1\r\n" + body)
-    with pytest.raises(ConsistencyError):
-        walkers_from_csv(path, spec_2p())
-
-
 def test_walker_csv_round_trip(tmp_path):
     spec = spec_2p()
     e = Ensemble(np.array([[1.0, 2.0], [3.5, 4.25]]), spec, rng_seed=9, time=0.5)
     path = tmp_path / "walkers.csv"
     walkers_to_csv(e, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_0,x_1"
-    back = walkers_from_csv(path, spec, rng_seed=9, time=0.5)
-    assert np.array_equal(back.positions, e.positions)
+    header, back = read_float_csv(path)
+    assert header == ["x_0", "x_1"]
+    assert np.array_equal(back, e.positions)
