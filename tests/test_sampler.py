@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from red.errors import ConsistencyError
 from red.io import read_float_csv
 from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
 from red.sampler import (
@@ -203,6 +204,14 @@ def test_sample_from_density_histogram():
     assert pts.shape == (40_000, 1)
     assert abs(pts.mean() - 10.0) < 0.025
     assert abs(pts.std() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("body", ["1.0,abc\r\n", "1.0\r\n", "1.0,2.0,3.0\r\n"])
+def test_walker_csv_malformed_rows_rejected(tmp_path, body):
+    path = tmp_path / "walkers.csv"
+    path.write_text("x_0,x_1\r\n" + body)
+    with pytest.raises(ConsistencyError):
+        read_float_csv(path)
 
 
 def test_walker_csv_round_trip(tmp_path):
