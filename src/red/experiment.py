@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, RedError
-from .fields import PHASE_DEAD_RELATIVE, entropy
+from .fields import alive_cells, entropy
 from .geometry import best_match_shift, info_metric_g, total_momentum
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
@@ -165,7 +165,7 @@ def _wave_drift(wave: WaveField) -> Drift:
     spec = wave.spec
     psi = wave.values
     rho = np.abs(psi) ** 2
-    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    alive = alive_cells(rho)
     safe_rho = np.where(alive, rho, 1.0)
     grads = gradient_arrays(psi, spec)
     return Drift(spec, [
@@ -190,7 +190,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
             ])
         return ShiftVelocity.zero(spec)
     # best_match, recomputed every step
-    return best_match_shift(wave.state)
+    return best_match_shift(wave)
 
 
 def _initial_walkers(config: ExperimentConfig, wave: WaveField, time: float) -> Ensemble:
@@ -270,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             # times come from the step index: a running sum of dt_pde drifts
             time = t0 + step * run.dt_pde
             if config.shift_mode.mode == "best_match":
-                shift = best_match_shift(wave.state)
+                shift = best_match_shift(wave)
             if walkers is not None:
                 walkers = walker_step(walkers, _wave_drift(wave), shift, run.dt_pde, time)
             wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)

@@ -42,15 +42,20 @@ OSMOTIC_FLOOR = 1e-14
 OSMOTIC_EXACT = 1e-8
 
 
+def alive_cells(rho: np.ndarray) -> np.ndarray:
+    """Cells with rho above PHASE_DEAD_RELATIVE * max(rho): the ones whose phase is usable."""
+    return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+
+
 def masked_wave(state: EpistemicState) -> tuple:
     """(alive, psi) of a wrapped state: psi = sqrt(rho) exp(i Phi / hbar), 0 where not alive.
 
-    alive marks cells with rho above PHASE_DEAD_RELATIVE * max(rho); the
-    slope is not included.  A state read off a wavefunction carries psi as
-    wave_values and skips the complex exponential.
+    alive is alive_cells(rho); the slope is not included.  A state read off
+    a wavefunction carries psi as wave_values and skips the complex
+    exponential.
     """
     rho = state.rho.values
-    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    alive = alive_cells(rho)
     if state.wave_values is not None:
         return alive, np.where(alive, state.wave_values, 0.0)
     amplitude = np.where(alive, np.sqrt(np.clip(rho, 0.0, None)), 0.0)

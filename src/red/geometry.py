@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import entropy_rate, masked_wave
+from .fields import alive_cells, entropy_rate, masked_wave
 from .model import (
     EpistemicState,
     ScalarField,
@@ -35,6 +35,7 @@ from .model import (
     mode_momentum,
     quadrature,
 )
+from .quantum import WaveField
 from .sampler import STREAM_MONTE_CARLO, Drift, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
@@ -77,13 +78,13 @@ def ensemble_hamiltonian_h0(state: EpistemicState, shift: ShiftVelocity) -> floa
     spec = state.spec
     rho = state.rho.values
     phase_grads = state.phase_gradients
-    root_grads = state.root_gradients
+    root_squares = state.root_gradient_squares
     total = 0.0
     for axis in range(spec.dim):
         mass = spec.axis_masses[axis]
         relative = phase_grads[axis] - mass * shift.per_axis[axis]
         total += float(np.sum(rho * relative ** 2) / (2.0 * mass)) * spec.cell_volume
-        total += float(np.sum(root_grads[axis] ** 2) * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
+        total += float(root_squares[axis] * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
     return total
 
 
@@ -157,38 +158,48 @@ def info_metric_g_mc(
     return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_samples)
 
 
-def total_momentum(state: EpistemicState) -> np.ndarray:
+def total_momentum(state) -> np.ndarray:
     """Density-weighted total flow momentum per spatial axis, shape (d,).
 
     A wrapped state is summed in mode space from one forward FFT of its
     masked wave (fields.masked_wave): by Parseval, int rho d_A Phi over the
     alive cells is hbar * cell_volume / N * sum_k k_A |psi_k|^2, and the
-    slope adds slope_A * int rho.  A smooth phase is differentiated as it
-    stands.
+    slope adds slope_A * int rho.  A WaveField is summed exactly as the
+    wrapped state read off it (slope zero), but builds no phase grid.  A
+    smooth phase is differentiated as it stands.
     """
     spec = state.spec
-    rho = state.rho.values
     out = np.zeros(spec.spatial_dim)
-    if state.phase_wrapped:
+    if isinstance(state, WaveField):
+        rho = state.density.values
+        psi = np.where(alive_cells(rho), state.values, 0.0)
+        slope = np.zeros(spec.dim)
+    elif state.phase_wrapped:
+        rho = state.rho.values
         _, psi = masked_wave(state)
-        momentum, _ = mode_momentum(psi, spec)
-        out += spec.hbar * spec.cell_volume / psi.size * momentum
-        mass = float(np.sum(rho)) * spec.cell_volume
+        slope = state.phase_slope
+    else:
+        rho = state.rho.values
+        phase_grads = state.phase_gradients
         for axis in range(spec.dim):
-            out[spec.spatial_of_axis(axis)] += state.phase_slope[axis] * mass
+            out[spec.spatial_of_axis(axis)] += float(np.sum(rho * phase_grads[axis])) * spec.cell_volume
         return out
-    phase_grads = state.phase_gradients
+    momentum, _ = mode_momentum(psi, spec)
+    out += spec.hbar * spec.cell_volume / psi.size * momentum
+    mass = float(np.sum(rho)) * spec.cell_volume
     for axis in range(spec.dim):
-        out[spec.spatial_of_axis(axis)] += float(np.sum(rho * phase_grads[axis])) * spec.cell_volume
+        out[spec.spatial_of_axis(axis)] += slope[axis] * mass
     return out
 
 
-def best_match_shift(state: EpistemicState, mode: str = "closed_form") -> ShiftVelocity:
+def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     """Shift velocity minimizing the mismatch with the next instant.
 
     closed_form solves the stationarity condition directly; numerical
     descends the quadrature gradient M * shift - P until it vanishes, as a
-    cross-check of the same condition.
+    cross-check of the same condition.  state is an EpistemicState or a
+    WaveField; the closed form of a wave builds no phase grid
+    (total_momentum), the numerical one works on wave.state.
     """
     spec = state.spec
     mass = spec.total_mass
@@ -196,6 +207,8 @@ def best_match_shift(state: EpistemicState, mode: str = "closed_form") -> ShiftV
         return ShiftVelocity(total_momentum(state) / mass, spec)
     if mode != "numerical":
         raise ValueError(f"unknown best-match mode {mode!r}")
+    if isinstance(state, WaveField):
+        state = state.state
 
     rho = state.rho.values
     phase_grads = state.phase_gradients

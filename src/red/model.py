@@ -152,11 +152,6 @@ class SystemSpec:
         return out
 
     @cached_property
-    def ik(self) -> list:
-        """i*k_A on the full spectrum, with the even-grid Nyquist mode zeroed."""
-        return [1j * self.along(axis, k) for axis, k in enumerate(self.derivative_wavenumbers)]
-
-    @cached_property
     def half_ik(self) -> list:
         """i*k_A on the half spectrum, with the even-grid Nyquist mode zeroed."""
         return [1j * k for k in self._half_spectrum(self.derivative_wavenumbers)]
@@ -241,24 +236,30 @@ def quadrature(f: ScalarField) -> float:
     return float(np.sum(f.values) * f.spec.cell_volume)
 
 
-def fftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Full spectrum of a real or complex grid array over every configuration axis."""
-    return np.fft.fftn(values, s=spec.grid_points, axes=tuple(range(spec.dim)))
+def _transform_axes(spec: SystemSpec, axes) -> dict:
+    """numpy's s and axes for a transform over `axes`, by default every configuration axis."""
+    axes = tuple(range(spec.dim)) if axes is None else tuple(axes)
+    return {"s": tuple(spec.grid_points[axis] for axis in axes), "axes": axes}
 
 
-def ifftn(spectrum: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Complex grid array from its full spectrum."""
-    return np.fft.ifftn(spectrum, s=spec.grid_points, axes=tuple(range(spec.dim)))
+def fftn(values: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
+    """Full spectrum of a real or complex grid array over `axes` (default: all)."""
+    return np.fft.fftn(values, **_transform_axes(spec, axes))
 
 
-def rfftn(values: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Half spectrum of a real grid array over every configuration axis."""
-    return np.fft.rfftn(values, s=spec.grid_points, axes=tuple(range(spec.dim)))
+def ifftn(spectrum: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
+    """Complex grid array from its full spectrum over `axes` (default: all)."""
+    return np.fft.ifftn(spectrum, **_transform_axes(spec, axes))
 
 
-def irfftn(spectrum: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Real grid array from its half spectrum."""
-    return np.fft.irfftn(spectrum, s=spec.grid_points, axes=tuple(range(spec.dim)))
+def rfftn(values: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
+    """Half spectrum of a real grid array over `axes` (default: all); the last one is halved."""
+    return np.fft.rfftn(values, **_transform_axes(spec, axes))
+
+
+def irfftn(spectrum: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
+    """Real grid array from its half spectrum over `axes` (default: all)."""
+    return np.fft.irfftn(spectrum, **_transform_axes(spec, axes))
 
 
 def laplacian_symbol(spec: SystemSpec, axis_weights) -> np.ndarray:
@@ -290,14 +291,23 @@ def mode_momentum(psi: np.ndarray, spec: SystemSpec) -> tuple:
 
 
 def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
-    """Spectral gradient of a real or complex grid array, as plain arrays."""
+    """Spectral gradient of a real or complex grid array, as plain arrays.
+
+    d_A f is a one-axis transform pair: forward along A, times the 1-D i*k_A
+    of derivative_wavenumbers, inverse along A.  That is 2*D axis passes
+    where an n-D spectrum and D n-D inverses take D + D^2, to rounding alike.
+    """
     if not np.all(np.isfinite(values)):
         raise GridError("cannot differentiate non-finite field values")
-    if np.isrealobj(values):
-        spectrum = rfftn(values, spec)
-        return [irfftn(ik * spectrum, spec) for ik in spec.half_ik]
-    spectrum = fftn(values, spec)
-    return [ifftn(ik * spectrum, spec) for ik in spec.ik]
+    real = np.isrealobj(values)
+    forward, inverse = (rfftn, irfftn) if real else (fftn, ifftn)
+    grads = []
+    for axis, k in enumerate(spec.derivative_wavenumbers):
+        if real:
+            k = k[: spec.grid_points[axis] // 2 + 1]
+        spectrum = forward(values, spec, (axis,))
+        grads.append(inverse(spec.along(axis, 1j * k) * spectrum, spec, (axis,)))
+    return grads
 
 
 def step_count(total_time: float, dt_pde: float) -> int:
@@ -462,9 +472,10 @@ class EpistemicState:
         return _read_only(phase_gradient_arrays(self))
 
     @cached_property
-    def root_gradients(self) -> tuple:
-        """grad sqrt(rho) per axis (negligible negative cells clipped), computed once; read-only."""
-        return _read_only(gradient_arrays(np.sqrt(np.clip(self.rho.values, 0.0, None)), self.spec))
+    def root_gradient_squares(self) -> tuple:
+        """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats, computed once."""
+        grads = gradient_arrays(np.sqrt(np.clip(self.rho.values, 0.0, None)), self.spec)
+        return tuple(float(np.sum(g ** 2)) for g in grads)
 
 
 def _read_only(arrays) -> tuple:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalAbort, StateError
+from .errors import GridError, NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
@@ -36,7 +36,6 @@ from .model import (
     check_rk4_bound,
     divergence_spectrum,
     fftn,
-    gradient_arrays,
     ifftn,
     irfftn,
     laplacian_symbol,
@@ -72,16 +71,18 @@ class WaveField:
             raise StateError(f"wave norm is {norm!r}, expected 1 within {WAVE_NORM_TOL}")
         object.__setattr__(self, "values", vals)
 
-    @property
+    @cached_property
     def density(self) -> ScalarField:
-        return ScalarField(np.abs(self.values) ** 2, self.spec)
+        """|psi|^2, computed once and read-only; `state` and best matching share it."""
+        density = ScalarField(np.abs(self.values) ** 2, self.spec)
+        density.values.flags.writeable = False
+        return density
 
     @cached_property
     def state(self) -> EpistemicState:
         """from_wavefunction(self), computed once; its arrays are read-only."""
         state = from_wavefunction(self)
-        for array in (state.rho.values, state.phase.values):
-            array.flags.writeable = False
+        state.phase.values.flags.writeable = False
         return state
 
 
@@ -162,10 +163,9 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
     consumers of the phase mask them out (fields.masked_wave).
     """
     spec = wave.spec
-    rho = np.abs(wave.values) ** 2
     phase = spec.hbar * np.angle(wave.values)
     return EpistemicState(
-        ScalarField(rho, spec),
+        wave.density,
         ScalarField(phase, spec),
         None,
         wave.time,
@@ -329,6 +329,10 @@ def hamilton_evolve(
     the wavefunction representation instead (see schrodinger_evolve); an
     underflow here aborts with that advice.  The phase grid must be smooth
     (unwrapped): the right-hand side squares its gradient.
+
+    The phase gradient keeps the n-D form (one half spectrum, D n-D
+    inverses), not gradient_arrays' one-axis pairs: madelung's halving
+    ratio of ~1e-10 density gaps is referenced to these exact bits.
     """
     steps = step_count(total_time, dt_pde)
     spec = state.spec
@@ -362,7 +366,10 @@ def hamilton_evolve(
         return bent / root
 
     def rates(rho_values: np.ndarray, phase_values: np.ndarray):
-        phase_grads = gradient_arrays(phase_values, spec)
+        if not np.all(np.isfinite(phase_values)):
+            raise GridError("cannot differentiate non-finite field values")
+        phase_spectrum = rfftn(phase_values, spec)
+        phase_grads = [irfftn(ik * phase_spectrum, spec) for ik in spec.half_ik]
         # the curvature term enters the phase rate with a plus sign
         phase_rate = -u_values + curvature(rho_values)
         fluxes = []

@@ -15,7 +15,7 @@ from red.experiment import (
     sample_experiment,
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
-from red.geometry import best_match_shift, info_metric_g, total_momentum
+from red.geometry import best_match_shift, ensemble_hamiltonian_h0, info_metric_g, total_momentum
 from red.io import read_float_csv, read_observables
 from red.model import (
     Ensemble,
@@ -88,6 +88,24 @@ def test_mode_space_momentum_keeps_the_slope_term(grid):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("grid", [(33,), (32, 32), (31, 33)])
+def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform):
+    wave = narrow_wave(grid)
+    if uniform:
+        # no momentum at all: the shift is an exact zero, whose sign must match too
+        wave = WaveField(np.full(grid, wave.spec.volume ** -0.5), wave.spec)
+    for mode in ("closed_form", "numerical"):
+        got = best_match_shift(wave, mode).components
+        if mode == "closed_form":
+            assert "state" not in vars(wave)
+        want = best_match_shift(from_wavefunction(wave), mode).components
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    if uniform and grid != (31, 33):
+        assert not np.any(best_match_shift(wave).components)
+
+
 @pytest.mark.parametrize("components", [[0.3, -1.1], [0.0, 2.7]])
 def test_kinetic_factor_matches_full_grid_exponential(components):
     spec = SystemSpec(2, 2, (1.0, 2.5), (7.0, 9.0), (6, 7, 5, 8), dt=0.05, hbar=0.7)
@@ -137,11 +155,25 @@ def test_wave_state_and_phase_gradients_are_cached_read_only():
     for got, want in zip(grads, phase_gradient_arrays(fresh)):
         assert not got.flags.writeable
         assert np.array_equal(got, want)
-    roots = state.root_gradients
-    assert state.root_gradients is roots
-    for got, want in zip(roots, gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)):
-        assert not got.flags.writeable
-        assert np.array_equal(got, want)
+    squares = state.root_gradient_squares
+    assert state.root_gradient_squares is squares
+    roots = gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)
+    assert squares == tuple(float(np.sum(g ** 2)) for g in roots)
+
+
+def test_h0_from_cached_root_squares_matches_the_grid_formula():
+    wave = narrow_wave((16, 16), sigma=1.5)
+    spec = wave.spec
+    state = wave.state
+    shift = ShiftVelocity(np.array([0.3]), spec)
+    roots = gradient_arrays(np.sqrt(state.rho.values), spec)
+    want = 0.0
+    for axis, (phase_grad, root_grad) in enumerate(zip(state.phase_gradients, roots)):
+        mass = spec.axis_masses[axis]
+        relative = phase_grad - mass * shift.per_axis[axis]
+        want += float(np.sum(state.rho.values * relative ** 2) / (2.0 * mass)) * spec.cell_volume
+        want += float(np.sum(root_grad ** 2) * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
+    assert ensemble_hamiltonian_h0(state, shift) == want
 
 
 # ---------------------------------------------------------------- frozen loop

@@ -27,6 +27,7 @@ from red.model import (
     laplacian_symbol,
     normalized_density,
     rfftn,
+    rk4_step,
 )
 from red.presets import gaussian_density, gaussian_state
 from red.quantum import Potential, hamilton_evolve
@@ -78,7 +79,6 @@ def test_along_broadcasts_on_the_grid_and_the_half_spectrum():
     for axis, want in enumerate(grid_shapes):
         assert spec.along(axis, spec.axis_coords[axis]).shape == want
         assert spec.mesh()[axis].shape == want
-        assert spec.ik[axis].shape == want
     assert spec.along(2, np.arange(4.0)).shape == (1, 1, 4)
     assert [k.shape for k in spec.half_ik] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
     assert [k.shape for k in spec.half_k2] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
@@ -117,14 +117,44 @@ def test_half_spectrum_round_trip_divergence_and_laplacian(shape):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11 * np.max(full_symbol))
 
 
+def one_axis_derivative(values, spec, axis):
+    """d_A f from a forward and an inverse transform along A alone, times the 1-D i*k_A."""
+    g = spec.grid_points[axis]
+    k = spec.derivative_wavenumbers[axis]
+    if np.isrealobj(values):
+        spectrum = np.fft.rfftn(values, axes=(axis,))
+        return np.fft.irfftn(spec.along(axis, 1j * k[: g // 2 + 1]) * spectrum, s=(g,), axes=(axis,))
+    spectrum = np.fft.fftn(values, axes=(axis,))
+    return np.fft.ifftn(spec.along(axis, 1j * k) * spectrum, axes=(axis,))
+
+
 def test_complex_gradient_keeps_complex_path():
     spec = spec_for((6, 7))
     rng = np.random.default_rng(3)
     values = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
     for axis, g in enumerate(gradient_arrays(values, spec)):
-        k = spec.along(axis, spec.derivative_wavenumbers[axis])
         assert np.iscomplexobj(g)
-        np.testing.assert_array_equal(g, np.fft.ifftn(1j * k * np.fft.fftn(values)))
+        np.testing.assert_array_equal(g, one_axis_derivative(values, spec, axis))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(7,), (6, 7), (4, 6, 5, 8)])
+def test_gradient_is_the_one_axis_pair_and_matches_the_nd_derivative(shape, kind):
+    spec = (SystemSpec(2, 2, (1.3, 0.7), (5.0, 7.0), shape, dt=0.01) if len(shape) == 4
+            else spec_for(shape))
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal(shape)
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(shape)
+    grads = gradient_arrays(values, spec)
+    assert len(grads) == spec.dim
+    for axis, g in enumerate(grads):
+        assert g.shape == shape and np.iscomplexobj(g) == (kind == "complex")
+        np.testing.assert_array_equal(g, one_axis_derivative(values, spec, axis))
+        k = spec.along(axis, spec.derivative_wavenumbers[axis])
+        want = np.fft.ifftn(1j * k * np.fft.fftn(values))
+        want = want.real if kind == "real" else want
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-13 * float(np.max(np.abs(want))))
 
 
 def test_gradient_rejects_non_finite_arrays():
@@ -252,6 +282,54 @@ def test_diffuse_matches_complex_oracle(grid):
 # ---------------------------------------------------------------- guards
 # density underflow and the dispersive bound of hamilton_evolve are covered
 # in test_quantum
+
+
+def nd_hamilton_step(state, potential, shift, dt_pde):
+    """One hamilton_evolve RK4 step, its derivatives spelled out as n-D real transforms."""
+    spec = state.spec
+    shape, axes = spec.grid_points, tuple(range(spec.dim))
+    half_ik = []
+    for axis, k in enumerate(spec.derivative_wavenumbers):
+        if axis == spec.dim - 1:
+            k = np.abs(k[: shape[axis] // 2 + 1])
+        half_ik.append(1j * spec.along(axis, k))
+    curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
+    inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]
+    slope = state.phase_slope
+
+    def rates(rho_values, phase_values):
+        spectrum = np.fft.rfftn(phase_values)
+        phase_grads = [np.fft.irfftn(ik * spectrum, s=shape, axes=axes) for ik in half_ik]
+        root = np.sqrt(rho_values)
+        bent = np.fft.irfftn(-curvature_symbol * np.fft.rfftn(root), s=shape, axes=axes)
+        phase_rate = -potential.values.values + bent / root
+        fluxes = []
+        for axis in range(spec.dim):
+            total_grad = phase_grads[axis] + slope[axis]
+            relative = total_grad - spec.axis_masses[axis] * shift.per_axis[axis]
+            phase_rate = phase_rate - 0.5 * inverse_masses[axis] * relative ** 2
+            velocity = total_grad * inverse_masses[axis] - shift.per_axis[axis]
+            fluxes.append(rho_values * velocity)
+        divergence = sum(ik * np.fft.rfftn(f) for ik, f in zip(half_ik, fluxes))
+        return -np.fft.irfftn(divergence, s=shape, axes=axes), phase_rate
+
+    return rk4_step(rates, (state.rho.values, state.phase.values), dt_pde)
+
+
+@pytest.mark.parametrize("grid", [(12, 10), (11, 9)])
+def test_hamilton_evolve_step_is_bitwise_the_nd_form(grid):
+    spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), grid, dt=0.05)
+    x0, x1 = spec.mesh()
+    base = floored_state(gaussian_state(spec, center=np.array([7.0, 9.0]), sigma=2.0,
+                                        slope=np.array([2.0 * np.pi / 16.0, 0.0])))
+    phase = ScalarField(0.3 * np.sin(2.0 * np.pi * (x0 - x1) / 16.0), spec)
+    state = EpistemicState(base.rho, phase, base.phase_slope)
+    potential = Potential.from_values(0.2 * np.cos(2.0 * np.pi * (x0 - x1) / 16.0), spec)
+    shift = ShiftVelocity(np.array([0.15]), spec)
+    evolved = hamilton_evolve(state, potential, shift, 2e-3, 2e-3)
+    rho, phase = nd_hamilton_step(state, potential, shift, 2e-3)
+    np.testing.assert_array_equal(evolved.rho.values, rho)
+    np.testing.assert_array_equal(evolved.phase.values, phase)
 
 
 def test_hamilton_evolve_non_finite_rates_are_caught():
