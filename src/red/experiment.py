@@ -26,7 +26,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, RedError
 from .fields import alive_cells, entropy
-from .geometry import best_match_shift, info_metric_g, total_momentum
+from .geometry import best_match_shift, info_metric_g
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
     Ensemble,
@@ -47,7 +47,6 @@ from .quantum import (
     Potential,
     WaveField,
     expected_momentum,
-    from_wavefunction,
     schrodinger_evolve,
     to_wavefunction,
     total_energy,
@@ -164,7 +163,7 @@ def _wave_drift(wave: WaveField) -> Drift:
     """
     spec = wave.spec
     psi = wave.values
-    rho = np.abs(psi) ** 2
+    rho = wave.density.values
     alive = alive_cells(rho)
     safe_rho = np.where(alive, rho, 1.0)
     grads = gradient_arrays(psi, spec)
@@ -196,8 +195,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
 def _initial_walkers(config: ExperimentConfig, wave: WaveField, time: float) -> Ensemble:
     """ensemble_K walkers drawn from |psi|^2 on the seed's init stream."""
     run = config.run
-    rho0 = ScalarField(np.abs(wave.values) ** 2, config.spec)
-    positions = sample_from_density(rho0, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
+    positions = sample_from_density(wave.density, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
     return Ensemble(positions, config.spec, run.seed, time, 0)
 
 
@@ -327,11 +325,10 @@ def sample_experiment(config: ExperimentConfig) -> Path:
 def bestmatch_report(config: ExperimentConfig) -> dict:
     """Single-state best-matching query: optimum shift and the mismatch there."""
     wave = build_initial_wave(config)
-    state = from_wavefunction(wave)
-    closed = best_match_shift(state, mode="closed_form")
-    numerical = best_match_shift(state, mode="numerical")
-    report = info_metric_g(state, closed)
-    momentum = total_momentum(state)
+    closed = best_match_shift(wave)
+    numerical = best_match_shift(wave.state, mode="numerical")
+    report = info_metric_g(wave.state, closed)
+    momentum = expected_momentum(wave)
     return {
         "best_match_shift": [float(c) for c in closed.components],
         "numerical_shift": [float(c) for c in numerical.components],

@@ -47,21 +47,6 @@ def alive_cells(rho: np.ndarray) -> np.ndarray:
     return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
 
 
-def masked_wave(state: EpistemicState) -> tuple:
-    """(alive, psi) of a wrapped state: psi = sqrt(rho) exp(i Phi / hbar), 0 where not alive.
-
-    alive is alive_cells(rho); the slope is not included.  A state read off
-    a wavefunction carries psi as wave_values and skips the complex
-    exponential.
-    """
-    rho = state.rho.values
-    alive = alive_cells(rho)
-    if state.wave_values is not None:
-        return alive, np.where(alive, state.wave_values, 0.0)
-    amplitude = np.where(alive, np.sqrt(np.clip(rho, 0.0, None)), 0.0)
-    return alive, amplitude * np.exp(1j * state.phase.values / state.spec.hbar)
-
-
 def phase_gradient_arrays(state: EpistemicState) -> list:
     """grad Phi per axis, plus the exact slope contribution.
 
@@ -72,18 +57,19 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
     the velocity is self-amplifying.
 
     Wrapped phase grids (recovered from a wavefunction, stored modulo
-    2*pi*hbar) go through psi = sqrt(rho) * exp(i Phi / hbar), which is
-    immune to the wraps, with hbar * Im(conj(psi) grad psi) / rho.  Cells
-    with rho below PHASE_DEAD_RELATIVE * max(rho) sit under the FFT
-    roundoff floor, where that division is pure noise; they get gradient 0,
-    and every consumer weights by rho anyway.
+    2*pi*hbar) go through the wave the state carries, psi = wave_values,
+    which is immune to the wraps, with hbar * Im(conj(psi) grad psi) / rho.
+    Cells outside alive_cells sit under the FFT roundoff floor, where that
+    division is pure noise; psi is zeroed there before differentiating,
+    they get gradient 0, and every consumer weights by rho anyway.
     """
     spec = state.spec
     if not state.phase_wrapped:
         grads = gradient_arrays(state.phase.values, spec)
         return [g + state.phase_slope[axis] for axis, g in enumerate(grads)]
     rho = state.rho.values
-    alive, psi = masked_wave(state)
+    alive = alive_cells(rho)
+    psi = np.where(alive, state.wave_values, 0.0)
     grads = gradient_arrays(psi, spec)
     safe_rho = np.where(alive, rho, 1.0)
     return [

@@ -26,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import alive_cells, entropy_rate, masked_wave
-from .model import (
-    EpistemicState,
-    ScalarField,
-    ShiftVelocity,
-    SystemSpec,
-    mode_momentum,
-    quadrature,
-)
-from .quantum import WaveField
+from .fields import entropy_rate
+from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
+from .quantum import WaveField, expected_momentum
 from .sampler import STREAM_MONTE_CARLO, Drift, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
@@ -158,52 +151,36 @@ def info_metric_g_mc(
     return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_samples)
 
 
-def total_momentum(state) -> np.ndarray:
+def total_momentum(state: EpistemicState) -> np.ndarray:
     """Density-weighted total flow momentum per spatial axis, shape (d,).
 
-    A wrapped state is summed in mode space from one forward FFT of its
-    masked wave (fields.masked_wave): by Parseval, int rho d_A Phi over the
-    alive cells is hbar * cell_volume / N * sum_k k_A |psi_k|^2, and the
-    slope adds slope_A * int rho.  A WaveField is summed exactly as the
-    wrapped state read off it (slope zero), but builds no phase grid.  A
-    smooth phase is differentiated as it stands.
+    int rho d_A Phi from state.phase_gradients, summed onto the spatial
+    axes; smooth and wrapped states alike (a wrapped one differentiates the
+    wave it carries).  The momentum of a WaveField is quantum.expected_momentum.
     """
     spec = state.spec
+    rho = state.rho.values
     out = np.zeros(spec.spatial_dim)
-    if isinstance(state, WaveField):
-        rho = state.density.values
-        psi = np.where(alive_cells(rho), state.values, 0.0)
-        slope = np.zeros(spec.dim)
-    elif state.phase_wrapped:
-        rho = state.rho.values
-        _, psi = masked_wave(state)
-        slope = state.phase_slope
-    else:
-        rho = state.rho.values
-        phase_grads = state.phase_gradients
-        for axis in range(spec.dim):
-            out[spec.spatial_of_axis(axis)] += float(np.sum(rho * phase_grads[axis])) * spec.cell_volume
-        return out
-    momentum, _ = mode_momentum(psi, spec)
-    out += spec.hbar * spec.cell_volume / psi.size * momentum
-    mass = float(np.sum(rho)) * spec.cell_volume
-    for axis in range(spec.dim):
-        out[spec.spatial_of_axis(axis)] += slope[axis] * mass
+    for axis, grad in enumerate(state.phase_gradients):
+        out[spec.spatial_of_axis(axis)] += float(np.sum(rho * grad)) * spec.cell_volume
     return out
 
 
 def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     """Shift velocity minimizing the mismatch with the next instant.
 
-    closed_form solves the stationarity condition directly; numerical
-    descends the quadrature gradient M * shift - P until it vanishes, as a
-    cross-check of the same condition.  state is an EpistemicState or a
-    WaveField; the closed form of a wave builds no phase grid
-    (total_momentum), the numerical one works on wave.state.
+    closed_form solves the stationarity condition directly, shift = P / M;
+    numerical descends the quadrature gradient M * shift - P until it
+    vanishes, as a cross-check of the same condition.  state is an
+    EpistemicState, whose P is total_momentum, or a WaveField, whose P is
+    expected_momentum; the closed form of a wave builds no phase grid, the
+    numerical one works on wave.state.
     """
     spec = state.spec
     mass = spec.total_mass
     if mode == "closed_form":
+        if isinstance(state, WaveField):
+            return ShiftVelocity(expected_momentum(state) / mass, spec)
         return ShiftVelocity(total_momentum(state) / mass, spec)
     if mode != "numerical":
         raise ValueError(f"unknown best-match mode {mode!r}")

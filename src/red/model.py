@@ -272,24 +272,6 @@ def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
     return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
 
 
-def mode_momentum(psi: np.ndarray, spec: SystemSpec) -> tuple:
-    """(sum_k k_A |psi_k|^2 summed onto the spatial axes, shape (d,), sum_k |psi_k|^2).
-
-    psi_k = fftn(psi).  The k_A are the odd-derivative wavenumbers of
-    gradient_arrays, so by Parseval hbar * cell_volume / N times the first
-    part is the quadrature of Im(conj(psi) grad_A psi) per spatial axis.
-    Each axis is reduced to its 1-D marginal first, which needs no
-    full-grid wavenumber array.
-    """
-    power = np.abs(fftn(psi, spec)) ** 2
-    out = np.zeros(spec.spatial_dim)
-    for axis in range(spec.dim):
-        others = tuple(a for a in range(spec.dim) if a != axis)
-        marginal = np.sum(power, axis=others)
-        out[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
-    return out, float(np.sum(power))
-
-
 def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
     """Spectral gradient of a real or complex grid array, as plain arrays.
 
@@ -425,19 +407,17 @@ class EpistemicState:
     The full phase is phase.values + phase_slope @ x; the slope part keeps
     boosts exact even when they are not lattice modes of the box.
 
-    phase_wrapped marks grids that store the phase modulo 2*pi*hbar, as
-    recovered from a wavefunction argument.  Smooth (unwrapped) phase grids
-    can be differentiated directly; wrapped ones must go through the
-    complex exponential.  wave_values, when given, is that exponential
-    times sqrt(rho) (the slope part excluded): the wavefunction a wrapped
-    state was read from, which spares rebuilding it.
+    A wrapped state is one that carries its wave: wave_values is the psi
+    it was read from (quantum.from_wavefunction, the slope part excluded),
+    and its phase grid is hbar * arg(psi), stored modulo 2*pi*hbar.  Smooth
+    (unwrapped) phase grids are differentiated directly; wrapped ones go
+    through wave_values.
     """
 
     rho: ScalarField
     phase: ScalarField
     phase_slope: np.ndarray = None
     time: float = 0.0
-    phase_wrapped: bool = False
     wave_values: np.ndarray = None
 
     def __post_init__(self):
@@ -463,6 +443,11 @@ class EpistemicState:
     @property
     def spec(self) -> SystemSpec:
         return self.rho.spec
+
+    @property
+    def phase_wrapped(self) -> bool:
+        """True when the phase grid is stored modulo 2*pi*hbar: the state carries its wave."""
+        return self.wave_values is not None
 
     @cached_property
     def phase_gradients(self) -> tuple:

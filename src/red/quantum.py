@@ -39,7 +39,6 @@ from .model import (
     ifftn,
     irfftn,
     laplacian_symbol,
-    mode_momentum,
     rfftn,
     rk4_step,
     step_count,
@@ -156,11 +155,12 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
 
 
 def from_wavefunction(wave: WaveField) -> EpistemicState:
-    """Density and wrapped phase of a wavefunction.
+    """Density and wrapped phase of a wavefunction: the one maker of wrapped states.
 
-    The phase is hbar * arg(psi), wrapped to (-pi hbar, pi hbar]; cells
-    of negligible density carry no usable phase information, and the
-    consumers of the phase mask them out (fields.masked_wave).
+    The phase is hbar * arg(psi), wrapped to (-pi hbar, pi hbar]; the state
+    carries psi as wave_values, which marks it wrapped.  Cells of negligible
+    density carry no usable phase information, and the consumers of the
+    phase mask them out (fields.alive_cells).
     """
     spec = wave.spec
     phase = spec.hbar * np.angle(wave.values)
@@ -169,7 +169,6 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
         ScalarField(phase, spec),
         None,
         wave.time,
-        phase_wrapped=True,
         wave_values=wave.values,
     )
 
@@ -236,14 +235,23 @@ def schrodinger_evolve(
 
 
 def expected_momentum(wave: WaveField) -> np.ndarray:
-    """Total momentum expectation per spatial axis.
+    """Total momentum expectation per spatial axis: hbar sum_k k_A |psi_k|^2 / sum_k |psi_k|^2.
 
-    Computed in mode space, where it equals the quadrature of
-    Re[psi* (-i hbar) sum_n d psi / dx_n^a] exactly (both use the
-    odd-derivative wavenumbers, so the empty sawtooth mode counts as 0).
+    Computed in mode space, psi_k = fftn(psi), where by Parseval it equals
+    the quadrature of Re[psi* (-i hbar) sum_n d psi / dx_n^a] exactly (both
+    use the odd-derivative wavenumbers, so the empty sawtooth mode counts
+    as 0).  Each axis is reduced to its 1-D marginal first, which needs no
+    full-grid wavenumber array.  Divided by the total mass it is the best
+    match of the wave (geometry.best_match_shift).
     """
-    momentum, weight = mode_momentum(wave.values, wave.spec)
-    return wave.spec.hbar * momentum / weight
+    spec = wave.spec
+    power = np.abs(fftn(wave.values, spec)) ** 2
+    momentum = np.zeros(spec.spatial_dim)
+    for axis in range(spec.dim):
+        others = tuple(a for a in range(spec.dim) if a != axis)
+        marginal = np.sum(power, axis=others)
+        momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
+    return spec.hbar * momentum / float(np.sum(power))
 
 
 def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) -> float:

@@ -21,6 +21,7 @@ from red.model import (
     quadrature,
 )
 from red.presets import gaussian_density, gaussian_state
+from red.quantum import WaveField, from_wavefunction
 
 
 def spec_1p(n=256, box=20.0, dt=0.01, mass=1.0, hbar=1.0):
@@ -69,11 +70,10 @@ def test_phase_gradient_handles_wrapped_phase():
     spec = spec_1p(n=128)
     x = spec.axis_coords[0]
     k = 2 * np.pi * 3 / 20.0
-    wrapped = np.mod(k * x + np.pi, 2 * np.pi) - np.pi
-    state = EpistemicState(
-        ScalarField.constant(spec, 1.0 / spec.volume), ScalarField(wrapped, spec),
-        phase_wrapped=True,
-    )
+    wave = WaveField(np.exp(1j * k * x) / np.sqrt(spec.volume), spec)
+    state = from_wavefunction(wave)
+    assert state.phase_wrapped
+    assert np.max(np.abs(state.phase.values)) > 0.9 * np.pi  # the stored phase wraps
     (g,) = phase_gradient_arrays(state)
     assert np.max(np.abs(g - k)) < 1e-10
 

@@ -25,6 +25,7 @@ from red.model import (
     normalized_density,
 )
 from red.presets import gaussian_density, gaussian_state
+from red.quantum import WaveField, from_wavefunction
 from red.sampler import STREAM_MONTE_CARLO, Drift, stream
 
 
@@ -202,8 +203,8 @@ def test_total_momentum_wrapped_and_smooth_channels_agree():
     k = 2.0 * np.pi * 3 / 20.0
     rho = gaussian_density(spec, 10.0, 2.0)
     smooth = EpistemicState(rho, ScalarField(spec.hbar * k * x * 0.0, spec), np.array([k * spec.hbar]))
-    wrapped_vals = spec.hbar * (np.mod(k * x + np.pi, 2.0 * np.pi) - np.pi)
-    wrapped = EpistemicState(rho, ScalarField(wrapped_vals, spec), phase_wrapped=True)
+    wrapped = from_wavefunction(WaveField(np.sqrt(rho.values) * np.exp(1j * k * x), spec))
+    assert wrapped.phase_wrapped
     assert total_momentum(smooth)[0] == pytest.approx(total_momentum(wrapped)[0], rel=1e-9)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import translate_array
 from red.errors import NumericalAbort, StabilityError, StateError
-from red.fields import masked_wave
+from red.fields import alive_cells, phase_gradient_arrays
 from red.geometry import total_momentum
 from red.model import (
     EpistemicState,
@@ -95,17 +95,23 @@ def test_wavefunction_round_trip_preserves_density_and_phase():
     # phases can only agree modulo 2 pi hbar; compare on the circle, away
     # from the masked tail cells
     total_in = state.phase.values + slope[0] * x
-    alive, _ = masked_wave(back)
+    alive = alive_cells(back.rho.values)
     mismatch = np.exp(1j * (back.phase.values - total_in)[alive] / spec.hbar)
     assert np.max(np.abs(mismatch - 1.0)) < 1e-10
 
 
 def test_wavefunction_masks_dead_tail_cells():
-    state = gaussian_state(SPEC_1D, sigma=0.9)
-    alive, psi = masked_wave(from_wavefunction(to_wavefunction(state)))
-    assert np.all(psi[~alive] == 0.0)
+    state = from_wavefunction(to_wavefunction(gaussian_state(SPEC_1D, sigma=0.9)))
+    alive = alive_cells(state.rho.values)
     masked = int(np.sum(~alive))
     assert 0 < masked < SPEC_1D.grid_points[0] // 2
+    # dead cells get gradient exactly zero, plus the slope of a state that has one
+    (grad,) = phase_gradient_arrays(state)
+    assert np.all(grad[~alive] == 0.0)
+    slope = np.array([0.37])
+    sloped = EpistemicState(state.rho, state.phase, slope, wave_values=state.wave_values)
+    (grad,) = phase_gradient_arrays(sloped)
+    assert np.all(grad[~alive] == slope[0])
 
 
 def test_to_wavefunction_rejects_non_lattice_slope():

@@ -32,6 +32,7 @@ from red.presets import gaussian_state
 from red.quantum import (
     Potential,
     WaveField,
+    expected_momentum,
     from_wavefunction,
     kinetic_factor,
     kinetic_symbol,
@@ -69,22 +70,26 @@ def narrow_wave(grid, box=16.0, sigma=0.8):
 
 @pytest.mark.parametrize("grid", [(32,), (33,), (32, 32), (31, 33), (32, 31)])
 def test_mode_space_momentum_matches_gradient_form(grid):
-    state = from_wavefunction(narrow_wave(grid))
-    rho = state.rho.values
+    wave = narrow_wave(grid)
+    rho = wave.state.rho.values
     # the packet's tails are dead cells: the alive mask really cuts something
-    assert np.any(rho <= 1e-15 * float(np.max(rho)))
-    got = total_momentum(state)
-    want = gradient_form_momentum(state)
+    assert np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))
+    got = expected_momentum(wave)
+    want = gradient_form_momentum(wave.state)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("grid", [(32, 32), (31, 33)])
 def test_mode_space_momentum_keeps_the_slope_term(grid):
-    wrapped = from_wavefunction(narrow_wave(grid))
+    # a wrapped state with a slope adds slope . int rho to the momentum of its wave
+    wave = narrow_wave(grid)
+    wrapped = wave.state
     slope = np.array([0.37, -1.25])
-    state = EpistemicState(wrapped.rho, wrapped.phase, slope, phase_wrapped=True)
+    state = EpistemicState(wrapped.rho, wrapped.phase, slope, wave_values=wrapped.wave_values)
+    assert state.phase_wrapped
     got = total_momentum(state)
-    want = gradient_form_momentum(state)
+    mass = float(np.sum(wrapped.rho.values)) * wave.spec.cell_volume
+    want = expected_momentum(wave) + float(np.sum(slope)) * mass
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
@@ -93,17 +98,20 @@ def test_mode_space_momentum_keeps_the_slope_term(grid):
 def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform):
     wave = narrow_wave(grid)
     if uniform:
-        # no momentum at all: the shift is an exact zero, whose sign must match too
         wave = WaveField(np.full(grid, wave.spec.volume ** -0.5), wave.spec)
+    # the closed form of a wave is <P> / M and builds no phase grid; both modes on
+    # the state agree with it to rounding
+    got = best_match_shift(wave).components
+    assert "state" not in vars(wave)
+    want = expected_momentum(wave) / wave.spec.total_mass
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
     for mode in ("closed_form", "numerical"):
-        got = best_match_shift(wave, mode).components
-        if mode == "closed_form":
-            assert "state" not in vars(wave)
-        want = best_match_shift(from_wavefunction(wave), mode).components
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        other = best_match_shift(wave.state, mode).components
+        assert np.max(np.abs(got - other)) <= 1e-12 * max(1.0, float(np.max(np.abs(got))))
     if uniform and grid != (31, 33):
-        assert not np.any(best_match_shift(wave).components)
+        # no momentum at all: the shift is an exact zero
+        assert not np.any(got)
 
 
 @pytest.mark.parametrize("components", [[0.3, -1.1], [0.0, 2.7]])
@@ -369,12 +377,12 @@ def frozen_run_walkers(config):
     run = config.run
     wave = build_initial_wave(config)
     potential = build_potential(config)
-    shift = best_match_shift(wave.state)
+    shift = best_match_shift(wave)
     t0 = wave.time
     walkers = initial_walkers(config, wave, t0)
     snapshots = {0: walkers.positions}
     for step in range(1, run.steps + 1):
-        shift = best_match_shift(wave.state)
+        shift = best_match_shift(wave)
         walkers = frozen_walker_step(walkers, frozen_wave_drift(wave), shift, run.dt_pde,
                                      t0 + step * run.dt_pde)
         wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
