@@ -220,8 +220,8 @@ def _open_outputs(config: ExperimentConfig) -> Path:
 def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
              shift: ShiftVelocity) -> None:
     spec = wave.spec
-    # one state per snapshot: its phase gradients serve the mismatch and the
-    # energy alike, and the next step's best match reuses it
+    # one state per snapshot serves the mismatch and the energy; the row's
+    # momentum and the next best match both come from expected_momentum(wave)
     state = wave.state
     momentum = expected_momentum(wave)
     report = info_metric_g(state, shift)

@@ -174,7 +174,8 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     vanishes, as a cross-check of the same condition.  state is an
     EpistemicState, whose P is total_momentum, or a WaveField, whose P is
     expected_momentum; the closed form of a wave builds no phase grid, the
-    numerical one works on wave.state.
+    numerical one works on wave.state.  The wave's P is per unit norm, so it
+    equals that of wave.state only up to the wave's norm error.
     """
     spec = state.spec
     mass = spec.total_mass

@@ -72,7 +72,7 @@ class WaveField:
 
     @cached_property
     def density(self) -> ScalarField:
-        """|psi|^2, computed once and read-only; `state` and best matching share it."""
+        """|psi|^2, computed once and read-only; `state` and the walkers share it."""
         density = ScalarField(np.abs(self.values) ** 2, self.spec)
         density.values.flags.writeable = False
         return density

@@ -114,6 +114,21 @@ def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform
         assert not np.any(got)
 
 
+
+@pytest.mark.parametrize("grid", [(33,), (31, 33)])
+def test_best_match_of_a_wave_is_per_unit_norm(grid):
+    # a wave off unit norm by less than WAVE_NORM_TOL: its closed form is <P> per
+    # unit norm, the state's is int rho dPhi, so the two differ by the norm factor
+    wave = narrow_wave(grid)
+    wave = WaveField(wave.values * (1.0 + 2e-11), wave.spec)
+    norm = float(np.sum(wave.density.values)) * wave.spec.cell_volume
+    assert 1e-11 < norm - 1.0 < 1e-10
+    got = best_match_shift(wave).components
+    of_state = best_match_shift(wave.state).components
+    scale = float(np.max(np.abs(got)))
+    assert np.max(np.abs(got * norm - of_state)) <= 1e-12 * scale
+    assert np.max(np.abs(got - of_state)) > 1e-12 * scale
+
 @pytest.mark.parametrize("components", [[0.3, -1.1], [0.0, 2.7]])
 def test_kinetic_factor_matches_full_grid_exponential(components):
     spec = SystemSpec(2, 2, (1.0, 2.5), (7.0, 9.0), (6, 7, 5, 8), dt=0.05, hbar=0.7)
