@@ -47,6 +47,7 @@ from .quantum import (
     Potential,
     WaveField,
     expected_momentum,
+    from_wavefunction,
     schrodinger_evolve,
     to_wavefunction,
     total_energy,
@@ -61,12 +62,6 @@ from .sampler import (
 )
 
 CONSTRAINT_MOMENTUM_TOL = 1e-6
-
-
-def _boost_slope(spec: SystemSpec, boost) -> np.ndarray:
-    """Per-configuration-axis phase slope from a per-spatial-axis boost."""
-    boost = np.asarray(boost, dtype=float)
-    return np.array([boost[spec.spatial_of_axis(a)] for a in range(spec.dim)])
 
 
 def _configuration_phase(spec: SystemSpec, slope: np.ndarray) -> np.ndarray:
@@ -91,7 +86,8 @@ def build_initial_wave(config: ExperimentConfig) -> WaveField:
             phase = _configuration_phase(spec, np.asarray(choice.k) / spec.hbar)
             values = np.exp(1j * phase) / np.sqrt(spec.volume)
             return WaveField(values, spec)
-        slope = _boost_slope(spec, choice.boost)
+        # the per-spatial-axis boost on every particle's axes, as in ShiftVelocity.per_axis
+        slope = np.tile(choice.boost, spec.n_particles)
         if choice.preset == "gaussian_packet":
             state = gaussian_state(spec, center=np.asarray(choice.center),
                                    sigma=np.asarray(choice.sigma), slope=slope)
@@ -115,7 +111,7 @@ def build_potential(config: ExperimentConfig) -> Potential:
             payload = read_json(choice.file)
             values = np.asarray(payload["values"], dtype=float)
             relational = payload.get("relational", False)
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError([("/drift_or_potential/file", f"unreadable potential file: {exc}")])
         if not isinstance(relational, bool):
             raise ConfigError([("/drift_or_potential/file", "`relational` must be true or false")])
@@ -222,12 +218,12 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     spec = wave.spec
     # one state per snapshot serves the mismatch and the energy; the row's
     # momentum and the next best match both come from expected_momentum(wave)
-    state = wave.state
+    state = from_wavefunction(wave)
     momentum = expected_momentum(wave)
     report = info_metric_g(state, shift)
     named = {
         "t": wave.time,
-        "energy": total_energy(wave, potential, shift),
+        "energy": total_energy(state, potential, shift),
         "norm": quadrature(state.rho),
         "entropy": entropy(state.rho),
         "g_total": report.g_total,
@@ -325,9 +321,10 @@ def sample_experiment(config: ExperimentConfig) -> Path:
 def bestmatch_report(config: ExperimentConfig) -> dict:
     """Single-state best-matching query: optimum shift and the mismatch there."""
     wave = build_initial_wave(config)
+    state = from_wavefunction(wave)
     closed = best_match_shift(wave)
-    numerical = best_match_shift(wave.state, mode="numerical")
-    report = info_metric_g(wave.state, closed)
+    numerical = best_match_shift(state, mode="numerical")
+    report = info_metric_g(state, closed)
     momentum = expected_momentum(wave)
     return {
         "best_match_shift": [float(c) for c in closed.components],

@@ -112,7 +112,6 @@ def info_metric_g_mc(
     shift: ShiftVelocity,
     n_samples: int,
     seed: int,
-    sample_index: int = 0,
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the mismatch from the kernel's own variables.
 
@@ -136,7 +135,7 @@ def info_metric_g_mc(
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ConsistencyError("density has no positive cells to sample")
-    rng = stream(seed, STREAM_MONTE_CARLO, sample_index)
+    rng = stream(seed, STREAM_MONTE_CARLO)
     flat_cells = rng.choice(weights.size, size=n_samples, p=weights / total)
 
     statistic = np.zeros(n_samples)
@@ -172,10 +171,10 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     closed_form solves the stationarity condition directly, shift = P / M;
     numerical descends the quadrature gradient M * shift - P until it
     vanishes, as a cross-check of the same condition.  state is an
-    EpistemicState, whose P is total_momentum, or a WaveField, whose P is
-    expected_momentum; the closed form of a wave builds no phase grid, the
-    numerical one works on wave.state.  The wave's P is per unit norm, so it
-    equals that of wave.state only up to the wave's norm error.
+    EpistemicState, whose P is total_momentum, or, in the closed form only,
+    a WaveField, whose P is expected_momentum and needs no phase grid.  The
+    wave's P is per unit norm, so it equals that of from_wavefunction(wave)
+    only up to the wave's norm error.
     """
     spec = state.spec
     mass = spec.total_mass
@@ -185,8 +184,6 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
         return ShiftVelocity(total_momentum(state) / mass, spec)
     if mode != "numerical":
         raise ValueError(f"unknown best-match mode {mode!r}")
-    if isinstance(state, WaveField):
-        state = state.state
 
     rho = state.rho.values
     phase_grads = state.phase_gradients

@@ -252,19 +252,6 @@ def _sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".json")
 
 
-def _grid_sidecar(spec: SystemSpec, time: float, kind: str, extra: dict = None) -> dict:
-    payload = {
-        "kind": kind,
-        "order": "C",
-        "shape": list(spec.grid_points),
-        "box": list(spec.axis_box),
-        "time": time,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def wave_to_csv(wave: WaveField, csv_path) -> None:
     """Wavefunction as a two-column CSV (real, imaginary), C-order flat.
 
@@ -274,7 +261,13 @@ def wave_to_csv(wave: WaveField, csv_path) -> None:
     # a C-ordered complex array viewed as float is its (real, imaginary) pairs
     pairs = np.ascontiguousarray(wave.values).reshape(-1).view(float).reshape(-1, 2)
     write_float_csv(csv_path, ["real", "imaginary"], pairs)
-    write_json(_sidecar_path(csv_path), _grid_sidecar(wave.spec, wave.time, "wavefunction"))
+    write_json(_sidecar_path(csv_path), {
+        "kind": "wavefunction",
+        "order": "C",
+        "shape": list(wave.spec.grid_points),
+        "box": list(wave.spec.axis_box),
+        "time": wave.time,
+    })
 
 
 def read_float_csv(path) -> tuple:
@@ -370,9 +363,3 @@ class ObservablesWriter:
     def write(self, path) -> None:
         table = np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.header))
         write_float_csv(path, self.header, table)
-
-
-def read_observables(path) -> dict:
-    """Columns of an observables.csv as {name: array}."""
-    header, table = read_float_csv(path)
-    return {name: table[:, i] for i, name in enumerate(header)}

@@ -14,7 +14,7 @@ lattice mode of the box still have exact gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

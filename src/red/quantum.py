@@ -72,17 +72,10 @@ class WaveField:
 
     @cached_property
     def density(self) -> ScalarField:
-        """|psi|^2, computed once and read-only; `state` and the walkers share it."""
+        """|psi|^2, computed once and read-only; from_wavefunction and the walkers share it."""
         density = ScalarField(np.abs(self.values) ** 2, self.spec)
         density.values.flags.writeable = False
         return density
-
-    @cached_property
-    def state(self) -> EpistemicState:
-        """from_wavefunction(self), computed once; its arrays are read-only."""
-        state = from_wavefunction(self)
-        state.phase.values.flags.writeable = False
-        return state
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,14 @@ class Potential:
     def split_factors(self, dt_pde: float) -> tuple:
         """(half-potential, rest-frame kinetic) multipliers of a split step of dt_pde.
 
-        exp(-i dt_pde U / (2 hbar)) and exp(-i dt_pde kinetic_symbol(zero shift) / hbar),
-        both read-only; the pair of the last dt_pde is kept on the potential.
+        exp(-i dt_pde U / (2 hbar)) and exp(-i dt_pde kinetic_symbol / hbar), both
+        read-only; the pair of the last dt_pde is kept on the potential.
         """
         memo = self.__dict__.get("_split_factors")
         if memo is None or memo[0] != dt_pde:
             spec = self.spec
             half = np.exp(-0.5j * dt_pde * self.values.values / spec.hbar)
-            rest = np.exp(-1j * dt_pde * kinetic_symbol(spec, ShiftVelocity.zero(spec)) / spec.hbar)
+            rest = np.exp(-1j * dt_pde * kinetic_symbol(spec) / spec.hbar)
             half.flags.writeable = False
             rest.flags.writeable = False
             memo = (dt_pde, half, rest)
@@ -173,19 +166,17 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
     )
 
 
-def kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:
-    """sum_A (hbar k_A - m_A shift_A)^2 / (2 m_A) on the full mode grid."""
+def kinetic_symbol(spec: SystemSpec) -> np.ndarray:
+    """Rest-frame sum_A (hbar k_A)^2 / (2 m_A) on the full mode grid; kinetic_factor adds a shift."""
     symbol = np.zeros(spec.grid_points)
     for axis, k in enumerate(spec.wavenumbers):
-        mass = spec.axis_masses[axis]
-        offset = spec.hbar * spec.along(axis, k) - mass * shift.per_axis[axis]
-        symbol = symbol + offset ** 2 / (2.0 * mass)
+        symbol = symbol + (spec.hbar * spec.along(axis, k)) ** 2 / (2.0 * spec.axis_masses[axis])
     return symbol
 
 
 def kinetic_factor(spec: SystemSpec, shift: ShiftVelocity, dt_pde: float,
                    rest: np.ndarray) -> np.ndarray:
-    """exp(-i dt_pde kinetic_symbol / hbar) from the rest-frame factor (Galilean covariance).
+    """exp(-i dt_pde sum_A (hbar k_A - m_A s_A)^2 / (2 m_A hbar)) from the rest-frame factor.
 
     (hbar k_A - m_A s_A)^2 / (2 m_A hbar) = hbar k_A^2 / (2 m_A) - k_A s_A + m_A s_A^2 / (2 hbar),
     so a shift multiplies the rest-frame factor by per-axis 1-D phases
@@ -254,41 +245,36 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     return spec.hbar * momentum / float(np.sum(power))
 
 
-def total_energy(wave: WaveField, potential: Potential, shift: ShiftVelocity) -> float:
+def total_energy(state: EpistemicState, potential: Potential, shift: ShiftVelocity) -> float:
     """Discrete ensemble Hamiltonian: flow plus curvature terms plus potential average.
 
     This is the conserved quantity of the coupled (rho, Phi) equations;
-    the split-step integrator preserves it to second order in dt_pde.
+    the split-step integrator preserves it to second order in dt_pde.  The
+    state of a wave is from_wavefunction(wave).
     """
-    state = wave.state
     # flow and curvature pieces, as in the mismatch decomposition
     from .geometry import ensemble_hamiltonian_h0
 
     h0 = ensemble_hamiltonian_h0(state, shift)
-    return h0 + float(np.sum(potential.values.values * state.rho.values)) * wave.spec.cell_volume
-
-
-def finite_difference_gradient(values: np.ndarray, spec: SystemSpec, axis: int) -> np.ndarray:
-    """Central difference along one axis; exact for quadratic potentials."""
-    forward = np.roll(values, -1, axis=axis)
-    backward = np.roll(values, 1, axis=axis)
-    return (forward - backward) / (2.0 * spec.spacing[axis])
+    return h0 + float(np.sum(potential.values.values * state.rho.values)) * state.spec.cell_volume
 
 
 def ehrenfest_force(rho: ScalarField, potential: Potential) -> np.ndarray:
     """-<sum_n dU/dx_n^a> per spatial axis, via central differences.
 
-    The finite-difference gradient is used instead of the spectral one: the
-    minimal-image seam of a relational potential would ring globally under
-    the Fourier derivative, while the local stencil confines the error to
-    the seam cells, where the density is expected to be negligible.
+    The central difference is exact for quadratic potentials, and is used
+    instead of the spectral gradient: the minimal-image seam of a relational
+    potential would ring globally under the Fourier derivative, while the
+    local stencil confines the error to the seam cells, where the density is
+    expected to be negligible.
     """
     spec = rho.spec
     if potential.spec != spec:
         raise StateError("potential and density live on different grids")
     out = np.zeros(spec.spatial_dim)
+    values = potential.values.values
     for axis in range(spec.dim):
-        grad = finite_difference_gradient(potential.values.values, spec, axis)
+        grad = (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * spec.spacing[axis])
         out[spec.spatial_of_axis(axis)] -= float(np.sum(rho.values * grad)) * spec.cell_volume
     return out
 

@@ -34,7 +34,6 @@ from .model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    quadrature,
 )
 from .presets import (
     gaussian_density,
@@ -205,9 +204,9 @@ def suite_gdecomp() -> list:
     ]
 
 
-def _bestmatch_state(extra_slope: float = 0.0):
+def _bestmatch_state():
     spec = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
-    state = gaussian_state(spec, sigma=1.5, slope=np.array([0.7, 0.7]) + extra_slope)
+    state = gaussian_state(spec, sigma=1.5, slope=np.array([0.7, 0.7]))
     return spec, state
 
 

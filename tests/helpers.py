@@ -1,8 +1,25 @@
-"""Oracles shared by several test modules; nothing in `red` calls them."""
+"""Oracles and readers shared by several test modules; nothing in `red` calls them."""
 
 import numpy as np
 
-from red.model import SystemSpec, fftn, ifftn
+from red.io import read_float_csv
+from red.model import ShiftVelocity, SystemSpec, fftn, ifftn
+
+
+def read_observables(path) -> dict:
+    """Columns of an observables.csv as {name: array}."""
+    header, table = read_float_csv(path)
+    return {name: table[:, i] for i, name in enumerate(header)}
+
+
+def shifted_kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:
+    """sum_A (hbar k_A - m_A shift_A)^2 / (2 m_A) on the full mode grid: kinetic_factor's oracle."""
+    symbol = np.zeros(spec.grid_points)
+    for axis, k in enumerate(spec.wavenumbers):
+        mass = spec.axis_masses[axis]
+        offset = spec.hbar * spec.along(axis, k) - mass * shift.per_axis[axis]
+        symbol = symbol + offset ** 2 / (2.0 * mass)
+    return symbol
 
 
 def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:

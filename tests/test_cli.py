@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import read_observables
 import red
 import red.experiment
 import red.verify
 from red.cli import main
 from red.errors import NumericalAbort
-from red.io import read_json, read_observables, wave_to_csv
+from red.io import read_json, wave_to_csv
 from red.model import SystemSpec
 from red.quantum import WaveField
 
@@ -442,12 +443,17 @@ def test_unreadable_text_exits_2(tmp_path, capsys, make, pointer, words):
 
 
 @pytest.mark.parametrize("command", ["run", "sample"])
-@pytest.mark.parametrize("case", ["potential_shape", "packet_far_away"])
+@pytest.mark.parametrize("case", ["potential_shape", "potential_overflow", "packet_far_away"])
 def test_rejected_inputs_leave_no_output_directory(tmp_path, capsys, command, case):
     potential = tmp_path / "potential.json"
     potential.write_text(json.dumps({"values": np.zeros((32, 32)).tolist()}))  # the grid is 64 x 64
+    huge = tmp_path / "huge.json"
+    values = [[0] * 64 for _ in range(64)]
+    values[3][5] = 10 ** 400  # a JSON integer too large for a float
+    huge.write_text(json.dumps({"values": values}))
     section, pointer = {
         "potential_shape": ({"drift_or_potential": {"file": str(potential)}}, "/drift_or_potential/file"),
+        "potential_overflow": ({"drift_or_potential": {"file": str(huge)}}, "/drift_or_potential/file"),
         "packet_far_away": ({"initial_state": {"preset": "gaussian_packet", "sigma": 1.5,
                                                "center": [1e300, 8.0]}}, "/initial_state"),
     }[case]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import read_observables
 import red.experiment as experiment
 from red.config import parse_config
 from red.errors import ConfigError, NumericalAbort
@@ -15,7 +16,7 @@ from red.experiment import (
     run_experiment,
     sample_experiment,
 )
-from red.io import read_float_csv, read_json, read_observables, write_json
+from red.io import read_float_csv, read_json, write_json
 from red.quantum import expected_momentum
 
 BOOST = 2.0 * np.pi * 2 / 16.0  # lattice mode 2 of a 16-box

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import read_observables
 from red.errors import ConsistencyError
 from red.io import (
     CSV_BLOCK_ROWS,
@@ -17,7 +18,6 @@ from red.io import (
     _significand,
     read_float_csv,
     read_json,
-    read_observables,
     wave_from_csv,
     wave_to_csv,
     write_float_csv,

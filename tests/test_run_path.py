@@ -1,4 +1,4 @@
-"""The `red run` step: mode-space best matching, split-step factors, cached state, and the loop."""
+"""The `red run` step: mode-space best matching, split-step factors, the snapshot row, and the loop."""
 
 import itertools
 import json
@@ -6,6 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import read_observables, shifted_kinetic_symbol
+import red.experiment
+import red.fields
+import red.quantum
 from red.config import parse_config
 from red.experiment import (
     build_drift,
@@ -16,7 +20,7 @@ from red.experiment import (
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
 from red.geometry import best_match_shift, ensemble_hamiltonian_h0, info_metric_g, total_momentum
-from red.io import read_float_csv, read_observables
+from red.io import read_float_csv, wave_from_csv
 from red.model import (
     Ensemble,
     EpistemicState,
@@ -71,11 +75,12 @@ def narrow_wave(grid, box=16.0, sigma=0.8):
 @pytest.mark.parametrize("grid", [(32,), (33,), (32, 32), (31, 33), (32, 31)])
 def test_mode_space_momentum_matches_gradient_form(grid):
     wave = narrow_wave(grid)
-    rho = wave.state.rho.values
+    state = from_wavefunction(wave)
+    rho = state.rho.values
     # the packet's tails are dead cells: the alive mask really cuts something
     assert np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))
     got = expected_momentum(wave)
-    want = gradient_form_momentum(wave.state)
+    want = gradient_form_momentum(state)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
@@ -83,7 +88,7 @@ def test_mode_space_momentum_matches_gradient_form(grid):
 def test_mode_space_momentum_keeps_the_slope_term(grid):
     # a wrapped state with a slope adds slope . int rho to the momentum of its wave
     wave = narrow_wave(grid)
-    wrapped = wave.state
+    wrapped = from_wavefunction(wave)
     slope = np.array([0.37, -1.25])
     state = EpistemicState(wrapped.rho, wrapped.phase, slope, wave_values=wrapped.wave_values)
     assert state.phase_wrapped
@@ -95,19 +100,21 @@ def test_mode_space_momentum_keeps_the_slope_term(grid):
 
 @pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("grid", [(33,), (32, 32), (31, 33)])
-def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform):
+def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform, monkeypatch):
     wave = narrow_wave(grid)
     if uniform:
         wave = WaveField(np.full(grid, wave.spec.volume ** -0.5), wave.spec)
     # the closed form of a wave is <P> / M and builds no phase grid; both modes on
     # the state agree with it to rounding
-    got = best_match_shift(wave).components
-    assert "state" not in vars(wave)
+    with monkeypatch.context() as patch:
+        patch.setattr(red.fields, "phase_gradient_arrays", None)  # a call would raise
+        got = best_match_shift(wave).components
     want = expected_momentum(wave) / wave.spec.total_mass
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    state = from_wavefunction(wave)
     for mode in ("closed_form", "numerical"):
-        other = best_match_shift(wave.state, mode).components
+        other = best_match_shift(state, mode).components
         assert np.max(np.abs(got - other)) <= 1e-12 * max(1.0, float(np.max(np.abs(got))))
     if uniform and grid != (31, 33):
         # no momentum at all: the shift is an exact zero
@@ -124,7 +131,7 @@ def test_best_match_of_a_wave_is_per_unit_norm(grid):
     norm = float(np.sum(wave.density.values)) * wave.spec.cell_volume
     assert 1e-11 < norm - 1.0 < 1e-10
     got = best_match_shift(wave).components
-    of_state = best_match_shift(wave.state).components
+    of_state = best_match_shift(from_wavefunction(wave)).components
     scale = float(np.max(np.abs(got)))
     assert np.max(np.abs(got * norm - of_state)) <= 1e-12 * scale
     assert np.max(np.abs(got - of_state)) > 1e-12 * scale
@@ -134,7 +141,7 @@ def test_kinetic_factor_matches_full_grid_exponential(components):
     spec = SystemSpec(2, 2, (1.0, 2.5), (7.0, 9.0), (6, 7, 5, 8), dt=0.05, hbar=0.7)
     shift = ShiftVelocity(np.array(components), spec)
     dt_pde = 0.013
-    want = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
+    want = np.exp(-1j * dt_pde * shifted_kinetic_symbol(spec, shift) / spec.hbar)
     _, rest = Potential.free(spec).split_factors(dt_pde)
     got = kinetic_factor(spec, shift, dt_pde, rest)
     assert got.shape == spec.grid_points
@@ -144,7 +151,7 @@ def test_kinetic_factor_matches_full_grid_exponential(components):
 def test_zero_shift_kinetic_factor_is_the_full_grid_exponential():
     spec = SystemSpec(2, 1, (1.0, 1.5), (16.0,), (16, 17), dt=0.05)
     zero = ShiftVelocity.zero(spec)
-    want = np.exp(-1j * 0.01 * kinetic_symbol(spec, zero) / spec.hbar)
+    want = np.exp(-1j * 0.01 * kinetic_symbol(spec) / spec.hbar)
     _, rest = Potential.free(spec).split_factors(0.01)
     assert np.array_equal(rest, want)
     assert kinetic_factor(spec, zero, 0.01, rest) is rest
@@ -158,18 +165,17 @@ def test_split_factors_are_kept_per_dt():
     assert again[0] is half and again[1] is rest
     assert not half.flags.writeable and not rest.flags.writeable
     assert np.array_equal(half, np.exp(-0.5j * 0.01 * potential.values.values / spec.hbar))
-    zero = ShiftVelocity.zero(spec)
-    assert np.array_equal(rest, np.exp(-1j * 0.01 * kinetic_symbol(spec, zero) / spec.hbar))
+    assert np.array_equal(rest, np.exp(-1j * 0.01 * kinetic_symbol(spec) / spec.hbar))
     half, _ = potential.split_factors(0.02)
     assert np.array_equal(half, np.exp(-0.5j * 0.02 * potential.values.values / spec.hbar))
 
 
 def test_wave_state_and_phase_gradients_are_cached_read_only():
     wave = narrow_wave((16, 16), sigma=1.5)
-    state = wave.state
-    assert wave.state is state
+    state = from_wavefunction(wave)
+    # the state shares the wave's read-only density
+    assert state.rho is wave.density
     assert not state.rho.values.flags.writeable
-    assert not state.phase.values.flags.writeable
     fresh = from_wavefunction(wave)
     assert np.array_equal(state.rho.values, fresh.rho.values)
     assert np.array_equal(state.phase.values, fresh.phase.values)
@@ -187,7 +193,7 @@ def test_wave_state_and_phase_gradients_are_cached_read_only():
 def test_h0_from_cached_root_squares_matches_the_grid_formula():
     wave = narrow_wave((16, 16), sigma=1.5)
     spec = wave.spec
-    state = wave.state
+    state = from_wavefunction(wave)
     shift = ShiftVelocity(np.array([0.3]), spec)
     roots = gradient_arrays(np.sqrt(state.rho.values), spec)
     want = 0.0
@@ -206,7 +212,7 @@ def frozen_split_step(values, potential, shift, dt_pde):
     """One Strang step with both multipliers built as full-grid exponentials."""
     spec = potential.spec
     half = np.exp(-0.5j * dt_pde * potential.values.values / spec.hbar)
-    kinetic = np.exp(-1j * dt_pde * kinetic_symbol(spec, shift) / spec.hbar)
+    kinetic = np.exp(-1j * dt_pde * shifted_kinetic_symbol(spec, shift) / spec.hbar)
     values = values * half
     values = np.fft.ifftn(kinetic * np.fft.fftn(values))
     return values * half
@@ -267,19 +273,23 @@ def frozen_run(config):
     return rows
 
 
-def test_run_observables_match_frozen_loop(tmp_path):
-    boost = 2.0 * np.pi * 2 / 16.0
+def best_match_config(tmp_path, steps, snapshot_every):
+    """A boosted 2x1-D packet under a relational potential, best-matched every step."""
     doc = {
         "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 1.5], "box": [16.0],
                    "grid": [48, 48], "dt": 0.05},
         "initial_state": {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [1.6, 1.9],
-                          "boost": [boost]},
+                          "boost": [2.0 * np.pi * 2 / 16.0]},
         "drift_or_potential": {"preset": "smooth_harmonic_relational", "k": 0.4},
         "shift_mode": {"mode": "best_match"},
-        "run": {"steps": 12, "dt_pde": 0.01, "snapshot_every": 4, "seed": 1},
+        "run": {"steps": steps, "dt_pde": 0.01, "snapshot_every": snapshot_every, "seed": 1},
         "outputs": str(tmp_path / "run"),
     }
-    config = parse_config(json.dumps(doc))
+    return parse_config(json.dumps(doc))
+
+
+def test_run_observables_match_frozen_loop(tmp_path):
+    config = best_match_config(tmp_path, steps=12, snapshot_every=4)
     table = read_observables(run_experiment(config) / "observables.csv")
     rows = frozen_run(config)
     assert len(table["t"]) == len(rows) == 4
@@ -288,6 +298,29 @@ def test_run_observables_match_frozen_loop(tmp_path):
         want = np.array([row[column] for row in rows])
         scale = max(float(np.max(np.abs(want))), 1e-300)
         assert np.max(np.abs(values - want)) <= 1e-12 * scale, column
+
+
+def test_row_evaluates_h0_on_one_state(tmp_path, monkeypatch):
+    # each snapshot reads psi into one state, and the energy is the H0 of that
+    # state (the row's g_h0) plus int rho U
+    made = []
+
+    def counted(wave):
+        made.append(wave.time)
+        return from_wavefunction(wave)
+
+    monkeypatch.setattr(red.experiment, "from_wavefunction", counted)
+    monkeypatch.setattr(red.quantum, "from_wavefunction", counted)
+    config = best_match_config(tmp_path, steps=6, snapshot_every=2)
+    out = run_experiment(config)
+    table = read_observables(out / "observables.csv")
+    assert len(table["t"]) == 4
+    assert made == list(table["t"])
+    wave = wave_from_csv(out / "wave_000006.csv", config.spec)
+    potential = build_potential(config).values.values
+    rho = np.abs(wave.values) ** 2
+    energy = table["g_h0"][-1] + float(np.sum(potential * rho)) * config.spec.cell_volume
+    assert table["energy"][-1] == energy
 
 
 # ---------------------------------------------------------------- frozen walker paths
