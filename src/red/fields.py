@@ -66,26 +66,45 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
     spec = state.spec
     if not state.phase_wrapped:
         grads = gradient_arrays(state.phase.values, spec)
-        return [g + state.phase_slope[axis] for axis, g in enumerate(grads)]
+        for axis, grad in enumerate(grads):
+            grad += state.phase_slope[axis]
+        return grads
     rho = state.rho.values
     alive = alive_cells(rho)
     psi = np.where(alive, state.wave_values, 0.0)
-    grads = gradient_arrays(psi, spec)
-    safe_rho = np.where(alive, rho, 1.0)
-    return [
-        np.where(alive, spec.hbar * np.imag(np.conj(psi) * g) / safe_rho, 0.0)
-        + state.phase_slope[axis]
-        for axis, g in enumerate(grads)
-    ]
+    conj_psi = np.conj(psi)
+    grads = []
+    for axis in range(spec.dim):
+        # one complex derivative at a time, reduced to its real gradient before the next
+        [product] = gradient_arrays(psi, spec, (axis,))
+        np.multiply(conj_psi, product, out=product)
+        grad = np.zeros(spec.grid_points)
+        np.multiply(product.imag, spec.hbar, out=grad, where=alive)
+        np.divide(grad, rho, out=grad, where=alive)
+        grad += state.phase_slope[axis]
+        grads.append(grad)
+        del product
+    return grads
 
 
 def _bump_sigmoid(u: np.ndarray) -> np.ndarray:
-    """Monotone 0 -> 1 switch, exactly flat outside (0, 1), C-infinity inside."""
-    u = np.clip(u, 0.0, 1.0)
+    """Monotone 0 -> 1 switch, exactly flat outside (0, 1), C-infinity inside; overwrites u."""
+    np.clip(u, 0.0, 1.0, out=u)
+    rising, falling = u > 0.0, u < 1.0
+    upper = _flat_exp_reciprocal(np.subtract(1.0, u), falling)
+    lower = _flat_exp_reciprocal(u, rising)
+    upper += lower
+    return np.divide(lower, upper, out=lower)
+
+
+def _flat_exp_reciprocal(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """exp(-1 / max(x, 1e-300)) where live and 0 elsewhere, in x's buffer."""
+    np.maximum(x, 1e-300, out=x)
     with np.errstate(divide="ignore", under="ignore"):
-        lower = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        upper = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-    return lower / (lower + upper)
+        np.divide(-1.0, x, out=x)
+        np.exp(x, out=x)
+    x[~live] = 0.0
+    return x
 
 
 def regularized_log_density(rho: ScalarField) -> np.ndarray:
@@ -107,10 +126,15 @@ def regularized_log_density(rho: ScalarField) -> np.ndarray:
         raise DensityFloorError("density has no positive cells to anchor the logarithm")
     log_lo = np.log(OSMOTIC_FLOOR)
     width = np.log(OSMOTIC_EXACT) - log_lo
-    rel = np.clip(vals / top, OSMOTIC_FLOOR, None)
-    excess = np.log(rel) - log_lo
+    excess = np.divide(vals, top)
+    np.clip(excess, OSMOTIC_FLOOR, None, out=excess)
+    np.log(excess, out=excess)
+    excess -= log_lo
     blend = _bump_sigmoid(excess / width)
-    return log_lo + blend * excess + np.log(top)
+    blend *= excess
+    blend += log_lo
+    blend += np.log(top)
+    return blend
 
 
 def osmotic_phase(drift_phi: ScalarField, rho: ScalarField, spec: SystemSpec) -> ScalarField:
@@ -205,9 +229,11 @@ def entropy_rate(state: EpistemicState) -> float:
     spectral integration-by-parts identity.  Independent of the shift.
     """
     spec = state.spec
-    rho_grads = gradient_arrays(state.rho.values, spec)
     phase_grads = state.phase_gradients
     total = 0.0
     for axis in range(spec.dim):
-        total -= float(np.sum(rho_grads[axis] * phase_grads[axis])) / spec.axis_masses[axis]
+        [product] = gradient_arrays(state.rho.values, spec, (axis,))
+        product *= phase_grads[axis]
+        total -= float(np.sum(product)) / spec.axis_masses[axis]
+        del product
     return total * spec.cell_volume

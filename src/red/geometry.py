@@ -135,8 +135,9 @@ def info_metric_g_mc(
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ConsistencyError("density has no positive cells to sample")
+    weights /= total
     rng = stream(seed, STREAM_MONTE_CARLO)
-    flat_cells = rng.choice(weights.size, size=n_samples, p=weights / total)
+    flat_cells = rng.choice(weights.size, size=n_samples, p=weights)
 
     statistic = np.zeros(n_samples)
     for axis in range(spec.dim):

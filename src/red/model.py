@@ -22,8 +22,7 @@ import numpy as np
 from .errors import GridError, StabilityError, StateError
 
 GRID_BUDGET = 2 ** 22
-# configuration axes D = N·d: past 22 the grid budget leaves some axis one cell wide,
-# and numpy 1.x caps arrays at 32 dimensions
+# configuration axes D = N·d: past 22 the grid budget leaves some axis one cell wide
 MAX_DIM = 22
 FLOAT_MAX = float(np.finfo(float).max)
 NORMALIZATION_TOL = 1e-10
@@ -242,14 +241,14 @@ def _transform_axes(spec: SystemSpec, axes) -> dict:
     return {"s": tuple(spec.grid_points[axis] for axis in axes), "axes": axes}
 
 
-def fftn(values: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
-    """Full spectrum of a real or complex grid array over `axes` (default: all)."""
-    return np.fft.fftn(values, **_transform_axes(spec, axes))
+def fftn(values: np.ndarray, spec: SystemSpec, axes=None, out=None) -> np.ndarray:
+    """Full spectrum of a real or complex grid array over `axes` (default: all), into out if given."""
+    return np.fft.fftn(values, out=out, **_transform_axes(spec, axes))
 
 
-def ifftn(spectrum: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
-    """Complex grid array from its full spectrum over `axes` (default: all)."""
-    return np.fft.ifftn(spectrum, **_transform_axes(spec, axes))
+def ifftn(spectrum: np.ndarray, spec: SystemSpec, axes=None, out=None) -> np.ndarray:
+    """Complex grid array from its full spectrum over `axes` (default: all), into out if given."""
+    return np.fft.ifftn(spectrum, out=out, **_transform_axes(spec, axes))
 
 
 def rfftn(values: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
@@ -272,23 +271,30 @@ def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
     return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
 
 
-def gradient_arrays(values: np.ndarray, spec: SystemSpec) -> list:
-    """Spectral gradient of a real or complex grid array, as plain arrays.
+def gradient_arrays(values: np.ndarray, spec: SystemSpec, axes=None) -> list:
+    """Spectral derivatives of a real or complex grid array along `axes` (default: all).
 
     d_A f is a one-axis transform pair: forward along A, times the 1-D i*k_A
     of derivative_wavenumbers, inverse along A.  That is 2*D axis passes
     where an n-D spectrum and D n-D inverses take D + D^2, to rounding alike.
+    Each pair works in its own spectrum (a complex derivative is that
+    buffer), so a caller that reduces one axis before it needs the next
+    asks for one axis at a time and holds one derivative grid, not D.
     """
     if not np.all(np.isfinite(values)):
         raise GridError("cannot differentiate non-finite field values")
     real = np.isrealobj(values)
-    forward, inverse = (rfftn, irfftn) if real else (fftn, ifftn)
+    forward = rfftn if real else fftn
     grads = []
-    for axis, k in enumerate(spec.derivative_wavenumbers):
+    for axis in range(spec.dim) if axes is None else axes:
+        k = spec.derivative_wavenumbers[axis]
         if real:
             k = k[: spec.grid_points[axis] // 2 + 1]
         spectrum = forward(values, spec, (axis,))
-        grads.append(inverse(spec.along(axis, 1j * k) * spectrum, spec, (axis,)))
+        # i*k stays the first factor: a complex product is not bitwise commutative
+        np.multiply(spec.along(axis, 1j * k), spectrum, out=spectrum)
+        grads.append(irfftn(spectrum, spec, (axis,)) if real
+                     else ifftn(spectrum, spec, (axis,), out=spectrum))
     return grads
 
 
@@ -458,9 +464,19 @@ class EpistemicState:
 
     @cached_property
     def root_gradient_squares(self) -> tuple:
-        """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats, computed once."""
-        grads = gradient_arrays(np.sqrt(np.clip(self.rho.values, 0.0, None)), self.spec)
-        return tuple(float(np.sum(g ** 2)) for g in grads)
+        """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats, computed once.
+
+        Each axis is squared and summed in its own derivative grid, which is
+        freed before the next axis is built.
+        """
+        root = np.clip(self.rho.values, 0.0, None)
+        np.sqrt(root, out=root)
+        squares = []
+        for axis in range(self.spec.dim):
+            [grad] = gradient_arrays(root, self.spec, (axis,))
+            squares.append(float(np.sum(np.square(grad, out=grad))))
+            del grad
+        return tuple(squares)
 
 
 def _read_only(arrays) -> tuple:

@@ -190,7 +190,8 @@ def kinetic_factor(spec: SystemSpec, shift: ShiftVelocity, dt_pde: float,
     moved = np.exp(-1j * dt_pde * float(np.sum(spec.axis_masses * per_axis ** 2)) / (2.0 * spec.hbar))
     for axis, k in enumerate(spec.wavenumbers):
         moved = moved * np.exp(1j * dt_pde * spec.along(axis, k) * per_axis[axis])
-    return rest * moved
+    # the product of one 1-D phase per axis already spans the grid: rest goes into it
+    return np.multiply(rest, moved, out=moved)
 
 
 def schrodinger_evolve(
@@ -205,7 +206,9 @@ def schrodinger_evolve(
 
     The half-potential and rest-frame kinetic factors are kept on the
     potential between calls with the same dt_pde; the shift enters through
-    per-axis 1-D phases (kinetic_factor).
+    per-axis 1-D phases (kinetic_factor).  A call works in one grid buffer:
+    the first half-kick allocates it, so wave.values is never written, and
+    the transforms and products after it write into it.
     """
     steps = step_count(total_time, dt_pde)
     spec = wave.spec
@@ -214,10 +217,14 @@ def schrodinger_evolve(
     half_potential, rest = potential.split_factors(dt_pde)
     kinetic = kinetic_factor(spec, shift, dt_pde, rest)
     values = wave.values
-    for _ in range(steps):
-        values = values * half_potential
-        values = ifftn(kinetic * fftn(values, spec), spec)
-        values = values * half_potential
+    for step in range(steps):
+        values = np.multiply(values, half_potential, out=values if step else None)
+        fftn(values, spec, out=values)
+        # spectrum first: the last bits of a complex product depend on the order
+        # of its factors, and the reference outputs were made in this one
+        values *= kinetic
+        ifftn(values, spec, out=values)
+        values *= half_potential
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         raise NumericalAbort(
             f"non-finite wave values after {steps} split steps of {dt_pde!r}"

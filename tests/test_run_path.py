@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from red.experiment import (
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
 from red.geometry import best_match_shift, ensemble_hamiltonian_h0, info_metric_g, total_momentum
-from red.io import read_float_csv, wave_from_csv
+from red.io import ObservablesWriter, read_float_csv, wave_from_csv
 from red.model import (
     Ensemble,
     EpistemicState,
@@ -32,7 +33,7 @@ from red.model import (
     interpolate,
     wrap_array,
 )
-from red.presets import gaussian_state
+from red.presets import gaussian_state, smooth_harmonic_relational_values
 from red.quantum import (
     Potential,
     WaveField,
@@ -168,6 +169,45 @@ def test_split_factors_are_kept_per_dt():
     assert np.array_equal(rest, np.exp(-1j * 0.01 * kinetic_symbol(spec) / spec.hbar))
     half, _ = potential.split_factors(0.02)
     assert np.array_equal(half, np.exp(-0.5j * 0.02 * potential.values.values / spec.hbar))
+
+
+def spelled_out_split_steps(values, potential, shift, steps, dt_pde):
+    """schrodinger_evolve's loop as plain numpy: half kick, fftn, kinetic product, ifftn, half kick."""
+    spec = potential.spec
+    half, rest = potential.split_factors(dt_pde)
+    kinetic = kinetic_factor(spec, shift, dt_pde, rest)
+    for _ in range(steps):
+        values = values * half
+        spectrum = np.fft.fftn(values)
+        spectrum *= kinetic  # the spectrum is the first factor
+        values = np.fft.ifftn(spectrum) * half
+    return values
+
+
+def packet_and_spring(grid):
+    """Two particles (1-D or 2-D by the grid's rank): a boosted packet under a smooth relational spring."""
+    d = len(grid) // 2
+    spec = SystemSpec(2, d, (1.0, 1.5), (10.0,) * d, grid, dt=0.01)
+    state = gaussian_state(spec, center=np.full(2 * d, 5.0), sigma=np.linspace(1.4, 1.8, 2 * d),
+                           slope=np.tile(np.full(d, 2.0 * np.pi / 10.0), 2))
+    potential = Potential.from_values(smooth_harmonic_relational_values(spec, 0.4), spec,
+                                      relational_flag=True)
+    return to_wavefunction(state), potential
+
+
+@pytest.mark.parametrize("grid", [(128, 128), (16, 16, 16, 16), (24, 24)])
+@pytest.mark.parametrize("moving", [False, True])
+def test_split_step_is_bitwise_the_spelled_out_loop_and_leaves_its_input(grid, moving):
+    # (24, 24) is under numpy's 256 KiB elision threshold, where the product once ran
+    # kinetic-first: the spectrum-first order is pinned on every grid size
+    wave, potential = packet_and_spring(grid)
+    spec = wave.spec
+    shift = ShiftVelocity(np.linspace(0.3, -0.2, spec.spatial_dim) * moving, spec)
+    before = wave.values.copy()
+    evolved = schrodinger_evolve(wave, potential, shift, 3 * 0.005, 0.005)
+    np.testing.assert_array_equal(evolved.values, spelled_out_split_steps(before, potential, shift, 3, 0.005))
+    np.testing.assert_array_equal(wave.values, before)
+    assert not np.shares_memory(evolved.values, wave.values)
 
 
 def test_wave_state_and_phase_gradients_are_cached_read_only():
@@ -321,6 +361,31 @@ def test_row_evaluates_h0_on_one_state(tmp_path, monkeypatch):
     rho = np.abs(wave.values) ** 2
     energy = table["g_h0"][-1] + float(np.sum(potential * rho)) * config.spec.cell_volume
     assert table["energy"][-1] == energy
+
+
+def traced_peak(call) -> int:
+    """Peak bytes of the Python and numpy allocations made during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_split_step_and_row_hold_few_full_grid_arrays():
+    # on a 16^4 wave (1 MB), one split step holds its buffer, the shifted kinetic
+    # factor and the norm check's |psi|^2 (2.5 grids); one observables row peaks at
+    # about 6 grids, while the phase gradients are built one axis at a time
+    wave, potential = packet_and_spring((16, 16, 16, 16))
+    shift = best_match_shift(wave)
+    grid_bytes = wave.values.nbytes
+    schrodinger_evolve(wave, potential, shift, 0.005, 0.005)  # the split factors are kept
+    step = traced_peak(lambda: schrodinger_evolve(wave, potential, shift, 0.005, 0.005))
+    writer = ObservablesWriter(wave.spec.spatial_dim)
+    row = traced_peak(lambda: red.experiment._observe(writer, wave, potential, shift))
+    assert step <= 3.5 * grid_bytes, step / grid_bytes
+    assert row <= 8.0 * grid_bytes, row / grid_bytes
 
 
 # ---------------------------------------------------------------- frozen walker paths
