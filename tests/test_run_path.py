@@ -364,13 +364,17 @@ def test_row_evaluates_h0_on_one_state(tmp_path, monkeypatch):
 
 
 def traced_peak(call) -> int:
-    """Peak bytes of the Python and numpy allocations made during call()."""
+    """Peak bytes of the Python and numpy allocations made during call(), above those before it."""
+    started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         call()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def test_split_step_and_row_hold_few_full_grid_arrays():
