@@ -216,8 +216,8 @@ def _open_outputs(config: ExperimentConfig) -> Path:
 def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
              shift: ShiftVelocity) -> None:
     spec = wave.spec
-    # one state per snapshot serves the mismatch and the energy; the row's
-    # momentum and the next best match both come from expected_momentum(wave)
+    # one state per snapshot serves the mismatch and the energy; shift is the
+    # one the step that made this wave used
     state = from_wavefunction(wave)
     momentum = expected_momentum(wave)
     report = info_metric_g(state, shift)
@@ -257,17 +257,28 @@ def run_experiment(config: ExperimentConfig) -> Path:
             walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
         _observe(writer, wave, potential, shift)
 
+    best_match = config.shift_mode.mode == "best_match"
+    # a relational potential keeps <P> through the half kick, so the step
+    # matches the spectrum it transforms anyway; an external one is matched
+    # at the start of the step
+    match = best_match_shift if best_match and potential.relational_flag else None
     t0 = wave.time
     try:
         snapshot(0)
         for step in range(1, run.steps + 1):
             # times come from the step index: a running sum of dt_pde drifts
             time = t0 + step * run.dt_pde
-            if config.shift_mode.mode == "best_match":
-                shift = best_match_shift(wave)
+            if match is not None:
+                evolved, shift = schrodinger_evolve(wave, potential, None, run.dt_pde, run.dt_pde,
+                                                    time, match=match)
+            else:
+                if best_match:
+                    shift = best_match_shift(wave)
+                evolved = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)
             if walkers is not None:
+                # the walkers move in the step's frame, by the drift of the wave they start on
                 walkers = walker_step(walkers, _wave_drift(wave), shift, run.dt_pde, time)
-            wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)
+            wave = evolved
             if step % run.snapshot_every == 0:
                 snapshot(step)
     except (RedError, ArithmeticError) as exc:

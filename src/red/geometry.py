@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .fields import entropy_rate
 from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
-from .quantum import WaveField, expected_momentum
+from .quantum import WaveField, WaveSpectrum, expected_momentum, spectrum_momentum
 from .sampler import STREAM_MONTE_CARLO, Drift, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
@@ -173,13 +173,17 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     numerical descends the quadrature gradient M * shift - P until it
     vanishes, as a cross-check of the same condition.  state is an
     EpistemicState, whose P is total_momentum, or, in the closed form only,
-    a WaveField, whose P is expected_momentum and needs no phase grid.  The
-    wave's P is per unit norm, so it equals that of from_wavefunction(wave)
-    only up to the wave's norm error.
+    a WaveField, whose P is expected_momentum and needs no phase grid, or a
+    WaveSpectrum, whose P is spectrum_momentum and needs no transform (the
+    split step matches its half-kicked spectrum this way).  The P of a wave
+    or spectrum is per unit norm, so it equals that of
+    from_wavefunction(wave) only up to the wave's norm error.
     """
     spec = state.spec
     mass = spec.total_mass
     if mode == "closed_form":
+        if isinstance(state, WaveSpectrum):
+            return ShiftVelocity(spectrum_momentum(state) / mass, spec)
         if isinstance(state, WaveField):
             return ShiftVelocity(expected_momentum(state) / mass, spec)
         return ShiftVelocity(total_momentum(state) / mass, spec)

@@ -63,9 +63,13 @@ class WaveField:
             raise StateError(
                 f"wave shape {vals.shape} does not match grid {tuple(self.spec.grid_points)}"
             )
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        # sum |psi|^2 without a real grid; a non-finite value can only show as a
+        # non-finite norm, so the finiteness scan runs only then
+        norm = float(np.vdot(vals, vals).real * self.spec.cell_volume)
+        if not np.isfinite(norm) and not (
+            np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))
+        ):
             raise StateError("wave values must be finite")
-        norm = float(np.sum(np.abs(vals) ** 2) * self.spec.cell_volume)
         if abs(norm - 1.0) > WAVE_NORM_TOL:
             raise StateError(f"wave norm is {norm!r}, expected 1 within {WAVE_NORM_TOL}")
         object.__setattr__(self, "values", vals)
@@ -76,6 +80,14 @@ class WaveField:
         density = ScalarField(np.abs(self.values) ** 2, self.spec)
         density.values.flags.writeable = False
         return density
+
+
+@dataclass(frozen=True)
+class WaveSpectrum:
+    """Full spectrum fftn(psi) of a wave on the mode grid: the wave's third representation."""
+
+    values: np.ndarray
+    spec: SystemSpec
 
 
 @dataclass(frozen=True)
@@ -201,7 +213,8 @@ def schrodinger_evolve(
     total_time: float,
     dt_pde: float,
     time: float = None,
-) -> WaveField:
+    match=None,
+):
     """Strang split-step evolution, landing at `time` (default wave.time + steps * dt_pde).
 
     The half-potential and rest-frame kinetic factors are kept on the
@@ -209,17 +222,29 @@ def schrodinger_evolve(
     per-axis 1-D phases (kinetic_factor).  A call works in one grid buffer:
     the first half-kick allocates it, so wave.values is never written, and
     the transforms and products after it write into it.
+
+    With match (and shift None) the frame is chosen inside each step: match
+    gets the WaveSpectrum of the half-kicked wave, which it reads but must
+    not write or keep, the step's kinetic factor is built from the
+    ShiftVelocity it returns, and the call returns (wave, the last step's
+    shift).  A potential that commutes with the total momentum leaves <P>
+    unchanged by the half kick, so geometry.best_match_shift of that
+    spectrum is the start-of-step best match without a transform of its own.
     """
     steps = step_count(total_time, dt_pde)
     spec = wave.spec
     if potential.spec != spec:
         raise StateError("potential and wave live on different grids")
     half_potential, rest = potential.split_factors(dt_pde)
-    kinetic = kinetic_factor(spec, shift, dt_pde, rest)
+    if match is None:
+        kinetic = kinetic_factor(spec, shift, dt_pde, rest)
     values = wave.values
     for step in range(steps):
         values = np.multiply(values, half_potential, out=values if step else None)
         fftn(values, spec, out=values)
+        if match is not None:
+            shift = match(WaveSpectrum(values, spec))
+            kinetic = kinetic_factor(spec, shift, dt_pde, rest)
         # spectrum first: the last bits of a complex product depend on the order
         # of its factors, and the reference outputs were made in this one
         values *= kinetic
@@ -229,27 +254,38 @@ def schrodinger_evolve(
         raise NumericalAbort(
             f"non-finite wave values after {steps} split steps of {dt_pde!r}"
         )
-    return WaveField(values, spec, wave.time + steps * dt_pde if time is None else time)
+    evolved = WaveField(values, spec, wave.time + steps * dt_pde if time is None else time)
+    return evolved if match is None else (evolved, shift)
 
 
-def expected_momentum(wave: WaveField) -> np.ndarray:
+def spectrum_momentum(spectrum: WaveSpectrum) -> np.ndarray:
     """Total momentum expectation per spatial axis: hbar sum_k k_A |psi_k|^2 / sum_k |psi_k|^2.
 
-    Computed in mode space, psi_k = fftn(psi), where by Parseval it equals
-    the quadrature of Re[psi* (-i hbar) sum_n d psi / dx_n^a] exactly (both
-    use the odd-derivative wavenumbers, so the empty sawtooth mode counts
-    as 0).  Each axis is reduced to its 1-D marginal first, which needs no
-    full-grid wavenumber array.  Divided by the total mass it is the best
-    match of the wave (geometry.best_match_shift).
+    By Parseval it equals the quadrature of Re[psi* (-i hbar) sum_n d psi /
+    dx_n^a] exactly (both use the odd-derivative wavenumbers, so the empty
+    sawtooth mode counts as 0).  Each axis is reduced to its 1-D marginal
+    first, which needs no full-grid wavenumber array.  Divided by the total
+    mass it is the best match of the spectrum (geometry.best_match_shift).
     """
-    spec = wave.spec
-    power = np.abs(fftn(wave.values, spec)) ** 2
+    spec = spectrum.spec
+    power = np.abs(spectrum.values) ** 2
     momentum = np.zeros(spec.spatial_dim)
     for axis in range(spec.dim):
         others = tuple(a for a in range(spec.dim) if a != axis)
         marginal = np.sum(power, axis=others)
         momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
     return spec.hbar * momentum / float(np.sum(power))
+
+
+def expected_momentum(wave: WaveField) -> np.ndarray:
+    """Total momentum expectation of a wave per spatial axis: spectrum_momentum of fftn(psi).
+
+    The transform goes into one fresh buffer, so a call holds that buffer
+    and |psi_k|^2 at most.
+    """
+    spec = wave.spec
+    buffer = np.empty(spec.grid_points, dtype=complex)
+    return spectrum_momentum(WaveSpectrum(fftn(wave.values, spec, out=buffer), spec))
 
 
 def total_energy(state: EpistemicState, potential: Potential, shift: ShiftVelocity) -> float:

@@ -77,6 +77,24 @@ def test_wave_field_rejects_bad_norm_and_shape():
         WaveField(np.ones(32, dtype=complex), SPEC_1D)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 0.0)])
+def test_wave_field_names_non_finite_values_before_the_norm(bad):
+    values = np.full(SPEC_1D.grid_points, SPEC_1D.volume ** -0.5, dtype=complex)
+    values[3] = bad
+    with pytest.raises(StateError, match="^wave values must be finite$"):
+        WaveField(values, SPEC_1D)
+
+
+def test_wave_field_norm_message_for_finite_values():
+    unit = np.full(SPEC_1D.grid_points, SPEC_1D.volume ** -0.5, dtype=complex)
+    with pytest.raises(StateError, match=r"^wave norm is 4\.0, expected 1 within 1e-10$"):
+        WaveField(2.0 * unit, SPEC_1D)
+    # finite values whose norm overflows are a norm error, not a finiteness one
+    with pytest.raises(StateError, match="^wave norm is inf, expected 1 within 1e-10$"):
+        WaveField(1e200 * unit, SPEC_1D)
+    WaveField(unit * (1.0 + 4e-11), SPEC_1D)
+
+
 def test_wavefunction_round_trip_preserves_density_and_phase():
     spec = SPEC_1D
     slope = np.array([lattice_momentum(spec, 0, 2)])

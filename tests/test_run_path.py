@@ -21,7 +21,7 @@ from red.experiment import (
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
 from red.geometry import best_match_shift, ensemble_hamiltonian_h0, info_metric_g, total_momentum
-from red.io import ObservablesWriter, read_float_csv, wave_from_csv
+from red.io import ObservablesWriter, read_float_csv, wave_from_csv, wave_to_csv
 from red.model import (
     Ensemble,
     EpistemicState,
@@ -37,11 +37,13 @@ from red.presets import gaussian_state, smooth_harmonic_relational_values
 from red.quantum import (
     Potential,
     WaveField,
+    WaveSpectrum,
     expected_momentum,
     from_wavefunction,
     kinetic_factor,
     kinetic_symbol,
     schrodinger_evolve,
+    spectrum_momentum,
     to_wavefunction,
 )
 from red.sampler import (
@@ -378,18 +380,141 @@ def traced_peak(call) -> int:
 
 
 def test_split_step_and_row_hold_few_full_grid_arrays():
-    # on a 16^4 wave (1 MB), one split step holds its buffer, the shifted kinetic
-    # factor and the norm check's |psi|^2 (2.5 grids); one observables row peaks at
-    # about 6 grids, while the phase gradients are built one axis at a time
+    # on a 16^4 wave (1 MB), one split step holds its buffer and the shifted kinetic
+    # factor (2.1 grids; the norm check builds no |psi|^2); a matched step holds the
+    # buffer with |psi_k|^2 while it matches, then with the kinetic factor it builds
+    # (2.3 grids); one observables row peaks at about 6 grids, while the phase
+    # gradients are built one axis at a time
     wave, potential = packet_and_spring((16, 16, 16, 16))
     shift = best_match_shift(wave)
     grid_bytes = wave.values.nbytes
     schrodinger_evolve(wave, potential, shift, 0.005, 0.005)  # the split factors are kept
     step = traced_peak(lambda: schrodinger_evolve(wave, potential, shift, 0.005, 0.005))
+    matched = traced_peak(lambda: schrodinger_evolve(wave, potential, None, 0.005, 0.005,
+                                                     match=best_match_shift))
     writer = ObservablesWriter(wave.spec.spatial_dim)
     row = traced_peak(lambda: red.experiment._observe(writer, wave, potential, shift))
     assert step <= 3.5 * grid_bytes, step / grid_bytes
+    assert matched <= 3.5 * grid_bytes, matched / grid_bytes
     assert row <= 8.0 * grid_bytes, row / grid_bytes
+
+
+def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
+    # the transform goes into one fresh buffer (np.fft.fftn without out= holds two
+    # grids between its axes), and the buffer and |psi_k|^2 peak at 1.5 grids
+    wave, _ = packet_and_spring((16, 16, 16, 16))
+    spec = wave.spec
+    power = np.abs(np.fft.fftn(wave.values)) ** 2
+    want = np.zeros(spec.spatial_dim)
+    for axis in range(spec.dim):
+        others = tuple(a for a in range(spec.dim) if a != axis)
+        want[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis]
+                                                  @ np.sum(power, axis=others))
+    want = spec.hbar * want / float(np.sum(power))
+    assert expected_momentum(wave).tobytes() == want.tobytes()
+    spectrum = WaveSpectrum(np.fft.fftn(wave.values), spec)
+    assert spectrum_momentum(spectrum).tobytes() == want.tobytes()
+    assert best_match_shift(spectrum).components.tobytes() == (want / spec.total_mass).tobytes()
+    peak = traced_peak(lambda: expected_momentum(wave))
+    assert peak <= 1.6 * wave.values.nbytes, peak / wave.values.nbytes
+
+
+def test_matched_step_matches_the_spectrum_it_transforms():
+    # each step hands match the spectrum of its half-kicked wave and uses the shift
+    # that comes back; the call returns the last one
+    wave, potential = packet_and_spring((24, 24))
+    spec = wave.spec
+    seen = []
+
+    def match(spectrum):
+        seen.append(spectrum.values.copy())
+        return best_match_shift(spectrum)
+
+    evolved, shift = schrodinger_evolve(wave, potential, None, 3 * 0.005, 0.005, match=match)
+    values = wave.values
+    half, _ = potential.split_factors(0.005)
+    assert len(seen) == 3
+    for got in seen:
+        assert np.array_equal(got, np.fft.fftn(values * half))
+        used = best_match_shift(WaveSpectrum(got, spec))
+        values = spelled_out_split_steps(values, potential, used, 1, 0.005)
+    assert np.array_equal(shift.components, used.components)
+    np.testing.assert_array_equal(evolved.values, values)
+
+
+def start_of_step_run(config, out):
+    """The run loop with the best match taken from the wave at the start of each step."""
+    spec = config.spec
+    run = config.run
+    wave = build_initial_wave(config)
+    potential = build_potential(config)
+    writer = ObservablesWriter(spec.spatial_dim)
+    t0 = wave.time
+    shift = best_match_shift(wave)
+    red.experiment._observe(writer, wave, potential, shift)
+    for step in range(1, run.steps + 1):
+        shift = best_match_shift(wave)
+        wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde,
+                                  t0 + step * run.dt_pde)
+        if step % run.snapshot_every == 0:
+            red.experiment._observe(writer, wave, potential, shift)
+    out.mkdir()
+    writer.write(out / "observables.csv")
+    wave_to_csv(wave, out / "last.csv")
+    return wave
+
+
+def matched_config(tmp_path, potential, spatial_dim):
+    """A boosted two-particle packet (2x1-D on 48^2 or 2x2-D on 16^4), best-matched every step."""
+    if spatial_dim == 1:
+        system = {"box": [16.0], "grid": [48, 48]}
+        packet = {"center": [7.0, 9.0], "sigma": [1.6, 1.9], "boost": [2.0 * np.pi * 2 / 16.0]}
+    else:
+        system = {"box": [10.0, 10.0], "grid": [16] * 4}
+        packet = {"center": [4.5, 5.5, 5.0, 4.0], "sigma": [2.6, 2.8, 2.7, 2.9],
+                  "boost": [2.0 * np.pi / 10.0, -4.0 * np.pi / 10.0]}
+    doc = {
+        "system": {"n_particles": 2, "spatial_dim": spatial_dim, "masses": [1.0, 1.5], "dt": 0.05,
+                   **system},
+        "initial_state": {"preset": "gaussian_packet", **packet},
+        "drift_or_potential": potential,
+        "shift_mode": {"mode": "best_match"},
+        "run": {"steps": 12, "dt_pde": 0.01, "snapshot_every": 4, "seed": 1},
+        "outputs": str(tmp_path / "run"),
+    }
+    return parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+def test_relational_matched_run_agrees_with_the_start_of_step_loop(tmp_path, spatial_dim):
+    # the half kick of a relational potential keeps <P> up to rounding, so the shift
+    # matched mid-step moves by rounding only; measured, relative to each column's
+    # largest value: the shift by 3.5e-14 (2x1-D) and 8.5e-14 (2x2-D), every other
+    # column by at most 5.5e-15 and the last wave by at most 3.1e-15
+    config = matched_config(tmp_path, {"preset": "smooth_harmonic_relational", "k": 0.4},
+                            spatial_dim)
+    table = read_observables(run_experiment(config) / "observables.csv")
+    wave = start_of_step_run(config, tmp_path / "loop")
+    want = read_observables(tmp_path / "loop" / "observables.csv")
+    assert len(table["t"]) == 4
+    assert abs(want["momentum_0"][0]) > 0.1
+    for column, values in table.items():
+        scale = max(float(np.max(np.abs(want[column]))), 1e-300)
+        bound = 1e-12 if column.startswith("shift_") else 1e-13
+        assert np.max(np.abs(values - want[column])) <= bound * scale, column
+    got = wave_from_csv(tmp_path / "run" / "wave_000012.csv", config.spec).values
+    assert np.max(np.abs(got - wave.values)) <= 1e-13 * float(np.max(np.abs(wave.values)))
+
+
+@pytest.mark.parametrize("spatial_dim", [1, 2])
+def test_external_matched_run_is_the_start_of_step_loop_bytewise(tmp_path, spatial_dim):
+    config = matched_config(tmp_path, {"preset": "harmonic_external", "k": 0.4, "axis": 1},
+                            spatial_dim)
+    out = run_experiment(config)
+    start_of_step_run(config, tmp_path / "loop")
+    loop = tmp_path / "loop"
+    assert (out / "observables.csv").read_bytes() == (loop / "observables.csv").read_bytes()
+    assert (out / "wave_000012.csv").read_bytes() == (loop / "last.csv").read_bytes()
 
 
 # ---------------------------------------------------------------- frozen walker paths
@@ -490,19 +615,25 @@ def initial_walkers(config, wave, time):
 
 
 def frozen_run_walkers(config):
-    """Walker snapshots of the run loop with the frozen drift and step, keyed by step."""
+    """Walker snapshots of the run loop with the frozen drift and step, keyed by step.
+
+    The potential is relational, so each step matches its own half-kicked
+    spectrum: the wave evolves first, and the walkers then move in the
+    shift that step used, by the drift of the wave before it.
+    """
     run = config.run
     wave = build_initial_wave(config)
     potential = build_potential(config)
-    shift = best_match_shift(wave)
+    assert potential.relational_flag
     t0 = wave.time
     walkers = initial_walkers(config, wave, t0)
     snapshots = {0: walkers.positions}
     for step in range(1, run.steps + 1):
-        shift = best_match_shift(wave)
+        evolved, shift = schrodinger_evolve(wave, potential, None, run.dt_pde, run.dt_pde,
+                                            match=best_match_shift)
         walkers = frozen_walker_step(walkers, frozen_wave_drift(wave), shift, run.dt_pde,
                                      t0 + step * run.dt_pde)
-        wave = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde)
+        wave = evolved
         if step % run.snapshot_every == 0:
             snapshots[step] = walkers.positions
     return snapshots
