@@ -66,9 +66,7 @@ class WaveField:
         # sum |psi|^2 without a real grid; a non-finite value can only show as a
         # non-finite norm, so the finiteness scan runs only then
         norm = float(np.vdot(vals, vals).real * self.spec.cell_volume)
-        if not np.isfinite(norm) and not (
-            np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))
-        ):
+        if not np.isfinite(norm) and not np.all(np.isfinite(vals)):
             raise StateError("wave values must be finite")
         if abs(norm - 1.0) > WAVE_NORM_TOL:
             raise StateError(f"wave norm is {norm!r}, expected 1 within {WAVE_NORM_TOL}")
