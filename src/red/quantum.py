@@ -63,9 +63,11 @@ class WaveField:
             raise StateError(
                 f"wave shape {vals.shape} does not match grid {tuple(self.spec.grid_points)}"
             )
-        # sum |psi|^2 without a real grid; a non-finite value can only show as a
+        # sum |psi|^2 over the (re, im) pairs, with no real grid and no BLAS call
+        # (np.vdot's raises peak RSS); a non-finite value can only show as a
         # non-finite norm, so the finiteness scan runs only then
-        norm = float(np.vdot(vals, vals).real * self.spec.cell_volume)
+        flat = vals.reshape(-1).view(float)
+        norm = float(np.einsum("i,i->", flat, flat)) * self.spec.cell_volume
         if not np.isfinite(norm) and not np.all(np.isfinite(vals)):
             raise StateError("wave values must be finite")
         if abs(norm - 1.0) > WAVE_NORM_TOL:
