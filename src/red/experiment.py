@@ -46,7 +46,6 @@ from .presets import (
 from .quantum import (
     Potential,
     WaveField,
-    expected_momentum,
     from_wavefunction,
     schrodinger_evolve,
     to_wavefunction,
@@ -175,7 +174,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
     if mode == "fixed":
         return ShiftVelocity(np.asarray(config.shift_mode.values), spec)
     if mode == "zero_constrained":
-        momentum = expected_momentum(wave)
+        momentum = wave.momentum
         worst = float(np.max(np.abs(momentum)))
         if worst > CONSTRAINT_MOMENTUM_TOL:
             raise ConfigError([
@@ -219,7 +218,7 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     # one state per snapshot serves the mismatch and the energy; shift is the
     # one the step that made this wave used
     state = from_wavefunction(wave)
-    momentum = expected_momentum(wave)
+    momentum = wave.momentum
     report = info_metric_g(state, shift)
     named = {
         "t": wave.time,
@@ -336,7 +335,7 @@ def bestmatch_report(config: ExperimentConfig) -> dict:
     closed = best_match_shift(wave)
     numerical = best_match_shift(state, mode="numerical")
     report = info_metric_g(state, closed)
-    momentum = expected_momentum(wave)
+    momentum = wave.momentum
     return {
         "best_match_shift": [float(c) for c in closed.components],
         "numerical_shift": [float(c) for c in numerical.components],

@@ -7,7 +7,7 @@ The current velocity of a state is
 and the density obeys the continuity equation d_t rho = -div(rho V).
 
 Phase gradients are computed through the unimodular field u = exp(i Phi / hbar)
-plus the explicit slope, so a stored phase that winds (wrapped into one period)
+plus the explicit slope, so a phase that winds (known only modulo one period)
 still differentiates cleanly: grad Phi = hbar * Im(conj(u) grad u) + slope.
 
 Entropy here is S = -int rho log rho.  Its exact rate along the continuity
@@ -56,12 +56,16 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
     stepper that feeds its own output back in, any rho-dependent noise in
     the velocity is self-amplifying.
 
-    Wrapped phase grids (recovered from a wavefunction, stored modulo
-    2*pi*hbar) go through the wave the state carries, psi = wave_values,
+    Wrapped states (recovered from a wavefunction, whose phase is known only
+    modulo 2*pi*hbar) go through the wave they carry, psi = wave_values,
     which is immune to the wraps, with hbar * Im(conj(psi) grad psi) / rho.
     Cells outside alive_cells sit under the FFT roundoff floor, where that
     division is pure noise; psi is zeroed there before differentiating,
-    they get gradient 0, and every consumer weights by rho anyway.
+    they get gradient 0, and every consumer weights by rho anyway.  A wave
+    with no dead cell is differentiated as it stands, with no masked copy.
+    Each derivative is conjugated and multiplied by psi in its own buffer:
+    Im(psi conj(d psi)) is bitwise -Im(conj(psi) d psi) with psi as the
+    first factor, so no conj(psi) grid is built.
     """
     spec = state.spec
     if not state.phase_wrapped:
@@ -71,15 +75,16 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
         return grads
     rho = state.rho.values
     alive = alive_cells(rho)
-    psi = np.where(alive, state.wave_values, 0.0)
-    conj_psi = np.conj(psi)
+    psi = state.wave_values if np.all(alive) else np.where(alive, state.wave_values, 0.0)
     grads = []
     for axis in range(spec.dim):
         # one complex derivative at a time, reduced to its real gradient before the next
         [product] = gradient_arrays(psi, spec, (axis,))
-        np.multiply(conj_psi, product, out=product)
+        np.conjugate(product, out=product)
+        # psi first: the last bits of a complex product depend on the order of its factors
+        np.multiply(psi, product, out=product)
         grad = np.zeros(spec.grid_points)
-        np.multiply(product.imag, spec.hbar, out=grad, where=alive)
+        np.multiply(product.imag, -spec.hbar, out=grad, where=alive)
         np.divide(grad, rho, out=grad, where=alive)
         grad += state.phase_slope[axis]
         grads.append(grad)

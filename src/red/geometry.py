@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .fields import entropy_rate
 from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
-from .quantum import WaveField, WaveSpectrum, expected_momentum, spectrum_momentum
+from .quantum import WaveField, WaveSpectrum, spectrum_momentum
 from .sampler import STREAM_MONTE_CARLO, Drift, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
@@ -156,7 +156,8 @@ def total_momentum(state: EpistemicState) -> np.ndarray:
 
     int rho d_A Phi from state.phase_gradients, summed onto the spatial
     axes; smooth and wrapped states alike (a wrapped one differentiates the
-    wave it carries).  The momentum of a WaveField is quantum.expected_momentum.
+    wave it carries).  The momentum of a WaveField is WaveField.momentum
+    (quantum.expected_momentum, kept with the wave).
     """
     spec = state.spec
     rho = state.rho.values
@@ -173,7 +174,7 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
     numerical descends the quadrature gradient M * shift - P until it
     vanishes, as a cross-check of the same condition.  state is an
     EpistemicState, whose P is total_momentum, or, in the closed form only,
-    a WaveField, whose P is expected_momentum and needs no phase grid, or a
+    a WaveField, whose P is WaveField.momentum and needs no phase grid, or a
     WaveSpectrum, whose P is spectrum_momentum and needs no transform (the
     split step matches its half-kicked spectrum this way).  The P of a wave
     or spectrum is per unit norm, so it equals that of
@@ -185,7 +186,7 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
         if isinstance(state, WaveSpectrum):
             return ShiftVelocity(spectrum_momentum(state) / mass, spec)
         if isinstance(state, WaveField):
-            return ShiftVelocity(expected_momentum(state) / mass, spec)
+            return ShiftVelocity(state.momentum / mass, spec)
         return ShiftVelocity(total_momentum(state) / mass, spec)
     if mode != "numerical":
         raise ValueError(f"unknown best-match mode {mode!r}")

@@ -413,11 +413,11 @@ class EpistemicState:
     The full phase is phase.values + phase_slope @ x; the slope part keeps
     boosts exact even when they are not lattice modes of the box.
 
-    A wrapped state is one that carries its wave: wave_values is the psi
-    it was read from (quantum.from_wavefunction, the slope part excluded),
-    and its phase grid is hbar * arg(psi), stored modulo 2*pi*hbar.  Smooth
-    (unwrapped) phase grids are differentiated directly; wrapped ones go
-    through wave_values.
+    A wrapped state is one that carries its wave in place of a phase grid:
+    wave_values is the psi it was read from (quantum.from_wavefunction, the
+    slope part excluded) and phase is None, since hbar * arg(psi) is known
+    only modulo 2*pi*hbar.  Smooth (unwrapped) phase grids are
+    differentiated directly; wrapped states differentiate wave_values.
     """
 
     rho: ScalarField
@@ -427,7 +427,10 @@ class EpistemicState:
     wave_values: np.ndarray = None
 
     def __post_init__(self):
-        if self.phase.spec is not self.rho.spec and self.phase.spec != self.rho.spec:
+        if (self.phase is None) == (self.wave_values is None):
+            raise StateError("a state carries either a phase grid or its wave (wave_values)")
+        phase = self.phase
+        if phase is not None and phase.spec is not self.rho.spec and phase.spec != self.rho.spec:
             raise StateError("rho and phase live on different grids")
         slope = self.phase_slope
         slope = np.zeros(self.spec.dim) if slope is None else np.asarray(slope, dtype=float)

@@ -81,6 +81,17 @@ class WaveField:
         density.values.flags.writeable = False
         return density
 
+    @cached_property
+    def momentum(self) -> np.ndarray:
+        """expected_momentum of this wave, computed once and read-only: D floats, no grid kept.
+
+        The observables row and the best match of the next step share it, so
+        a wave is transformed for its <P> once.
+        """
+        momentum = expected_momentum(self)
+        momentum.flags.writeable = False
+        return momentum
+
 
 @dataclass(frozen=True)
 class WaveSpectrum:
@@ -160,22 +171,16 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
 
 
 def from_wavefunction(wave: WaveField) -> EpistemicState:
-    """Density and wrapped phase of a wavefunction: the one maker of wrapped states.
+    """Density of a wavefunction plus the wave itself: the one maker of wrapped states.
 
-    The phase is hbar * arg(psi), wrapped to (-pi hbar, pi hbar]; the state
-    carries psi as wave_values, which marks it wrapped.  Cells of negligible
-    density carry no usable phase information, and the consumers of the
-    phase mask them out (fields.alive_cells).
+    The state shares the wave's cached density and carries psi as
+    wave_values, with no phase grid: hbar * arg(psi) is known only modulo
+    2 pi hbar, and the consumers of the phase differentiate psi instead
+    (fields.phase_gradient_arrays), masking the cells of negligible density
+    (fields.alive_cells).  Beyond the density, building the state allocates
+    no grid.
     """
-    spec = wave.spec
-    phase = spec.hbar * np.angle(wave.values)
-    return EpistemicState(
-        wave.density,
-        ScalarField(phase, spec),
-        None,
-        wave.time,
-        wave_values=wave.values,
-    )
+    return EpistemicState(wave.density, None, None, wave.time, wave_values=wave.values)
 
 
 def kinetic_symbol(spec: SystemSpec) -> np.ndarray:

@@ -220,7 +220,8 @@ def test_wave_state_and_phase_gradients_are_cached_read_only():
     assert not state.rho.values.flags.writeable
     fresh = from_wavefunction(wave)
     assert np.array_equal(state.rho.values, fresh.rho.values)
-    assert np.array_equal(state.phase.values, fresh.phase.values)
+    # and carries the wave itself, with no phase grid
+    assert state.phase is None and state.wave_values is wave.values
     grads = state.phase_gradients
     assert state.phase_gradients is grads
     for got, want in zip(grads, phase_gradient_arrays(fresh)):
@@ -383,8 +384,10 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     # on a 16^4 wave (1 MB), one split step holds its buffer and the shifted kinetic
     # factor (2.1 grids; the norm check builds no |psi|^2); a matched step holds the
     # buffer with |psi_k|^2 while it matches, then with the kinetic factor it builds
-    # (2.3 grids); one observables row peaks at about 6 grids, while the phase
-    # gradients are built one axis at a time
+    # (2.3 grids); one observables row of a new wave peaks at 4.07 grids: the density,
+    # the D phase gradients it keeps and the curvature term's grids beside them, with
+    # no phase grid, no conj(psi) grid and no masked copy of a wave without dead cells;
+    # the state adds nothing beyond the density it shares with the wave
     wave, potential = packet_and_spring((16, 16, 16, 16))
     shift = best_match_shift(wave)
     grid_bytes = wave.values.nbytes
@@ -393,10 +396,49 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     matched = traced_peak(lambda: schrodinger_evolve(wave, potential, None, 0.005, 0.005,
                                                      match=best_match_shift))
     writer = ObservablesWriter(wave.spec.spatial_dim)
-    row = traced_peak(lambda: red.experiment._observe(writer, wave, potential, shift))
+    fresh = WaveField(wave.values, wave.spec)  # no cached density or <P>, as in a run
+    row = traced_peak(lambda: red.experiment._observe(writer, fresh, potential, shift))
+    state = traced_peak(lambda: from_wavefunction(fresh))
     assert step <= 3.5 * grid_bytes, step / grid_bytes
     assert matched <= 3.5 * grid_bytes, matched / grid_bytes
-    assert row <= 8.0 * grid_bytes, row / grid_bytes
+    assert row <= 4.25 * grid_bytes, row / grid_bytes
+    assert state <= 0.01 * grid_bytes, state / grid_bytes
+
+
+def spelled_out_phase_gradients(state):
+    """Wrapped phase gradients, conj first: masked psi, conj(psi) * d psi, hbar Im / rho, plus slope."""
+    spec = state.spec
+    rho = state.rho.values
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    psi = np.where(alive, state.wave_values, 0.0)
+    conj_psi = np.conj(psi)
+    safe_rho = np.where(alive, rho, 1.0)
+    grads = []
+    for axis in range(spec.dim):
+        [derivative] = gradient_arrays(psi, spec, (axis,))
+        product = conj_psi * derivative
+        grads.append(np.where(alive, spec.hbar * product.imag / safe_rho, 0.0)
+                     + state.phase_slope[axis])
+    return grads
+
+
+@pytest.mark.parametrize("grid", [(24, 24), (128, 128), (16, 16, 16, 16)])
+@pytest.mark.parametrize("dead", [False, True])
+def test_wrapped_phase_gradients_are_bitwise_the_conj_first_loop(grid, dead):
+    # the product psi * conj(d psi), made in the derivative's buffer and scaled by -hbar,
+    # keeps the bits of conj(psi) * d psi; a wave without dead cells goes unmasked, and
+    # (24, 24) is under numpy's 256 KiB elision size
+    wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
+    wrapped = from_wavefunction(wave)
+    rho = wrapped.rho.values
+    assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
+    slope = np.linspace(0.37, -1.25, len(grid))
+    state = EpistemicState(wrapped.rho, None, slope, wave_values=wrapped.wave_values)
+    got = phase_gradient_arrays(state)
+    want = spelled_out_phase_gradients(state)
+    assert len(got) == len(want) == len(grid)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
@@ -515,6 +557,27 @@ def test_external_matched_run_is_the_start_of_step_loop_bytewise(tmp_path, spati
     loop = tmp_path / "loop"
     assert (out / "observables.csv").read_bytes() == (loop / "observables.csv").read_bytes()
     assert (out / "wave_000012.csv").read_bytes() == (loop / "last.csv").read_bytes()
+
+
+@pytest.mark.parametrize("potential, transformed", [
+    # start-of-step matches: all 13 waves, one transform each (the row's included)
+    ({"preset": "harmonic_external", "k": 0.4, "axis": 1}, 13),
+    # mid-step matches: the first wave and the three later rows
+    ({"preset": "smooth_harmonic_relational", "k": 0.4}, 4),
+])
+def test_matched_run_transforms_each_wave_once_for_its_momentum(tmp_path, monkeypatch, potential,
+                                                                transformed):
+    # the row and the next start-of-step best match share the <P> kept on the wave
+    times = []
+    original = red.quantum.expected_momentum
+
+    def counted(wave):
+        times.append(wave.time)
+        return original(wave)
+
+    monkeypatch.setattr(red.quantum, "expected_momentum", counted)
+    run_experiment(matched_config(tmp_path, potential, 1))
+    assert len(times) == len(set(times)) == transformed
 
 
 # ---------------------------------------------------------------- frozen walker paths
