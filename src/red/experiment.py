@@ -160,12 +160,24 @@ def _wave_drift(wave: WaveField) -> Drift:
     psi = wave.values
     rho = wave.density.values
     alive = alive_cells(rho)
-    safe_rho = np.where(alive, rho, 1.0)
-    grads = gradient_arrays(psi, spec)
-    return Drift(spec, [
-        np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
-        for product in (np.conj(psi) * g for g in grads)
-    ])
+    everywhere = np.all(alive)
+    grads = []
+    for axis in range(spec.dim):
+        # one derivative at a time, conjugated and multiplied by psi (psi first, as in
+        # fields.phase_gradient_arrays) in its own buffer: Re - Im of psi conj(d psi)
+        # has the bits of Im + Re of conj(psi) d psi
+        [product] = gradient_arrays(psi, spec, (axis,))
+        np.conjugate(product, out=product)
+        np.multiply(psi, product, out=product)
+        grad = product.real - product.imag
+        del product
+        if everywhere:
+            grad /= rho
+        else:
+            np.divide(grad, rho, out=grad, where=alive)
+            grad[~alive] = 0.0
+        grads.append(grad)
+    return Drift(spec, grads)
 
 
 def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:

@@ -343,22 +343,23 @@ def rk4_step(rate, values: tuple, dt_pde: float) -> tuple:
 class Stencil:
     """Periodic multilinear interpolation weights for K points, shared by every grid array.
 
-    Entry c of `index` and of `weight` belongs to corner c of the 2^D-cell,
-    in itertools.product((0, 1), repeat=D) order: a (K,) array of the
-    corner's flat C-order grid index, and one of its weight, the product of
-    the per-axis factors multiplied left to right.  A stencil holds
-    16 * 2^D * K bytes (3.2 MB for K = 50,000 at D = 2), so build it once
-    per set of points.
+    `base` is each point's flat low-corner index into the grid padded by one
+    periodic cell per axis.  Corner c, in itertools.product((0, 1), repeat=D)
+    order, sits at base + offsets[c] with weight[c], the per-axis factors
+    multiplied left to right.  A stencil holds 8 * (2^D + 1) * K bytes
+    (2.0 MB for K = 50,000 at D = 2).
     """
 
-    index: tuple
+    base: np.ndarray
+    offsets: tuple
     weight: tuple
 
     @classmethod
     def at(cls, spec: SystemSpec, points: np.ndarray) -> "Stencil":
         """The stencil of (K, D) points, which need not lie in the box."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        index = weight = None
+        base = weight = None
+        offsets = [0]
         for axis, g in enumerate(spec.grid_points):
             # in place: frac goes from the scaled coordinate to its fractional part, and
             # rest from its floor to the low corner's factor 1 - frac
@@ -370,39 +371,41 @@ class Stencil:
             outside = (low < 0) | (low >= g)
             if outside.any():
                 low[outside] = np.mod(low[outside], g)
-            high = low + 1
-            high[high == g] = 0
-            stride = int(np.prod(spec.grid_points[axis + 1:]))
+            stride = int(np.prod([n + 1 for n in spec.grid_points[axis + 1:]]))
             low *= stride
-            high *= stride
-            if index is None:
-                index, weight = [low, high], [rest, frac]
+            offsets = [offset + side for offset in offsets for side in (0, stride)]
+            if base is None:
+                base, weight = low, [rest, frac]
                 continue
-            index = _corners(np.add, index, low, high)
-            weight = _corners(np.multiply, weight, rest, frac)
-        return cls(tuple(index), tuple(weight))
+            base += low
+            del low  # before the corner weights take their own arrays
+            weight = _corners(weight, rest, frac)
+        return cls(base, tuple(offsets), tuple(weight))
 
 
-def _corners(op, prefixes: list, low: np.ndarray, high: np.ndarray) -> list:
-    """[op(p, low), op(p, high) for p in prefixes]: axis 0 varies slowest, factors join left to right.
+def _corners(prefixes: list, low: np.ndarray, high: np.ndarray) -> list:
+    """[p * low, p * high for p in prefixes]: axis 0 varies slowest, factors join left to right.
 
-    Each result goes into an array that is not read again (a prefix, or the
-    factors for the last prefix); op commutes bitwise, so the order of its
-    operands does not matter.
+    Each product goes into an array that is not read again (a prefix, or the
+    factors for the last prefix); a real product commutes bitwise.
     """
     out = []
     for prefix in prefixes[:-1]:
-        out += [op(prefix, low), op(prefix, high, out=prefix)]
+        out += [prefix * low, np.multiply(prefix, high, out=prefix)]
     last = prefixes[-1]
-    return out + [op(low, last, out=low), op(high, last, out=high)]
+    return out + [np.multiply(low, last, out=low), np.multiply(high, last, out=high)]
 
 
 def interpolate(values: np.ndarray, stencil: Stencil) -> np.ndarray:
     """Periodic multilinear interpolation of a grid array at a stencil's points."""
-    flat = values.reshape(-1)
-    result = np.zeros(len(stencil.index[0]), dtype=values.dtype)
-    for index, weight in zip(stencil.index, stencil.weight):
-        result += weight * flat.take(index)
+    flat = np.pad(values, [(0, 1)] * values.ndim, mode="wrap").reshape(-1)
+    result = np.zeros(len(stencil.base), dtype=values.dtype)
+    corner = np.empty_like(result)
+    for offset, weight in zip(stencil.offsets, stencil.weight):
+        # every index is in range; numpy buffers a gather into out= under mode="raise",
+        # not under "clip"; the weight scales the corner in place as its first factor
+        flat[offset:].take(stencil.base, out=corner, mode="clip")
+        result += np.multiply(weight, corner, out=corner)
     return result
 
 

@@ -137,13 +137,21 @@ class Potential:
         memo = self.__dict__.get("_split_factors")
         if memo is None or memo[0] != dt_pde:
             spec = self.spec
-            half = np.exp(-0.5j * dt_pde * self.values.values / spec.hbar)
-            rest = np.exp(-1j * dt_pde * kinetic_symbol(spec) / spec.hbar)
-            half.flags.writeable = False
-            rest.flags.writeable = False
+            half = _phase_factor(-0.5j * dt_pde, self.values.values, spec.hbar)
+            rest = _phase_factor(-1j * dt_pde, kinetic_symbol(spec), spec.hbar)
             memo = (dt_pde, half, rest)
             object.__setattr__(self, "_split_factors", memo)
         return memo[1], memo[2]
+
+
+def _phase_factor(scale: complex, grid: np.ndarray, hbar: float) -> np.ndarray:
+    """exp(scale * grid / hbar), read-only."""
+    # one complex grid: the exponent, then its exponential in place
+    factor = np.multiply(scale, grid)
+    factor /= hbar
+    np.exp(factor, out=factor)
+    factor.flags.writeable = False
+    return factor
 
 
 def to_wavefunction(state: EpistemicState) -> WaveField:
@@ -187,7 +195,7 @@ def kinetic_symbol(spec: SystemSpec) -> np.ndarray:
     """Rest-frame sum_A (hbar k_A)^2 / (2 m_A) on the full mode grid; kinetic_factor adds a shift."""
     symbol = np.zeros(spec.grid_points)
     for axis, k in enumerate(spec.wavenumbers):
-        symbol = symbol + (spec.hbar * spec.along(axis, k)) ** 2 / (2.0 * spec.axis_masses[axis])
+        symbol += (spec.hbar * spec.along(axis, k)) ** 2 / (2.0 * spec.axis_masses[axis])
     return symbol
 
 

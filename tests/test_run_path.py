@@ -53,6 +53,7 @@ from red.sampler import (
     evolve_ensemble,
     sample_from_density,
     stream,
+    walker_step,
 )
 
 
@@ -405,6 +406,64 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     assert state <= 0.01 * grid_bytes, state / grid_bytes
 
 
+def frozen_kinetic_symbol(spec):
+    """quantum.kinetic_symbol as it was: a new grid per axis, symbol + term."""
+    symbol = np.zeros(spec.grid_points)
+    for axis, k in enumerate(spec.wavenumbers):
+        symbol = symbol + (spec.hbar * spec.along(axis, k)) ** 2 / (2.0 * spec.axis_masses[axis])
+    return symbol
+
+
+def test_split_factors_keep_their_bits_in_one_grid_each():
+    # each factor is its scaled exponent, then exp in place, in its own complex grid; on
+    # 16^4 the kinetic symbol lives beside the half factor while the kinetic one is built
+    # (2.63 grids, 3.12 with the full-grid temporaries); hbar and the masses are not
+    # powers of two, so the order of the scaling shows in the bits
+    spec = SystemSpec(2, 2, (1.3, 0.7), (10.0, 9.0), (16, 16, 16, 16), dt=0.01, hbar=0.9)
+    potential = Potential.from_values(smooth_harmonic_relational_values(spec, 0.4), spec,
+                                      relational_flag=True)
+    grid_bytes = np.dtype(complex).itemsize * np.prod(spec.grid_points)
+    peak = traced_peak(lambda: potential.split_factors(0.005))
+    half, rest = potential.split_factors(0.005)
+    assert kinetic_symbol(spec).tobytes() == frozen_kinetic_symbol(spec).tobytes()
+    assert half.tobytes() == np.exp(-0.5j * 0.005 * potential.values.values / spec.hbar).tobytes()
+    assert rest.tobytes() == np.exp(-1j * 0.005 * frozen_kinetic_symbol(spec) / spec.hbar).tobytes()
+    assert peak <= 2.75 * grid_bytes, peak / grid_bytes
+
+
+@pytest.mark.parametrize("grid", [(24, 24), (128, 128), (16, 16, 16, 16)])
+@pytest.mark.parametrize("dead", [False, True])
+def test_wave_drift_is_bitwise_the_frozen_drift(grid, dead):
+    # psi * conj(d psi), made in the derivative's buffer, gives Re - Im with the bits of
+    # Im + Re of conj(psi) * d psi; dead cells are divided around and zeroed
+    wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
+    rho = wave.density.values
+    assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
+    got = red.experiment._wave_drift(wave)
+    want = frozen_wave_drift(wave)._grids
+    assert len(got.grids) == len(want) == len(grid)
+    for g, w in zip(got.grids, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_wave_drift_and_walker_step_hold_few_arrays():
+    # on 128^2 (a 256 KiB wave) the drift holds one complex derivative at a time beside
+    # the real gradients: 2.08 grids beyond the wave's density (5.08 with all D
+    # derivatives and their products alive at once); a step of 50,000 walkers peaks
+    # 3.56 MiB above its entry (4.58 with 2^D corner index arrays and two temporaries
+    # per corner): the 2.0 MB stencil, the gradient, and one corner buffer
+    wave, _ = packet_and_spring((128, 128))
+    spec = wave.spec
+    wave.density  # the drift divides by the wave's cached density
+    drift_peak = traced_peak(lambda: red.experiment._wave_drift(wave))
+    drift = red.experiment._wave_drift(wave)
+    walkers = Ensemble(np.random.default_rng(3).uniform(0.0, 10.0, (50_000, 2)), spec, rng_seed=5)
+    shift = ShiftVelocity(np.array([0.3]), spec)
+    step_peak = traced_peak(lambda: walker_step(walkers, drift, shift, 0.02, 0.02))
+    assert drift_peak <= 2.5 * wave.values.nbytes, drift_peak / wave.values.nbytes
+    assert step_peak <= 3.8 * 2 ** 20, step_peak / 2 ** 20
+
+
 def spelled_out_phase_gradients(state):
     """Wrapped phase gradients, conj first: masked psi, conj(psi) * d psi, hbar Im / rho, plus slope."""
     spec = state.spec
@@ -719,12 +778,26 @@ def frozen_sample_walkers(config):
     return snapshots
 
 
-def walker_config(tmp_path, potential, shift_mode, ensemble_k=64, snapshot_every=2):
+WALKERS_2X1D = (
+    {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "box": [16.0], "grid": [32, 32],
+     "dt": 0.02},
+    {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [2.0, 2.5],
+     "boost": [2.0 * np.pi / 16.0]},
+)
+# 16-corner stencils on a grid whose padded strides (729, 81, 9, 1) differ from its own
+WALKERS_2X2D = (
+    {"n_particles": 2, "spatial_dim": 2, "masses": [1.0, 2.0], "box": [8.0, 8.0],
+     "grid": [8, 8, 8, 8], "dt": 0.02},
+    {"preset": "gaussian_packet", "sigma": 4.0, "boost": [2.0 * np.pi / 8.0, 0.0]},
+)
+
+
+def walker_config(tmp_path, potential, shift_mode, ensemble_k=64, snapshot_every=2,
+                  layout=WALKERS_2X1D):
+    system, initial_state = layout
     doc = {
-        "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 2.0], "box": [16.0],
-                   "grid": [32, 32], "dt": 0.02},
-        "initial_state": {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [2.0, 2.5],
-                          "boost": [2.0 * np.pi / 16.0]},
+        "system": system,
+        "initial_state": initial_state,
         "drift_or_potential": potential,
         "shift_mode": shift_mode,
         "run": {"steps": 6, "dt_pde": 0.01, "snapshot_every": snapshot_every,
@@ -743,9 +816,10 @@ def assert_walker_snapshots_equal(out, config, snapshots):
 
 
 def test_run_walkers_match_frozen_walker_loop(tmp_path):
-    config = walker_config(tmp_path, {"preset": "smooth_harmonic_relational", "k": 0.4},
-                           {"mode": "best_match"})
-    assert_walker_snapshots_equal(run_experiment(config), config, frozen_run_walkers(config))
+    for name, layout in (("2x1d", WALKERS_2X1D), ("2x2d", WALKERS_2X2D)):
+        config = walker_config(tmp_path / name, {"preset": "smooth_harmonic_relational", "k": 0.4},
+                               {"mode": "best_match"}, layout=layout)
+        assert_walker_snapshots_equal(run_experiment(config), config, frozen_run_walkers(config))
 
 
 @pytest.mark.parametrize("potential", [
@@ -811,12 +885,16 @@ def test_wrap_array_matches_frozen_wrap_bitwise(n_particles, spatial_dim, box):
 
 
 def stencil_points(spec, rng, count):
-    """Random points in and around the box, the origin, grid nodes, and L - ulp after wrapping."""
+    """Random points in and around the box, the origin, grid nodes, L - ulp after wrapping, and the seam.
+
+    Two points sit on the periodic seam unwrapped: exactly L, and -1e-17 h,
+    whose low corner wraps to g - 1 and whose high corner is the padding cell.
+    """
     box = spec.axis_box
     nodes = np.stack([np.arange(6) % g for g in spec.grid_points], axis=1) * spec.spacing
     top = wrap_array(spec, np.nextafter(box, 0.0)[None, :])
     return np.concatenate([
-        np.zeros((1, spec.dim)), nodes, top,
+        np.zeros((1, spec.dim)), nodes, top, box[None, :], -1e-17 * spec.spacing[None, :],
         wrap_array(spec, rng.uniform(0.0, 1.0, (count, spec.dim)) * box),
         rng.uniform(-box, 2.0 * box, (count // 4, spec.dim)),
     ])
@@ -835,7 +913,8 @@ def test_stencil_interpolation_matches_frozen_interpolate_bitwise(n_particles, s
     rng = np.random.default_rng(sum(grid))
     points = stencil_points(spec, rng, 4000)
     stencil = Stencil.at(spec, points)
-    assert len(stencil.index) == len(stencil.weight) == 2 ** spec.dim
+    assert stencil.base.shape == (len(points),)
+    assert len(stencil.offsets) == len(stencil.weight) == 2 ** spec.dim
     for values in (rng.normal(size=grid), rng.normal(size=grid) + 1j * rng.normal(size=grid)):
         got = interpolate(values, stencil)
         want = frozen_interpolate(values, spec, points)
