@@ -30,11 +30,10 @@ MIN_SIGMA_CELLS = 4.0
 NYQUIST_FRACTION = 0.5
 LATTICE_TOL = 1e-9
 MAX_SEED = 2 ** 64
-# ensemble_K · 2^D: the walker step's stencil holds a weight (8 bytes) per corner and one
-# base index (8 bytes) per walker
+# ensemble_K · 2^D: the walker step's stencil holds a weight (8 bytes) per corner, one base
+# index (8 bytes) per walker, and a position and an index (16 bytes) per corner that crosses
+# the periodic seam
 STENCIL_BUDGET = 2 ** 24
-# prod(g_A + 1): walkers read each drift grid padded by one periodic cell per axis
-PADDED_GRID_BUDGET = 2 * GRID_BUDGET
 
 STATE_PRESETS = ("gaussian_packet", "plane_wave", "two_packet")
 POTENTIAL_PRESETS = (
@@ -428,16 +427,11 @@ def _parse_run(collect: _Collector, doc: dict, system: dict) -> dict:
                            minimum=0, maximum=MAX_SEED)
     if ensemble_k is not None and system is not None:
         corners = 2 ** len(system["grid"])
-        padded = math.prod(g + 1 for g in system["grid"])
         if ensemble_k * corners > STENCIL_BUDGET:
             # no walker count in the message: a JSON integer may have thousands of digits
             collect.add("/run/ensemble_K", f"each walker needs {corners} stencil corners, budget is "
                                            f"{STENCIL_BUDGET}: at most {STENCIL_BUDGET // corners} "
                                            f"walkers on this {len(system['grid'])}-axis grid")
-            ensemble_k = None
-        elif ensemble_k and padded > PADDED_GRID_BUDGET:
-            collect.add("/run/ensemble_K", f"walkers read the grid padded by one cell per axis, "
-                                           f"{padded} cells, budget is {PADDED_GRID_BUDGET}")
             ensemble_k = None
     if None in (steps, dt_pde, snapshot_every, ensemble_k, seed):
         return None

@@ -160,7 +160,6 @@ def _wave_drift(wave: WaveField) -> Drift:
     psi = wave.values
     rho = wave.density.values
     alive = alive_cells(rho)
-    everywhere = np.all(alive)
     grads = []
     for axis in range(spec.dim):
         # one derivative at a time, conjugated and multiplied by psi (psi first, as in
@@ -171,11 +170,8 @@ def _wave_drift(wave: WaveField) -> Drift:
         np.multiply(psi, product, out=product)
         grad = product.real - product.imag
         del product
-        if everywhere:
-            grad /= rho
-        else:
-            np.divide(grad, rho, out=grad, where=alive)
-            grad[~alive] = 0.0
+        np.divide(grad, rho, out=grad, where=alive)
+        grad[~alive] = 0.0
         grads.append(grad)
     return Drift(spec, grads)
 

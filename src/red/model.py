@@ -15,7 +15,7 @@ lattice mode of the box still have exact gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -343,23 +343,26 @@ def rk4_step(rate, values: tuple, dt_pde: float) -> tuple:
 class Stencil:
     """Periodic multilinear interpolation weights for K points, shared by every grid array.
 
-    `base` is each point's flat low-corner index into the grid padded by one
-    periodic cell per axis.  Corner c, in itertools.product((0, 1), repeat=D)
-    order, sits at base + offsets[c] with weight[c], the per-axis factors
-    multiplied left to right.  A stencil holds 8 * (2^D + 1) * K bytes
-    (2.0 MB for K = 50,000 at D = 2).
+    `base` is each point's flat C-order low-corner index.  Corner c, in
+    itertools.product((0, 1), repeat=D) order, has weight[c], the per-axis
+    factors multiplied left to right, and sits at base + offsets[c], the
+    strides of the axes where c takes the high side, except where it crosses
+    the periodic seam: `seams[c]` lists those points and their corner's true
+    flat index.  A stencil holds 8 * (2^D + 1) * K bytes plus 16 per seam
+    crossing (2.0 MB for K = 50,000 at D = 2 on 128^2).
     """
 
     base: np.ndarray
     offsets: tuple
     weight: tuple
+    seams: tuple
 
     @classmethod
     def at(cls, spec: SystemSpec, points: np.ndarray) -> "Stencil":
         """The stencil of (K, D) points, which need not lie in the box."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         base = weight = None
-        offsets = [0]
+        offsets, wraps, last = [0], [0], []
         for axis, g in enumerate(spec.grid_points):
             # in place: frac goes from the scaled coordinate to its fractional part, and
             # rest from its floor to the low corner's factor 1 - frac
@@ -371,16 +374,32 @@ class Stencil:
             outside = (low < 0) | (low >= g)
             if outside.any():
                 low[outside] = np.mod(low[outside], g)
-            stride = int(np.prod([n + 1 for n in spec.grid_points[axis + 1:]]))
+            last.append(low == g - 1)
+            stride = int(np.prod(spec.grid_points[axis + 1:]))
             low *= stride
             offsets = [offset + side for offset in offsets for side in (0, stride)]
+            wraps = [wrap + side for wrap in wraps for side in (0, g * stride)]
             if base is None:
                 base, weight = low, [rest, frac]
                 continue
             base += low
             del low  # before the corner weights take their own arrays
             weight = _corners(weight, rest, frac)
-        return cls(base, tuple(offsets), tuple(weight))
+        # the points on the last cell of some axis, bit D-1-A marking axis A as bit D-1-A
+        # of a corner's number marks its high side there
+        near = np.flatnonzero(reduce(np.logical_or, last))
+        edge = np.zeros(len(near), dtype=int)
+        for on in last:
+            edge <<= 1
+            edge |= on[near]
+        seams, wraps = [], np.array(wraps)
+        for corner, offset in enumerate(offsets):
+            # corner c crosses the seam on the axes of c & edge, g * stride lower on each
+            crossed = corner & edge
+            hit = np.flatnonzero(crossed)
+            who = near[hit]
+            seams.append((who, base[who] + offset - wraps[crossed[hit]]))
+        return cls(base, tuple(offsets), tuple(weight), tuple(seams))
 
 
 def _corners(prefixes: list, low: np.ndarray, high: np.ndarray) -> list:
@@ -398,13 +417,15 @@ def _corners(prefixes: list, low: np.ndarray, high: np.ndarray) -> list:
 
 def interpolate(values: np.ndarray, stencil: Stencil) -> np.ndarray:
     """Periodic multilinear interpolation of a grid array at a stencil's points."""
-    flat = np.pad(values, [(0, 1)] * values.ndim, mode="wrap").reshape(-1)
+    flat = values.reshape(-1)
     result = np.zeros(len(stencil.base), dtype=values.dtype)
     corner = np.empty_like(result)
-    for offset, weight in zip(stencil.offsets, stencil.weight):
-        # every index is in range; numpy buffers a gather into out= under mode="raise",
-        # not under "clip"; the weight scales the corner in place as its first factor
+    for offset, weight, (who, index) in zip(stencil.offsets, stencil.weight, stencil.seams):
+        # numpy buffers a gather into out= under mode="raise", not under "clip"; an index
+        # past the end belongs to a seam crossing, whose value is then put right; the
+        # weight scales the corner in place as its first factor
         flat[offset:].take(stencil.base, out=corner, mode="clip")
+        corner[who] = flat.take(index)
         result += np.multiply(weight, corner, out=corner)
     return result
 

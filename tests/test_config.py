@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from red.cli import main
-from red.config import PADDED_GRID_BUDGET, STENCIL_BUDGET, load_config, parse_config
+from red.config import STENCIL_BUDGET, load_config, parse_config
 from red.model import MAX_DIM
 from red.errors import ConfigError
 
@@ -270,25 +270,19 @@ def test_ensemble_k_within_the_stencil_budget_is_accepted(grid, ensemble_k):
     assert parse(_walker_doc(grid, ensemble_k)).run.ensemble_k == ensemble_k
 
 
-def test_walkers_on_a_grid_whose_padded_copy_passes_the_budget_are_rejected(tmp_path, capsys):
-    # walkers read each drift grid padded by one cell per axis: 12 axes of 3 cells hold
-    # 531,441 cells, padded 4^12 = 16,777,216, twice the padded budget
+def test_walkers_on_a_coarse_many_axis_grid_run(tmp_path):
+    # 12 axes of 3 cells: 4096 stencil corners per walker, most of them across the
+    # periodic seam of some axis
     doc = {
         "system": {"n_particles": 12, "spatial_dim": 1, "box": [3.0], "grid": [3] * 12, "dt": 0.05},
         "initial_state": {"preset": "gaussian_packet", "sigma": 4.0},
-        "run": {"steps": 1, "dt_pde": 0.01, "ensemble_K": 2},
+        "run": {"steps": 1, "dt_pde": 0.01, "snapshot_every": 1, "ensemble_K": 2},
     }
-    pointers, _ = violations_of(doc)
-    assert pointers == {"/run/ensemble_K": "walkers read the grid padded by one cell per axis, "
-                                           f"16777216 cells, budget is {PADDED_GRID_BUDGET}"}
-    path = tmp_path / "fine.json"
+    assert parse(doc).run.ensemble_k == 2
+    path = tmp_path / "coarse.json"
     path.write_text(json.dumps(doc))
-    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "padded by one cell per axis" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    # without walkers the grid is never padded
-    doc["run"]["ensemble_K"] = 0
-    assert parse(doc).run.ensemble_k == 0
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "walkers_000001.csv").is_file()
 
 
 LATTICE_16 = 2.0 * np.pi / 16.0

@@ -194,17 +194,24 @@ def test_stencil_layout_and_weights():
     spec = SystemSpec(1, 3, (1.0,), (2.0, 3.0, 4.0), (4, 5, 6), 0.01)
     pts = np.random.default_rng(8).uniform(0.0, 4.0, (50, 3))
     stencil = Stencil.at(spec, pts)
-    # one base index per point into the 5 x 6 x 7 grid padded by a periodic cell per
-    # axis, and one weight per corner
+    # one base index per point and one weight per corner
     assert stencil.base.shape == (50,)
-    assert len(stencil.offsets) == len(stencil.weight) == 8
+    assert len(stencil.offsets) == len(stencil.weight) == len(stencil.seams) == 8
     assert all(weight.shape == (50,) for weight in stencil.weight)
-    # corner c sits at the padded strides (42, 7, 1) of the axes where it takes the high side
-    assert stencil.offsets == tuple(42 * a + 7 * b + c
+    # corner c sits at the strides (30, 6, 1) of the axes where it takes the high side
+    assert stencil.offsets == tuple(30 * a + 6 * b + c
                                     for a, b, c in itertools.product((0, 1), repeat=3))
-    # the low corner lies in the grid itself, never in the padding
-    low = np.stack(np.unravel_index(stencil.base, (5, 6, 7)), axis=1)
-    assert np.all((low >= 0) & (low < (4, 5, 6)))
+    low = np.stack(np.unravel_index(stencil.base, (4, 5, 6)), axis=1)
+    crossings = 0
+    for corner, offset, (who, index) in zip(itertools.product((0, 1), repeat=3),
+                                            stencil.offsets, stencil.seams):
+        # the seam lists hold exactly the points whose corner wraps, at its wrapped index
+        wraps = np.any((low + corner) >= (4, 5, 6), axis=1)
+        assert who.tolist() == np.flatnonzero(wraps).tolist()
+        assert index.tolist() == np.ravel_multi_index(((low + corner) % (4, 5, 6))[wraps].T,
+                                                      (4, 5, 6)).tolist()
+        crossings += len(who)
+    assert crossings > 0 and len(stencil.seams[0][0]) == 0
     assert np.allclose(sum(stencil.weight), 1.0, atol=1e-14)
     # values linear in the grid indices are reproduced inside a cell off the periodic seam
     inner = Stencil.at(spec, np.array([[0.5, 1.2, 1.9]]))  # indices (1, 2, 2.85)

@@ -450,13 +450,14 @@ def test_wave_drift_and_walker_step_hold_few_arrays():
     # on 128^2 (a 256 KiB wave) the drift holds one complex derivative at a time beside
     # the real gradients: 2.08 grids beyond the wave's density (5.08 with all D
     # derivatives and their products alive at once); a step of 50,000 walkers peaks
-    # 3.56 MiB above its entry (4.58 with 2^D corner index arrays and two temporaries
+    # 3.47 MiB above its entry (4.58 with 2^D corner index arrays and two temporaries
     # per corner): the 2.0 MB stencil, the gradient, and one corner buffer
     wave, _ = packet_and_spring((128, 128))
     spec = wave.spec
     wave.density  # the drift divides by the wave's cached density
-    drift_peak = traced_peak(lambda: red.experiment._wave_drift(wave))
+    # a first call also builds numpy's transform plans for 128-point axes
     drift = red.experiment._wave_drift(wave)
+    drift_peak = traced_peak(lambda: red.experiment._wave_drift(wave))
     walkers = Ensemble(np.random.default_rng(3).uniform(0.0, 10.0, (50_000, 2)), spec, rng_seed=5)
     shift = ShiftVelocity(np.array([0.3]), spec)
     step_peak = traced_peak(lambda: walker_step(walkers, drift, shift, 0.02, 0.02))
@@ -784,7 +785,7 @@ WALKERS_2X1D = (
     {"preset": "gaussian_packet", "center": [7.0, 9.0], "sigma": [2.0, 2.5],
      "boost": [2.0 * np.pi / 16.0]},
 )
-# 16-corner stencils on a grid whose padded strides (729, 81, 9, 1) differ from its own
+# 16-corner stencils, whose corners cross the periodic seam on any of four axes
 WALKERS_2X2D = (
     {"n_particles": 2, "spatial_dim": 2, "masses": [1.0, 2.0], "box": [8.0, 8.0],
      "grid": [8, 8, 8, 8], "dt": 0.02},
@@ -888,7 +889,7 @@ def stencil_points(spec, rng, count):
     """Random points in and around the box, the origin, grid nodes, L - ulp after wrapping, and the seam.
 
     Two points sit on the periodic seam unwrapped: exactly L, and -1e-17 h,
-    whose low corner wraps to g - 1 and whose high corner is the padding cell.
+    whose low corner wraps to g - 1 and whose high corner crosses the seam to 0.
     """
     box = spec.axis_box
     nodes = np.stack([np.arange(6) % g for g in spec.grid_points], axis=1) * spec.spacing
@@ -906,6 +907,7 @@ def stencil_points(spec, rng, count):
     (2, 1, (16.0,), (128, 128)),
     (1, 3, (1.0, 2.0, 3.3), (6, 7, 5)),
     (2, 2, (5.0, 6.5), (16, 16, 16, 16)),
+    (4, 2, (2.0, 3.0), (2, 3) * 4),
 ])
 def test_stencil_interpolation_matches_frozen_interpolate_bitwise(n_particles, spatial_dim,
                                                                   box, grid):
