@@ -18,7 +18,7 @@ class DensityFloorError(RedError, ValueError):
 
 
 class StabilityError(RedError, ValueError):
-    """Requested PDE step exceeds the advective stability bound.
+    """Requested PDE step exceeds an RK4 stability bound (diffusive or dispersive).
 
     Carries the largest admissible step so callers can retry.
     """

@@ -4,7 +4,9 @@ The current velocity of a state is
 
     V_A = grad_A(Phi) / m_n - shift_a,      Phi = hbar * (phi - log sqrt(rho)),
 
-and the density obeys the continuity equation d_t rho = -div(rho V).
+and the density obeys the continuity equation d_t rho = -div(rho V).  With
+no drift (phi = 0) and no shift that is free diffusion, the flow `diffuse`
+integrates: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
 
 Phase gradients are computed through the unimodular field u = exp(i Phi / hbar)
 plus the explicit slope, so a phase that winds (known only modulo one period)
@@ -24,10 +26,7 @@ from .errors import DensityFloorError, NumericalAbort
 from .model import (
     EpistemicState,
     ScalarField,
-    ShiftVelocity,
-    SystemSpec,
     check_rk4_bound,
-    divergence_spectrum,
     gradient_arrays,
     irfftn,
     laplacian_symbol,
@@ -115,15 +114,18 @@ def _flat_exp_reciprocal(x: np.ndarray, live: np.ndarray) -> np.ndarray:
 def regularized_log_density(rho: ScalarField) -> np.ndarray:
     """log rho with the exponentially dead tail frozen to a constant.
 
-    Below OSMOTIC_FLOOR relative density the result is exactly constant, so
-    integrator roundoff living in dead cells transmits nothing into any
-    field derived from the logarithm; a feedback loop through the continuity
-    stepper amplifies any nonzero transmission exponentially.  Above
-    OSMOTIC_EXACT the true logarithm is returned unchanged.  The branches
-    are joined by a C-infinity bump blend in log space: a transition of
-    merely finite smoothness rings at the grid scale when differentiated
-    spectrally, and the ringing undershoots the density in regions that
-    hold real probability.
+    state_drift_potential adds this to a phase grid whose gradients are
+    then taken spectrally, for gdecomp's Monte Carlo drift.  The true
+    logarithm of a dead tail is -inf where rho underflows, and elsewhere a
+    tail that decays across the periodic seam (a Gaussian's logarithm is a
+    parabola with a kink there) rings when differentiated spectrally.
+    Below OSMOTIC_FLOOR relative density the result is instead exactly
+    constant, so those cells give no gradient.  Above OSMOTIC_EXACT the
+    true logarithm is returned unchanged.  The branches are joined by a
+    C-infinity bump blend in log space: a transition of merely finite
+    smoothness rings at the grid scale when differentiated spectrally, and
+    the ringing puts spurious drift where the density holds real
+    probability.
     """
     vals = rho.values
     top = float(np.max(vals))
@@ -140,13 +142,6 @@ def regularized_log_density(rho: ScalarField) -> np.ndarray:
     blend += log_lo
     blend += np.log(top)
     return blend
-
-
-def osmotic_phase(drift_phi: ScalarField, rho: ScalarField, spec: SystemSpec) -> ScalarField:
-    """Phi from a drift potential with the dead-tail-safe logarithm."""
-    return ScalarField(
-        spec.hbar * (drift_phi.values - 0.5 * regularized_log_density(rho)), spec
-    )
 
 
 def state_drift_potential(state: EpistemicState) -> tuple:
@@ -170,55 +165,31 @@ def state_drift_potential(state: EpistemicState) -> tuple:
     return grid, state.phase_slope / spec.hbar
 
 
-def diffuse(state: EpistemicState, drift_phi: ScalarField, shift: ShiftVelocity,
-            total_time: float, dt_pde: float) -> EpistemicState:
-    """Integrate the density flow of a prescribed drift potential.
+def diffuse(rho: ScalarField, total_time: float, dt_pde: float) -> ScalarField:
+    """Free diffusion of a density: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
 
-    In the (drift, density) variables the equation is linear: the osmotic
-    part of the flux is -hbar/(2 m) grad rho, so the step is heat plus
-    advection with no logarithm and no division by rho anywhere.  That
-    linearity is essential, not cosmetic: any velocity reconstructed from
-    rho couples roundoff in exponentially dead tail cells back into the
-    flux, and the loop amplifies it exponentially.  Here high-wavenumber
-    junk is instead damped by the diffusion term.
-
-    The returned state carries the regularized osmotic phase of its own
-    final density, so it can be handed to entropy_rate directly.
+    The flow of walkers taking maximum-entropy steps with no drift.  The
+    step is linear in rho, with no logarithm and no division by rho
+    anywhere, so roundoff in exponentially dead tail cells is damped by the
+    heat term rather than fed back.
     """
     steps = step_count(total_time, dt_pde)
-    spec = state.spec
-
-    drift_grads = gradient_arrays(drift_phi.values, spec)
-    drift_velocity = [
-        spec.hbar * drift_grads[axis] / spec.axis_masses[axis] - shift.per_axis[axis]
-        for axis in range(spec.dim)
-    ]
-    osmotic = [0.5 * spec.hbar / spec.axis_masses[axis] for axis in range(spec.dim)]
-
-    heat_symbol = laplacian_symbol(spec, osmotic)
-
-    # RK4 stability: the heat symbol is real, the advective one imaginary
-    # (a Courant number of at most 0.5)
-    courant = max(float(np.max(np.abs(v))) / h for v, h in zip(drift_velocity, spec.spacing))
-    check_rk4_bound(dt_pde, ("diffusive", float(np.max(heat_symbol)), 2.78),
-                    ("advective", courant, 0.5))
+    spec = rho.spec
+    heat_symbol = laplacian_symbol(spec, [0.5 * spec.hbar / m for m in spec.axis_masses])
+    check_rk4_bound(dt_pde, "diffusive", float(np.max(heat_symbol)), 2.78)
 
     def rate(rho_values: np.ndarray) -> tuple:
-        fluxes = [rho_values * v for v in drift_velocity]
-        spectrum = -heat_symbol * rfftn(rho_values, spec) - divergence_spectrum(fluxes, spec)
-        return (irfftn(spectrum, spec),)
+        return (irfftn(-heat_symbol * rfftn(rho_values, spec), spec),)
 
-    rho = state.rho.values
+    values = rho.values
     for _ in range(steps):
-        (rho,) = rk4_step(rate, (rho,), dt_pde)
-        lowest = float(np.min(rho))
+        (values,) = rk4_step(rate, (values,), dt_pde)
+        lowest = float(np.min(values))
         if lowest < POSITIVITY_MONITOR:
             raise NumericalAbort(
                 f"density positivity monitor tripped: min rho = {lowest:.3e} during diffusion"
             )
-    final_rho = ScalarField(rho, spec)
-    final_phase = osmotic_phase(drift_phi, final_rho, spec)
-    return EpistemicState(final_rho, final_phase, None, state.time + steps * dt_pde)
+    return ScalarField(values, spec)
 
 
 def entropy(rho: ScalarField) -> float:

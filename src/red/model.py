@@ -281,8 +281,6 @@ def gradient_arrays(values: np.ndarray, spec: SystemSpec, axes=None) -> list:
     buffer), so a caller that reduces one axis before it needs the next
     asks for one axis at a time and holds one derivative grid, not D.
     """
-    if not np.all(np.isfinite(values)):
-        raise GridError("cannot differentiate non-finite field values")
     real = np.isrealobj(values)
     forward = rfftn if real else fftn
     grads = []
@@ -312,12 +310,8 @@ def step_count(total_time: float, dt_pde: float) -> int:
     return steps
 
 
-def check_rk4_bound(dt_pde: float, *bounds) -> None:
-    """RK4 on spectral terms needs rate * dt_pde <= limit for every (kind, rate, limit).
-
-    A violation reports the tightest bound, whose admissible step satisfies them all.
-    """
-    kind, rate, limit = max(bounds, key=lambda bound: bound[1] / bound[2])
+def check_rk4_bound(dt_pde: float, kind: str, rate: float, limit: float) -> None:
+    """RK4 on a spectral term needs rate * dt_pde <= limit; a violation reports the admissible step."""
     if rate * dt_pde > limit:
         raise StabilityError(
             f"dt_pde={dt_pde:.3e} exceeds the {kind} stability bound; "
@@ -447,7 +441,6 @@ class EpistemicState:
     rho: ScalarField
     phase: ScalarField
     phase_slope: np.ndarray = None
-    time: float = 0.0
     wave_values: np.ndarray = None
 
     def __post_init__(self):

@@ -175,7 +175,7 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
                 )
             total_phase = total_phase + slope * mesh[axis]
     amplitude = np.sqrt(np.clip(state.rho.values, 0.0, None))
-    return WaveField(amplitude * np.exp(1j * total_phase / spec.hbar), spec, state.time)
+    return WaveField(amplitude * np.exp(1j * total_phase / spec.hbar), spec)
 
 
 def from_wavefunction(wave: WaveField) -> EpistemicState:
@@ -188,7 +188,7 @@ def from_wavefunction(wave: WaveField) -> EpistemicState:
     (fields.alive_cells).  Beyond the density, building the state allocates
     no grid.
     """
-    return EpistemicState(wave.density, None, None, wave.time, wave_values=wave.values)
+    return EpistemicState(wave.density, None, wave_values=wave.values)
 
 
 def kinetic_symbol(spec: SystemSpec) -> np.ndarray:
@@ -397,7 +397,7 @@ def hamilton_evolve(
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber
     dispersion = float(np.max(curvature_symbol)) / spec.hbar
-    check_rk4_bound(dt_pde, ("dispersive", dispersion, RK4_IMAG_STABILITY))
+    check_rk4_bound(dt_pde, "dispersive", dispersion, RK4_IMAG_STABILITY)
 
     u_values = potential.values.values
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]
@@ -435,6 +435,4 @@ def hamilton_evolve(
     phase = state.phase.values
     for _ in range(steps):
         rho, phase = rk4_step(rates, (rho, phase), dt_pde)
-    return EpistemicState(
-        ScalarField(rho, spec), ScalarField(phase, spec), slope, state.time + steps * dt_pde
-    )
+    return EpistemicState(ScalarField(rho, spec), ScalarField(phase, spec), slope)

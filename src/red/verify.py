@@ -31,7 +31,6 @@ from .geometry import best_match_shift, info_metric_g, info_metric_g_mc
 from .model import (
     Ensemble,
     EpistemicState,
-    ScalarField,
     ShiftVelocity,
     SystemSpec,
 )
@@ -170,11 +169,9 @@ def suite_mcfp() -> list:
     hist, _ = np.histogram(walkers.positions[:, 0], bins=bins, range=(0.0, 40.0))
     hist = hist / k_samples
 
-    state = EpistemicState(rho0, ScalarField.constant(spec, 0.0))
-    evolved = diffuse(state, ScalarField.constant(spec, 0.0),
-                      ShiftVelocity.zero(spec), total_time, 2e-3)
+    evolved = diffuse(rho0, total_time, 2e-3)
     cells_per_bin = spec.grid_points[0] // bins
-    fp_mass = evolved.rho.values.reshape(bins, cells_per_bin).sum(axis=1) * spec.cell_volume
+    fp_mass = evolved.values.reshape(bins, cells_per_bin).sum(axis=1) * spec.cell_volume
 
     sigma_final = np.sqrt(sigma0 ** 2 + spec.hbar * total_time / spec.masses[0])
     exact_mass = gaussian_density(spec, 20.0, sigma_final).values.reshape(

@@ -1,0 +1,57 @@
+"""Every top-level function and class of src/red has a caller outside the tests.
+
+A reference is a Name or Attribute node in src/red, scripts or perfbench,
+or a part of a dot-split string constant in perfbench, whose LAYERS table
+names the layers it traces as strings.  A definition is not a reference to
+itself, and neither is an import.  This is the search by name; whether a
+caller passes values at which a code path does any work is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "red"
+
+
+def parsed(directory: Path) -> list:
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(directory.rglob("*.py"))]
+
+
+def top_level_definitions(trees: list) -> set:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for tree in trees for node in tree.body if isinstance(node, kinds)}
+
+
+def referenced_names(trees: list, strings: bool) -> set:
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def unreferenced(package: list, others: list, strings: list) -> list:
+    names = (referenced_names(package + others, strings=False)
+             | referenced_names(strings, strings=True))
+    return sorted(top_level_definitions(package) - names)
+
+
+def test_every_top_level_name_has_a_non_test_caller():
+    package = parsed(PACKAGE)
+    assert len(top_level_definitions(package)) > 100
+    perfbench = parsed(ROOT / "perfbench")
+    assert unreferenced(package, parsed(ROOT / "scripts") + perfbench, perfbench) == []
+
+
+def test_a_definition_or_an_import_is_no_reference():
+    package = [ast.parse("def lone():\n    pass\n\n\ndef used():\n    pass\n\n\n"
+                         "def traced():\n    pass\n\n\nclass Kept:\n    pass\n\n\nvalue = used()\n")]
+    others = [ast.parse("import red\nfrom red.model import lone\n\nred.Kept()\n")]
+    strings = [ast.parse("LAYERS = (('fields', 'traced'),)\n")]
+    assert unreferenced(package, others, strings) == ["lone"]

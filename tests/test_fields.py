@@ -2,25 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import translate_array
 from red.errors import StabilityError
 from red.fields import (
     diffuse,
     entropy,
     entropy_rate,
-    osmotic_phase,
     phase_gradient_arrays,
+    regularized_log_density,
     state_drift_potential,
 )
 from red.model import (
     EpistemicState,
     ScalarField,
-    ShiftVelocity,
     SystemSpec,
     normalized_density,
     quadrature,
 )
-from red.presets import gaussian_density, gaussian_state
+from red.presets import gaussian_density
 from red.quantum import WaveField, from_wavefunction
 
 
@@ -28,30 +26,17 @@ def spec_1p(n=256, box=20.0, dt=0.01, mass=1.0, hbar=1.0):
     return SystemSpec(1, 1, (mass,), (box,), (n,), dt, hbar)
 
 
-def uniform_state(spec):
-    rho = ScalarField.constant(spec, 1.0 / spec.volume)
-    return EpistemicState(rho, ScalarField.constant(spec, 0.0))
-
-
 def sine_drift(spec, amplitude):
     x = spec.axis_coords[0]
     return ScalarField(amplitude * np.sin(2 * np.pi * x / spec.box_length[0]), spec)
-
-
-def test_osmotic_phase_uniform():
-    # uniform rho: Phi = hbar*(phi + 0.5 log V), constant
-    spec = spec_1p()
-    rho = ScalarField.constant(spec, 1.0 / spec.volume)
-    phase = osmotic_phase(ScalarField.constant(spec, 2.0), rho, spec)
-    expected = 1.0 * (2.0 + 0.5 * np.log(spec.volume))
-    assert np.allclose(phase.values, expected, atol=1e-12)
 
 
 def test_phase_drift_round_trip():
     spec = spec_1p()
     rho = gaussian_density(spec, 10.0, 1.3)
     phi = sine_drift(spec, 1.0)
-    grid, slope = state_drift_potential(EpistemicState(rho, osmotic_phase(phi, rho, spec)))
+    phase = ScalarField(spec.hbar * (phi.values - 0.5 * regularized_log_density(rho)), spec)
+    grid, slope = state_drift_potential(EpistemicState(rho, phase))
     assert np.max(np.abs(grid.values - phi.values)) < 1e-12
     assert np.array_equal(slope, [0.0])
 
@@ -60,9 +45,9 @@ def test_osmotic_phase_of_constant_drift_is_minus_half_log_rho():
     # exact wherever the density is above OSMOTIC_EXACT of its peak
     spec = spec_1p()
     rho = gaussian_density(spec, 10.0, 1.0)
-    phase = osmotic_phase(ScalarField.constant(spec, 0.0), rho, spec)
+    phase = -0.5 * spec.hbar * regularized_log_density(rho)
     exact = rho.values > 1e-8 * float(np.max(rho.values))
-    assert np.allclose(phase.values[exact], -0.5 * np.log(rho.values[exact]), atol=1e-12)
+    assert np.allclose(phase[exact], -0.5 * np.log(rho.values[exact]), atol=1e-12)
 
 
 def test_phase_gradient_handles_wrapped_phase():
@@ -80,66 +65,28 @@ def test_phase_gradient_handles_wrapped_phase():
 
 
 def test_fokker_planck_uniform_fixed_point():
-    # a uniform density only translates under a constant shift
+    # a uniform density is a fixed point of free diffusion
     spec = spec_1p()
-    out = diffuse(uniform_state(spec), ScalarField.constant(spec, 0.0),
-                  ShiftVelocity(np.array([0.8]), spec), 1e-3, 1e-3)
-    assert np.max(np.abs(out.rho.values - 1.0 / spec.volume)) < 1e-12
-    assert out.time == pytest.approx(1e-3)
+    out = diffuse(ScalarField.constant(spec, 1.0 / spec.volume), 1e-3, 1e-3)
+    assert np.max(np.abs(out.values - 1.0 / spec.volume)) < 1e-12
 
 
-def test_fokker_planck_advects_gaussian():
-    # shift -v moves the center by v * t; spreading leaves the center alone
-    spec = spec_1p(n=512, box=40.0)
-    state = EpistemicState(gaussian_density(spec, 20.0, 1.0), ScalarField.constant(spec, 0.0))
-    v, total_time = 0.5, 0.2
-    out = diffuse(state, ScalarField.constant(spec, 0.0), ShiftVelocity(np.array([-v]), spec),
-                  total_time, 1e-3)
-    x = spec.axis_coords[0]
-    center = quadrature(ScalarField(out.rho.values * x, spec))
-    assert center == pytest.approx(20.0 + v * total_time, abs=1e-8)
-
-
-def test_fokker_planck_conserves_mass_and_phase():
-    # diffuse hands back the osmotic phase of its own final density
+def test_fokker_planck_conserves_mass():
     spec = spec_1p(n=256, box=20.0)
-    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
-    drift = sine_drift(spec, 0.3)
-    out = diffuse(state, drift, ShiftVelocity(np.array([0.2]), spec), 5e-4, 5e-4)
-    assert abs(quadrature(out.rho) - 1.0) < 1e-12
-    assert np.array_equal(out.phase.values, osmotic_phase(drift, out.rho, spec).values)
+    out = diffuse(gaussian_density(spec, 10.0, 1.5), 5e-4, 5e-4)
+    assert abs(quadrature(out) - 1.0) < 1e-12
 
 
 def test_fokker_planck_stability_error_reports_admissible_dt():
     spec = spec_1p(n=256, box=20.0)
-    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
-    drift = ScalarField.constant(spec, 0.0)
-    shift = ShiftVelocity(np.array([50.0]), spec)
-    with pytest.raises(StabilityError) as err:
-        diffuse(state, drift, shift, 0.1, 0.1)
+    rho = gaussian_density(spec, 10.0, 1.5)
+    with pytest.raises(StabilityError, match="diffusive") as err:
+        diffuse(rho, 0.1, 0.1)
     admissible = err.value.admissible_dt
     assert 0 < admissible < 0.1
     # the reported step must actually be admissible
     dt_pde = admissible * 0.99
-    diffuse(state, drift, shift, dt_pde, dt_pde)
-
-
-def test_fokker_planck_shift_equivariance_second_order():
-    # a step with shift vs a step without it composed with rigid advection
-    spec = spec_1p(n=256, box=20.0)
-    state = EpistemicState(gaussian_density(spec, 10.0, 1.2), ScalarField.constant(spec, 0.0))
-    drift = sine_drift(spec, 0.4)
-    xi = 0.7
-
-    def mismatch(dt_pde):
-        shifted = diffuse(state, drift, ShiftVelocity(np.array([xi]), spec), dt_pde, dt_pde)
-        plain = diffuse(state, drift, ShiftVelocity.zero(spec), dt_pde, dt_pde)
-        advected = translate_array(plain.rho.values, spec, np.array([-xi * dt_pde]))
-        return float(np.max(np.abs(shifted.rho.values - advected)))
-
-    coarse, fine = mismatch(2e-3), mismatch(1e-3)
-    assert coarse < 1e-6
-    assert coarse / fine > 3.0  # second-order in dt_pde
+    diffuse(rho, dt_pde, dt_pde)
 
 
 @given(seed=st.integers(0, 2 ** 31))
@@ -152,10 +99,9 @@ def test_fokker_planck_mass_conservation_random_states(seed):
         rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((x - rng.uniform(4, 16)) / rng.uniform(0.8, 2.0)) ** 2)
         for _ in range(3)
     )
-    state = EpistemicState(normalized_density(spec, bumps + 0.01), ScalarField.constant(spec, 0.0))
-    out = diffuse(state, sine_drift(spec, 0.2), ShiftVelocity(np.array([0.1]), spec), 5e-3, 1e-3)
-    assert abs(quadrature(out.rho) - 1.0) < 1e-12
-    assert float(np.min(out.rho.values)) > -1e-10
+    out = diffuse(normalized_density(spec, bumps + 0.01), 5e-3, 1e-3)
+    assert abs(quadrature(out) - 1.0) < 1e-12
+    assert float(np.min(out.values)) > -1e-10
 
 
 def test_entropy_uniform_and_gaussian():
@@ -185,24 +131,20 @@ def test_entropy_rate_zero_for_linear_phase():
 def test_entropy_rate_matches_finite_difference_diffusion():
     # pure diffusion of a Gaussian: S(t) known, rate from the formula must match
     spec = spec_1p(n=512, box=40.0, dt=0.01)
-    drift = ScalarField.constant(spec, 0.0)
-    rho = gaussian_density(spec, 20.0, 1.0)
-    state = EpistemicState(rho, osmotic_phase(drift, rho, spec))
-    shift = ShiftVelocity.zero(spec)
-
     dt_pde = 1e-3
     t_probe = 0.1
-    # diffuse hands back a state carrying the phase of its own density
-    evolved = diffuse(state, drift, shift, t_probe, dt_pde)
-    rate = entropy_rate(evolved)
+    evolved = diffuse(gaussian_density(spec, 20.0, 1.0), t_probe, dt_pde)
+    # the phase of zero drift: -hbar/2 log rho
+    phase = ScalarField(-0.5 * spec.hbar * regularized_log_density(evolved), spec)
+    rate = entropy_rate(EpistemicState(evolved, phase))
 
     delta = 2e-3
-    fwd = diffuse(evolved, drift, shift, delta, dt_pde)
+    fwd = diffuse(evolved, delta, dt_pde)
     # analytic oracle: variance grows linearly, S = 0.5 log(2 pi e s^2)
     s2 = 1.0 + 1.0 * t_probe  # hbar/m = 1
     analytic_rate = 0.5 / s2
     assert rate == pytest.approx(analytic_rate, rel=2e-3)
-    fd_rate = (entropy(fwd.rho) - entropy(evolved.rho)) / delta
+    fd_rate = (entropy(fwd) - entropy(evolved)) / delta
     assert rate == pytest.approx(fd_rate, rel=5e-3)
 
 
@@ -213,16 +155,5 @@ def test_entropy_rate_matches_finite_difference_diffusion():
 ])
 def test_diffuse_rejects_bad_step_parameters(total_time, dt_pde, message):
     spec = spec_1p(n=64)
-    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
-    drift = ScalarField.constant(spec, 0.0)
     with pytest.raises(ValueError, match=message):
-        diffuse(state, drift, ShiftVelocity.zero(spec), total_time, dt_pde)
-
-
-def test_diffuse_time_comes_from_the_step_index():
-    # a running sum of 100 * 1e-3 gives 0.10000000000000007
-    spec = spec_1p(n=64)
-    state = EpistemicState(gaussian_density(spec, 10.0, 1.5), ScalarField.constant(spec, 0.0))
-    drift = ScalarField.constant(spec, 0.0)
-    evolved = diffuse(state, drift, ShiftVelocity.zero(spec), 0.1, 1e-3)
-    assert evolved.time == 0.1
+        diffuse(gaussian_density(spec, 10.0, 1.5), total_time, dt_pde)

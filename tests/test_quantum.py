@@ -101,13 +101,12 @@ def test_wavefunction_round_trip_preserves_density_and_phase():
     state = gaussian_state(spec, sigma=1.5, slope=slope)
     x = spec.mesh()[0]
     phase = ScalarField(0.1 * np.sin(2.0 * np.pi * x / spec.axis_box[0]), spec)
-    state = EpistemicState(state.rho, phase, slope, time=0.7)
+    state = EpistemicState(state.rho, phase, slope)
 
     wave = to_wavefunction(state)
     back = from_wavefunction(wave)
 
     assert back.phase_wrapped
-    assert back.time == 0.7
     np.testing.assert_allclose(back.rho.values, state.rho.values, rtol=1e-12, atol=1e-300)
     # phases can only agree modulo 2 pi hbar; compare on the circle, away
     # from the masked tail cells
@@ -419,7 +418,6 @@ def test_hamilton_matches_schrodinger_on_smooth_potential():
     ham = hamilton_evolve(state, potential, shift, t, dt)
     schrod = schrodinger_evolve(to_wavefunction(state), potential, shift, t, dt)
 
-    assert ham.time == pytest.approx(t)
     assert quadrature(ham.rho) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(ham.rho.values - np.abs(schrod.values) ** 2)) < 1e-6
     p_ham = expected_momentum(to_wavefunction(ham))
@@ -464,10 +462,3 @@ def test_expected_momentum_of_lattice_packet():
     wave = packet_wave(spec, centers=(6.0, 10.0), sigmas=(1.2, 1.4), modes=(3, -2))
     expected = lattice_momentum(spec, 0, 3) + lattice_momentum(spec, 1, -2)
     assert expected_momentum(wave)[0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_hamilton_time_comes_from_the_step_index():
-    # a running sum of 100 * 1e-3 gives 0.10000000000000007
-    state = floored_state(gaussian_state(SPEC_1D, sigma=1.5))
-    evolved = hamilton_evolve(state, Potential.free(SPEC_1D), ShiftVelocity.zero(SPEC_1D), 0.1, 1e-3)
-    assert evolved.time == 0.1
