@@ -230,7 +230,7 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     report = info_metric_g(state, shift)
     named = {
         "t": wave.time,
-        "energy": total_energy(state, potential, shift),
+        "energy": total_energy(state, potential, report.h0_term),
         "norm": quadrature(state.rho),
         "entropy": entropy(state.rho),
         "g_total": report.g_total,

@@ -46,8 +46,12 @@ def alive_cells(rho: np.ndarray) -> np.ndarray:
     return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
 
 
-def phase_gradient_arrays(state: EpistemicState) -> list:
-    """grad Phi per axis, plus the exact slope contribution.
+def phase_gradient_arrays(state: EpistemicState, axes=None) -> list:
+    """grad Phi along `axes` (default: all), plus the exact slope contribution.
+
+    A caller that reduces one axis before it needs the next asks for one
+    axis at a time, phase_gradient_arrays(state, (axis,)), and holds one
+    real gradient grid, not D.
 
     Smooth (unwrapped) phase grids are differentiated spectrally as they
     stand.  That path involves no division by rho, so roundoff junk in
@@ -67,16 +71,17 @@ def phase_gradient_arrays(state: EpistemicState) -> list:
     first factor, so no conj(psi) grid is built.
     """
     spec = state.spec
+    axes = range(spec.dim) if axes is None else axes
     if not state.phase_wrapped:
-        grads = gradient_arrays(state.phase.values, spec)
-        for axis, grad in enumerate(grads):
+        grads = gradient_arrays(state.phase.values, spec, axes)
+        for axis, grad in zip(axes, grads):
             grad += state.phase_slope[axis]
         return grads
     rho = state.rho.values
     alive = alive_cells(rho)
     psi = state.wave_values if np.all(alive) else np.where(alive, state.wave_values, 0.0)
     grads = []
-    for axis in range(spec.dim):
+    for axis in axes:
         # one complex derivative at a time, reduced to its real gradient before the next
         [product] = gradient_arrays(psi, spec, (axis,))
         np.conjugate(product, out=product)
@@ -205,11 +210,17 @@ def entropy_rate(state: EpistemicState) -> float:
     spectral integration-by-parts identity.  Independent of the shift.
     """
     spec = state.spec
-    phase_grads = state.phase_gradients
     total = 0.0
     for axis in range(spec.dim):
-        [product] = gradient_arrays(state.rho.values, spec, (axis,))
-        product *= phase_grads[axis]
-        total -= float(np.sum(product)) / spec.axis_masses[axis]
-        del product
+        [grad] = phase_gradient_arrays(state, (axis,))
+        total -= entropy_rate_term(state, axis, grad)
+        del grad
     return total * spec.cell_volume
+
+
+def entropy_rate_term(state: EpistemicState, axis: int, phase_grad: np.ndarray) -> float:
+    """(1/m_A) sum over cells of d_A(rho) d_A(Phi) for one axis; phase_grad is left as it was."""
+    spec = state.spec
+    [product] = gradient_arrays(state.rho.values, spec, (axis,))
+    product *= phase_grad
+    return float(np.sum(product)) / spec.axis_masses[axis]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import entropy_rate
+from .fields import entropy_rate_term, phase_gradient_arrays
 from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
 from .quantum import WaveField, WaveSpectrum, spectrum_momentum
 from .sampler import STREAM_MONTE_CARLO, Drift, stream
@@ -68,17 +68,31 @@ class MonteCarloEstimate:
 
 def ensemble_hamiltonian_h0(state: EpistemicState, shift: ShiftVelocity) -> float:
     """Flow kinetic energy relative to the shift plus the curvature term."""
-    spec = state.spec
-    rho = state.rho.values
-    phase_grads = state.phase_gradients
-    root_squares = state.root_gradient_squares
+    root_squares = state.root_gradient_squares  # built before any phase gradient lives
     total = 0.0
-    for axis in range(spec.dim):
-        mass = spec.axis_masses[axis]
-        relative = phase_grads[axis] - mass * shift.per_axis[axis]
-        total += float(np.sum(rho * relative ** 2) / (2.0 * mass)) * spec.cell_volume
-        total += float(root_squares[axis] * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
+    for axis in range(state.spec.dim):
+        [grad] = phase_gradient_arrays(state, (axis,))
+        total += _flow_energy(state, shift, axis, grad)
+        total += _curvature_energy(state.spec, axis, root_squares[axis])
+        del grad
     return total
+
+
+def _flow_energy(state: EpistemicState, shift: ShiftVelocity, axis: int,
+                 phase_grad: np.ndarray) -> float:
+    """int rho (d_A Phi - m_A shift_A)^2 / (2 m_A) for one axis, computed in phase_grad's buffer."""
+    spec = state.spec
+    mass = spec.axis_masses[axis]
+    phase_grad -= mass * shift.per_axis[axis]
+    np.square(phase_grad, out=phase_grad)
+    phase_grad *= state.rho.values
+    return float(np.sum(phase_grad) / (2.0 * mass)) * spec.cell_volume
+
+
+def _curvature_energy(spec: SystemSpec, axis: int, root_square: float) -> float:
+    """int (hbar^2 / (2 m_A)) (d_A sqrt(rho))^2 for one axis, from its root_gradient_squares entry."""
+    mass = spec.axis_masses[axis]
+    return float(root_square * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
 
 
 def kernel_spread_constant(spec: SystemSpec) -> float:
@@ -91,11 +105,22 @@ def info_metric_g(state: EpistemicState, shift: ShiftVelocity) -> MismatchReport
 
     Uses the kernel time step spec.dt.  The three reported terms sum to
     g_total exactly by construction; each is also independently meaningful.
+    The entropy rate and H0 share one loop over the axes: each phase
+    gradient serves both, then is freed before the next axis is built, with
+    the bits of fields.entropy_rate and ensemble_hamiltonian_h0.
     """
     spec = state.spec
     constant = kernel_spread_constant(spec)
-    entropy_term = -0.5 * spec.hbar * entropy_rate(state)
-    h0_term = ensemble_hamiltonian_h0(state, shift)
+    root_squares = state.root_gradient_squares  # built before any phase gradient lives
+    rate = 0.0
+    h0_term = 0.0
+    for axis in range(spec.dim):
+        [grad] = phase_gradient_arrays(state, (axis,))
+        rate -= entropy_rate_term(state, axis, grad)
+        h0_term += _flow_energy(state, shift, axis, grad)  # overwrites grad
+        h0_term += _curvature_energy(spec, axis, root_squares[axis])
+        del grad
+    entropy_term = -0.5 * spec.hbar * (rate * spec.cell_volume)
     return MismatchReport(
         g_total=constant + entropy_term + h0_term,
         constant_term=constant,
@@ -154,16 +179,19 @@ def info_metric_g_mc(
 def total_momentum(state: EpistemicState) -> np.ndarray:
     """Density-weighted total flow momentum per spatial axis, shape (d,).
 
-    int rho d_A Phi from state.phase_gradients, summed onto the spatial
-    axes; smooth and wrapped states alike (a wrapped one differentiates the
-    wave it carries).  The momentum of a WaveField is WaveField.momentum
-    (quantum.expected_momentum, kept with the wave).
+    int rho d_A Phi from fields.phase_gradient_arrays, one axis at a time,
+    summed onto the spatial axes; smooth and wrapped states alike (a wrapped
+    one differentiates the wave it carries).  The momentum of a WaveField is
+    WaveField.momentum (quantum.expected_momentum, kept with the wave).
     """
     spec = state.spec
     rho = state.rho.values
     out = np.zeros(spec.spatial_dim)
-    for axis, grad in enumerate(state.phase_gradients):
-        out[spec.spatial_of_axis(axis)] += float(np.sum(rho * grad)) * spec.cell_volume
+    for axis in range(spec.dim):
+        [grad] = phase_gradient_arrays(state, (axis,))
+        grad *= rho
+        out[spec.spatial_of_axis(axis)] += float(np.sum(grad)) * spec.cell_volume
+        del grad
     return out
 
 
@@ -192,7 +220,7 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
         raise ValueError(f"unknown best-match mode {mode!r}")
 
     rho = state.rho.values
-    phase_grads = state.phase_gradients
+    phase_grads = phase_gradient_arrays(state)
 
     def quadrature_gradient(shift_components: np.ndarray) -> np.ndarray:
         # d(g_total)/d(shift_a) = -int rho sum_n (d_A Phi - m_A shift_a)

@@ -476,13 +476,6 @@ class EpistemicState:
         return self.wave_values is not None
 
     @cached_property
-    def phase_gradients(self) -> tuple:
-        """fields.phase_gradient_arrays of this state, computed once; read-only arrays."""
-        from .fields import phase_gradient_arrays  # fields builds on this module
-
-        return _read_only(phase_gradient_arrays(self))
-
-    @cached_property
     def root_gradient_squares(self) -> tuple:
         """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats, computed once.
 
@@ -497,13 +490,6 @@ class EpistemicState:
             squares.append(float(np.sum(np.square(grad, out=grad))))
             del grad
         return tuple(squares)
-
-
-def _read_only(arrays) -> tuple:
-    arrays = tuple(arrays)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:

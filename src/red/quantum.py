@@ -301,17 +301,15 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     return spectrum_momentum(WaveSpectrum(fftn(wave.values, spec, out=buffer), spec))
 
 
-def total_energy(state: EpistemicState, potential: Potential, shift: ShiftVelocity) -> float:
+def total_energy(state: EpistemicState, potential: Potential, h0: float) -> float:
     """Discrete ensemble Hamiltonian: flow plus curvature terms plus potential average.
 
     This is the conserved quantity of the coupled (rho, Phi) equations;
     the split-step integrator preserves it to second order in dt_pde.  The
-    state of a wave is from_wavefunction(wave).
+    state of a wave is from_wavefunction(wave).  h0 holds the flow and
+    curvature pieces: the h0_term of the state's mismatch report
+    (geometry.info_metric_g), or geometry.ensemble_hamiltonian_h0.
     """
-    # flow and curvature pieces, as in the mismatch decomposition
-    from .geometry import ensemble_hamiltonian_h0
-
-    h0 = ensemble_hamiltonian_h0(state, shift)
     return h0 + float(np.sum(potential.values.values * state.rho.values)) * state.spec.cell_volume
 
 

@@ -189,8 +189,8 @@ def suite_gdecomp() -> list:
     spec = SystemSpec(1, 3, (1.0,), (16.0, 16.0, 16.0), (64, 64, 64), dt=0.05)
     state = gaussian_state(spec, sigma=1.0, slope=np.full(3, 0.5))
     shift = ShiftVelocity.zero(spec)
-    # the estimate first: the state's cached gradients, which info_metric_g fills, are not alive
-    # during it
+    # the estimate holds the drift's D gradient grids; info_metric_g, after it, holds one
+    # phase gradient at a time and keeps none on the state
     estimate = info_metric_g_mc(state.rho, Drift.of(*state_drift_potential(state)), shift,
                                 n_samples=100_000, seed=DEFAULT_SEED)
     report = info_metric_g(state, shift)

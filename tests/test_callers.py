@@ -5,9 +5,11 @@ or a part of a dot-split string constant in perfbench, whose LAYERS table
 names the layers it traces as strings.  A definition is not a reference to
 itself, and neither is an import.  This is the search by name; whether a
 caller passes values at which a code path does any work is not checked.
+Every LAYERS entry must also resolve on its `red` module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +57,27 @@ def test_a_definition_or_an_import_is_no_reference():
     others = [ast.parse("import red\nfrom red.model import lone\n\nred.Kept()\n")]
     strings = [ast.parse("LAYERS = (('fields', 'traced'),)\n")]
     assert unreferenced(package, others, strings) == ["lone"]
+
+
+def perfbench_layers() -> tuple:
+    """perfbench/child.py's LAYERS, read from its source without importing perfbench."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py defines no LAYERS")
+
+
+def test_every_traced_layer_resolves_on_its_module():
+    # perfbench wraps each (module, attribute path) by name and stops if one is
+    # missing, so a renamed or removed layer would fail every traced benchmark run
+    layers = perfbench_layers()
+    assert len(layers) > 20
+    missing = []
+    for module_name, path in layers:
+        target = importlib.import_module(f"red.{module_name}")
+        for part in path.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []

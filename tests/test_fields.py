@@ -64,6 +64,28 @@ def test_phase_gradient_handles_wrapped_phase():
     assert np.max(np.abs(g - k)) < 1e-10
 
 
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_one_axis_phase_gradients_are_the_all_axes_ones_bitwise(wrapped):
+    # the row asks for one axis at a time; each keeps the bits of the all-axes call,
+    # slope included, on the smooth and the wrapped path alike
+    spec = SystemSpec(2, 1, (1.0, 1.5), (12.0,), (24, 20), dt=0.05)
+    x0 = spec.axis_coords[0].reshape(-1, 1)
+    x1 = spec.axis_coords[1].reshape(1, -1)
+    rho = normalized_density(spec, np.exp(-0.3 * (x0 - 6.0) ** 2 - 0.4 * (x1 - 5.0) ** 2))
+    phase = ScalarField(0.2 * np.sin(2 * np.pi * x0 / 12.0) * np.cos(2 * np.pi * x1 / 12.0), spec)
+    state = EpistemicState(rho, phase, np.array([0.3, -0.7]))
+    if wrapped:
+        wave = from_wavefunction(WaveField(np.sqrt(rho.values) * np.exp(1j * phase.values), spec))
+        state = EpistemicState(wave.rho, None, state.phase_slope, wave_values=wave.wave_values)
+    every = phase_gradient_arrays(state)
+    assert len(every) == 2
+    for axis in range(2):
+        [one] = phase_gradient_arrays(state, (axis,))
+        assert one.tobytes() == every[axis].tobytes()
+    assert [g.tobytes() for g in phase_gradient_arrays(state, (1, 0))] == [
+        every[1].tobytes(), every[0].tobytes()]
+
+
 def test_fokker_planck_uniform_fixed_point():
     # a uniform density is a fixed point of free diffusion
     spec = spec_1p()

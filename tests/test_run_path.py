@@ -10,6 +10,7 @@ import pytest
 from helpers import read_observables, shifted_kinetic_symbol
 import red.experiment
 import red.fields
+import red.model
 import red.quantum
 from red.config import parse_config
 from red.experiment import (
@@ -20,7 +21,7 @@ from red.experiment import (
     sample_experiment,
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
-from red.geometry import best_match_shift, ensemble_hamiltonian_h0, info_metric_g, total_momentum
+from red.geometry import best_match_shift, ensemble_hamiltonian_h0, total_momentum
 from red.io import ObservablesWriter, read_float_csv, wave_from_csv, wave_to_csv
 from red.model import (
     Ensemble,
@@ -213,7 +214,7 @@ def test_split_step_is_bitwise_the_spelled_out_loop_and_leaves_its_input(grid, m
     assert not np.shares_memory(evolved.values, wave.values)
 
 
-def test_wave_state_and_phase_gradients_are_cached_read_only():
+def test_wave_state_shares_the_density_and_caches_root_squares():
     wave = narrow_wave((16, 16), sigma=1.5)
     state = from_wavefunction(wave)
     # the state shares the wave's read-only density
@@ -223,11 +224,7 @@ def test_wave_state_and_phase_gradients_are_cached_read_only():
     assert np.array_equal(state.rho.values, fresh.rho.values)
     # and carries the wave itself, with no phase grid
     assert state.phase is None and state.wave_values is wave.values
-    grads = state.phase_gradients
-    assert state.phase_gradients is grads
-    for got, want in zip(grads, phase_gradient_arrays(fresh)):
-        assert not got.flags.writeable
-        assert np.array_equal(got, want)
+    # it caches D floats, and no gradient grid
     squares = state.root_gradient_squares
     assert state.root_gradient_squares is squares
     roots = gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)
@@ -241,7 +238,7 @@ def test_h0_from_cached_root_squares_matches_the_grid_formula():
     shift = ShiftVelocity(np.array([0.3]), spec)
     roots = gradient_arrays(np.sqrt(state.rho.values), spec)
     want = 0.0
-    for axis, (phase_grad, root_grad) in enumerate(zip(state.phase_gradients, roots)):
+    for axis, (phase_grad, root_grad) in enumerate(zip(phase_gradient_arrays(state), roots)):
         mass = spec.axis_masses[axis]
         relative = phase_grad - mass * shift.per_axis[axis]
         want += float(np.sum(state.rho.values * relative ** 2) / (2.0 * mass)) * spec.cell_volume
@@ -272,21 +269,43 @@ def frozen_expected_momentum(values, spec):
     return out
 
 
+def frozen_mismatch_terms(state, shift):
+    """(g_entropy, g_h0) as two passes over all D phase gradients: entropy_rate, then H0."""
+    spec = state.spec
+    rho = state.rho.values
+    grads = phase_gradient_arrays(state)
+    rate = 0.0
+    for axis, grad in enumerate(grads):
+        [product] = gradient_arrays(rho, spec, (axis,))
+        product *= grad
+        rate -= float(np.sum(product)) / spec.axis_masses[axis]
+    rate *= spec.cell_volume
+    roots = gradient_arrays(np.sqrt(np.clip(rho, 0.0, None)), spec)
+    h0 = 0.0
+    for axis, (grad, root_grad) in enumerate(zip(grads, roots)):
+        mass = spec.axis_masses[axis]
+        relative = grad - mass * shift.per_axis[axis]
+        h0 += float(np.sum(rho * relative ** 2) / (2.0 * mass)) * spec.cell_volume
+        h0 += float(np.sum(root_grad ** 2) * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
+    return -0.5 * spec.hbar * rate, h0
+
+
 def frozen_row(wave, potential, shift):
     """The observables row from fresh (uncached) states, one per quantity as before."""
     spec = wave.spec
-    report = info_metric_g(from_wavefunction(wave), shift)
+    g_entropy, g_h0 = frozen_mismatch_terms(from_wavefunction(wave), shift)
+    g_constant = spec.dim * spec.hbar / (4.0 * spec.dt)
     rho = np.abs(wave.values) ** 2
-    energy = report.h0_term + float(np.sum(potential.values.values * rho)) * spec.cell_volume
+    energy = g_h0 + float(np.sum(potential.values.values * rho)) * spec.cell_volume
     row = {
         "t": wave.time,
         "energy": energy,
         "norm": float(np.sum(rho) * spec.cell_volume),
         "entropy": entropy(ScalarField(rho, spec)),
-        "g_total": report.g_total,
-        "g_constant": report.constant_term,
-        "g_entropy": report.entropy_term,
-        "g_h0": report.h0_term,
+        "g_total": g_constant + g_entropy + g_h0,
+        "g_constant": g_constant,
+        "g_entropy": g_entropy,
+        "g_h0": g_h0,
     }
     momentum = frozen_expected_momentum(wave.values, spec)
     for a in range(spec.spatial_dim):
@@ -367,6 +386,65 @@ def test_row_evaluates_h0_on_one_state(tmp_path, monkeypatch):
     assert table["energy"][-1] == energy
 
 
+class RowCatcher:
+    """Stands in for the ObservablesWriter: keeps the last row _observe adds."""
+
+    def add(self, **named):
+        self.row = named
+
+
+def rows_of_a_run_and_before(wave, potential, shift):
+    """_observe's row of a new wave, and frozen_row's."""
+    writer = RowCatcher()
+    red.experiment._observe(writer, WaveField(wave.values, wave.spec, wave.time), potential, shift)
+    return writer.row, frozen_row(wave, potential, shift)
+
+
+def evolved_case(case):
+    """(wave, potential, shift): a split-stepped packet on 16^4 or 256^2, or a narrow wave with dead cells."""
+    if case == "narrow":
+        wave = narrow_wave((32, 32))
+        spec = wave.spec
+        potential = Potential.from_values(smooth_harmonic_relational_values(spec, 0.4), spec,
+                                          relational_flag=True)
+        return wave, potential, ShiftVelocity(np.array([0.37]), spec)
+    wave, potential = packet_and_spring(case)
+    shift = best_match_shift(wave)
+    return schrodinger_evolve(wave, potential, shift, 0.01, 0.005), potential, shift
+
+
+@pytest.mark.parametrize("case", [(16, 16, 16, 16), (256, 256), "narrow"], ids=["16^4", "256^2", "narrow"])
+def test_row_is_bitwise_the_frozen_row(case):
+    # one loop over the axes gives the entropy rate and H0 with the bits of two passes
+    # over all D phase gradients, and the energy is that H0 plus <U>
+    wave, potential, shift = evolved_case(case)
+    rho = wave.density.values
+    assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == (case == "narrow")
+    got, want = rows_of_a_run_and_before(wave, potential, shift)
+    assert want["g_entropy"] != 0.0 and want["g_h0"] > 0.0
+    for column in ("energy", "g_total", "g_entropy", "g_h0"):
+        assert float(got[column]).hex() == float(want[column]).hex(), column
+
+
+@pytest.mark.parametrize("case", [(16, 16, 16, 16), "narrow"], ids=["16^4", "narrow"])
+def test_row_differentiates_the_wave_once_per_axis(case, monkeypatch):
+    # the energy takes the mismatch report's H0, so the complex wave is differentiated
+    # D times per row, and rho and sqrt(rho) D times each
+    wave, potential, shift = evolved_case(case)
+    derivatives = {"complex": 0, "real": 0}
+
+    def counted(values, spec, axes=None):
+        kind = "complex" if np.iscomplexobj(values) else "real"
+        derivatives[kind] += spec.dim if axes is None else len(axes)
+        return gradient_arrays(values, spec, axes)
+
+    for module in (red.fields, red.model):
+        monkeypatch.setattr(module, "gradient_arrays", counted)
+    red.experiment._observe(RowCatcher(), WaveField(wave.values, wave.spec), potential, shift)
+    dim = wave.spec.dim
+    assert derivatives == {"complex": dim, "real": 2 * dim}
+
+
 def traced_peak(call) -> int:
     """Peak bytes of the Python and numpy allocations made during call(), above those before it."""
     started = not tracemalloc.is_tracing()
@@ -385,10 +463,11 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     # on a 16^4 wave (1 MB), one split step holds its buffer and the shifted kinetic
     # factor (2.1 grids; the norm check builds no |psi|^2); a matched step holds the
     # buffer with |psi_k|^2 while it matches, then with the kinetic factor it builds
-    # (2.3 grids); one observables row of a new wave peaks at 4.07 grids: the density,
-    # the D phase gradients it keeps and the curvature term's grids beside them, with
-    # no phase grid, no conj(psi) grid and no masked copy of a wave without dead cells;
-    # the state adds nothing beyond the density it shares with the wave
+    # (2.3 grids); one observables row of a new wave peaks at 2.07 grids (4.07 with all
+    # D phase gradients kept on the state): the density, then per axis one complex
+    # derivative and the real phase gradient it becomes, freed before the next axis,
+    # with no phase grid, no conj(psi) grid and no masked copy of a wave without dead
+    # cells; the state adds nothing beyond the density it shares with the wave
     wave, potential = packet_and_spring((16, 16, 16, 16))
     shift = best_match_shift(wave)
     grid_bytes = wave.values.nbytes
@@ -402,7 +481,7 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     state = traced_peak(lambda: from_wavefunction(fresh))
     assert step <= 3.5 * grid_bytes, step / grid_bytes
     assert matched <= 3.5 * grid_bytes, matched / grid_bytes
-    assert row <= 4.25 * grid_bytes, row / grid_bytes
+    assert row <= 2.5 * grid_bytes, row / grid_bytes
     assert state <= 0.01 * grid_bytes, state / grid_bytes
 
 
