@@ -95,11 +95,15 @@ def _command_bestmatch(args) -> int:
     from .experiment import bestmatch_report
 
     config = _load_config(args)
-    directory = _out_directory(args)
     report = bestmatch_report(config)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if directory is not None:
+    directory = Path(config.outputs)  # which --out overrides, as for run and sample
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
         (directory / "bestmatch.json").write_text(text + "\n")
+    except OSError as exc:
+        where = "/outputs" if args.out is None else "--out"
+        raise ConfigError([(where, f"cannot write the output directory: {exc}")]) from exc
     print(text)
     return EXIT_OK
 

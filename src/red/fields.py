@@ -163,11 +163,11 @@ def state_drift_potential(state: EpistemicState) -> tuple:
             "unwrap through the wavefunction route first"
         )
     spec = state.spec
-    grid = ScalarField(
-        state.phase.values / spec.hbar + 0.5 * regularized_log_density(state.rho),
-        spec,
-    )
-    return grid, state.phase_slope / spec.hbar
+    # in the logarithm's own buffer: a sum of two floats is bitwise the same in either order
+    grid = regularized_log_density(state.rho)
+    grid *= 0.5
+    grid += state.phase.values / spec.hbar
+    return ScalarField(grid, spec), state.phase_slope / spec.hbar
 
 
 def diffuse(rho: ScalarField, total_time: float, dt_pde: float) -> ScalarField:

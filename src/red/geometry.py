@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .fields import entropy_rate_term, phase_gradient_arrays
-from .model import EpistemicState, ScalarField, ShiftVelocity, SystemSpec
+from .fields import entropy_rate_term, phase_gradient_arrays, state_drift_potential
+from .model import EpistemicState, ShiftVelocity, SystemSpec, gradient_arrays
 from .quantum import WaveField, WaveSpectrum, spectrum_momentum
-from .sampler import STREAM_MONTE_CARLO, Drift, stream
+from .sampler import STREAM_MONTE_CARLO, stream
 
 BEST_MATCH_GRAD_TOL = 1e-10
 BEST_MATCH_MAX_ITER = 10_000
@@ -131,46 +131,43 @@ def info_metric_g(state: EpistemicState, shift: ShiftVelocity) -> MismatchReport
     )
 
 
-def info_metric_g_mc(
-    rho: ScalarField,
-    drift: Drift,
-    shift: ShiftVelocity,
-    n_samples: int,
-    seed: int,
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the mismatch from the kernel's own variables.
+def info_metric_g_mc(state: EpistemicState, shift: ShiftVelocity, n_samples: int,
+                     seed: int) -> MonteCarloEstimate:
+    """Monte Carlo twin of info_metric_g, from the kernel's own variables.
 
     Positions are drawn from rho; the inner average over kernel fluctuations
     is carried out analytically, which leaves the per-sample statistic
 
         f(x) = sum_A m_A v_A(x)^2 / 2,   v_A = hbar d_A(phi) / m_A - shift_A,
 
-    plus the deterministic spread constant.  Standard error scales with the
-    sample variance of f: quadrupling the sample count halves it.  The
-    samples sit on grid cells, so d_A(phi) is the drift's gradient grid
-    there plus its slope, with no interpolation.
+    plus the deterministic spread constant; phi is the state's drift
+    potential (fields.state_drift_potential).  Standard error scales with the
+    sample variance of f: quadrupling the sample count halves it.  The cells
+    are drawn before phi is built; each axis's gradient is then read there,
+    with no interpolation, and freed before the next axis.
     """
     if n_samples < 2:
         raise ConsistencyError("need at least two samples for a standard error")
-    spec = rho.spec
-    if drift.spec != spec:
-        raise ConsistencyError("density and drift potential live on different grids")
-
-    weights = np.clip(rho.values.reshape(-1), 0.0, None)
+    spec = state.spec
+    weights = np.clip(state.rho.values.reshape(-1), 0.0, None)
     total = float(np.sum(weights))
     if total <= 0.0:
         raise ConsistencyError("density has no positive cells to sample")
     weights /= total
     rng = stream(seed, STREAM_MONTE_CARLO)
     flat_cells = rng.choice(weights.size, size=n_samples, p=weights)
+    del weights
 
+    phi, slope = state_drift_potential(state)
     statistic = np.zeros(n_samples)
     for axis in range(spec.dim):
         mass = spec.axis_masses[axis]
-        cells = drift.grids[axis].reshape(-1)[flat_cells] if drift.grids else 0.0
-        grads = cells + drift.slope[axis]
+        [grad] = gradient_arrays(phi.values, spec, (axis,))
+        grads = grad.reshape(-1)[flat_cells] + slope[axis]
+        del grad
         velocity = spec.hbar * grads / mass - shift.per_axis[axis]
         statistic += 0.5 * mass * velocity ** 2
+        del grads, velocity
     value = kernel_spread_constant(spec) + float(np.mean(statistic))
     stderr = float(np.std(statistic, ddof=1) / np.sqrt(n_samples))
     return MonteCarloEstimate(value=value, stderr=stderr, n_samples=n_samples)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownSuiteError
-from .fields import diffuse, entropy, entropy_rate, state_drift_potential
+from .fields import diffuse, entropy, entropy_rate
 from .geometry import best_match_shift, info_metric_g, info_metric_g_mc
 from .model import (
     Ensemble,
@@ -189,10 +189,8 @@ def suite_gdecomp() -> list:
     spec = SystemSpec(1, 3, (1.0,), (16.0, 16.0, 16.0), (64, 64, 64), dt=0.05)
     state = gaussian_state(spec, sigma=1.0, slope=np.full(3, 0.5))
     shift = ShiftVelocity.zero(spec)
-    # the estimate holds the drift's D gradient grids; info_metric_g, after it, holds one
-    # phase gradient at a time and keeps none on the state
-    estimate = info_metric_g_mc(state.rho, Drift.of(*state_drift_potential(state)), shift,
-                                n_samples=100_000, seed=DEFAULT_SEED)
+    # each form holds one gradient grid at a time, the estimate after it has drawn its cells
+    estimate = info_metric_g_mc(state, shift, n_samples=100_000, seed=DEFAULT_SEED)
     report = info_metric_g(state, shift)
     return [
         below("constant_term_deviation", abs(report.constant_term - 15.0), 0.0),

@@ -1,4 +1,6 @@
-"""Oracles and readers shared by several test modules; nothing in `red` calls them."""
+"""Oracles, readers and probes shared by several test modules; nothing in `red` calls them."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -36,3 +38,17 @@ def translate_array(values: np.ndarray, spec: SystemSpec, displacement: np.ndarr
         spectrum = spectrum * spec.along(axis, phase)
     out = ifftn(spectrum, spec)
     return out.real if np.isrealobj(values) else out
+
+
+def traced_peak(call) -> int:
+    """Peak bytes of the Python and numpy allocations made during call(), above those before it."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -159,7 +159,7 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("command", ["run", "sample", "bestmatch"])
 def test_outputs_that_cannot_be_created_exit_2(tmp_path, capsys, command):
     (tmp_path / "plain").write_text("a regular file\n")
     path = write_config(tmp_path, outputs=str(tmp_path / "plain" / "run"),
@@ -245,6 +245,28 @@ def test_bestmatch_subcommand_prints_json(tmp_path, capsys):
     assert printed["best_match_shift"][0] == pytest.approx(BOOST, abs=1e-10)
     stored = read_json(tmp_path / "bm" / "bestmatch.json")
     assert stored == printed
+    assert not (tmp_path / "run").exists()  # --out replaces the config's outputs
+
+
+def test_bestmatch_writes_to_the_configured_outputs(tmp_path, capsys):
+    path = write_config(tmp_path, drift_or_potential={"preset": "free"})
+    assert main(["bestmatch", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "run" / "bestmatch.json").read_text() == printed
+
+
+def test_bestmatch_writes_to_the_default_outputs(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, drift_or_potential={"preset": "free"})
+    doc = json.loads(path.read_text())
+    del doc["outputs"]
+    path.write_text(json.dumps(doc))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["bestmatch", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert [p.name for p in work.iterdir()] == ["out"]
+    assert (work / "out" / "bestmatch.json").read_text() == printed
 
 
 def test_run_observables_columns(tmp_path):

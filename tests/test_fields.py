@@ -41,6 +41,18 @@ def test_phase_drift_round_trip():
     assert np.array_equal(slope, [0.0])
 
 
+def test_drift_potential_is_bitwise_the_out_of_place_sum():
+    # phi is built in the logarithm's own buffer: a sum of two floats has the same bits in
+    # either order, and 0.5 * log scales exactly
+    spec = spec_1p(hbar=0.7)
+    rho = gaussian_density(spec, 10.0, 1.3)
+    state = EpistemicState(rho, ScalarField(0.3 * sine_drift(spec, 1.0).values, spec), np.array([0.4]))
+    grid, slope = state_drift_potential(state)
+    want = state.phase.values / spec.hbar + 0.5 * regularized_log_density(rho)
+    assert grid.values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert slope.tolist() == [0.4 / 0.7]
+
+
 def test_osmotic_phase_of_constant_drift_is_minus_half_log_rho():
     # exact wherever the density is above OSMOTIC_EXACT of its peak
     spec = spec_1p()

@@ -26,7 +26,7 @@ from red.model import (
 )
 from red.presets import gaussian_density, gaussian_state
 from red.quantum import WaveField, from_wavefunction
-from red.sampler import STREAM_MONTE_CARLO, Drift, stream
+from red.sampler import STREAM_MONTE_CARLO, stream
 
 
 def uniform_state(spec, slope=None):
@@ -89,19 +89,33 @@ def test_info_metric_terms_sum_to_total():
     assert set(payload) == {"g_total", "constant_term", "entropy_term", "h0_term", "shift", "dt"}
 
 
+def own_drift_state(rho, drift):
+    """The state whose own drift potential is drift: Phi = hbar * (phi - 0.5 log rho)."""
+    spec = rho.spec
+    return EpistemicState(rho, ScalarField(spec.hbar * (drift.values - 0.5 * np.log(rho.values)), spec))
+
+
+def cosine_drift_state():
+    spec = SystemSpec(1, 1, (1.0,), (40.0,), (256,), dt=0.05)
+    x = spec.axis_coords[0]
+    drift = ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec)
+    return own_drift_state(gaussian_density(spec, 20.0, 2.0), drift)
+
+
 def test_info_metric_mc_zero_variance_case():
-    # a flat drift gives constant per-sample statistic: stderr exactly zero
+    # a uniform density and a linear phase give a flat drift, so a constant
+    # per-sample statistic: stderr exactly zero (0.75 - 0.25 keeps that constant
+    # exact, so the sample mean equals it)
     spec = SystemSpec(1, 1, (2.0,), (20.0,), (128,), dt=0.05)
-    drift = Drift(spec)
-    state = uniform_state(spec, np.array([0.9 * spec.axis_masses[0]]))
+    state = uniform_state(spec, np.array([0.75 * spec.axis_masses[0]]))
     shift = ShiftVelocity(np.array([0.25]), spec)
     report = info_metric_g(state, shift)
-    estimate = info_metric_g_mc(state.rho, drift, shift, n_samples=64, seed=7)
-    by_hand = kernel_spread_constant(spec) + 0.5 * 2.0 * 0.25 ** 2
+    estimate = info_metric_g_mc(state, shift, n_samples=64, seed=7)
+    by_hand = kernel_spread_constant(spec) + 0.5 * 2.0 * (0.75 - 0.25) ** 2
     assert estimate.value == pytest.approx(by_hand, abs=1e-12)
     assert estimate.stderr == 0.0
     assert report.entropy_term == pytest.approx(0.0, abs=1e-12)
-    assert report.h0_term == pytest.approx(0.5 * 2.0 * (0.9 - 0.25) ** 2, rel=1e-12)
+    assert report.h0_term == pytest.approx(0.5 * 2.0 * (0.75 - 0.25) ** 2, rel=1e-12)
 
 
 def test_info_metric_field_form_matches_sampled_form():
@@ -110,37 +124,29 @@ def test_info_metric_field_form_matches_sampled_form():
     spec = SystemSpec(1, 1, (1.0,), (40.0,), (512,), dt=0.05)
     x = spec.axis_coords[0]
     drift = ScalarField(0.8 * np.sin(2.0 * np.pi * x / 40.0), spec)
-    rho = gaussian_density(spec, 20.0, 1.0)
-    # Phi = hbar * (phi - 0.5 log rho), the phase whose drift potential is phi
-    state = EpistemicState(rho, ScalarField(spec.hbar * (drift.values - 0.5 * np.log(rho.values)), spec))
+    state = own_drift_state(gaussian_density(spec, 20.0, 1.0), drift)
     shift = ShiftVelocity(np.array([0.03]), spec)
     report = info_metric_g(state, shift)
-    estimate = info_metric_g_mc(rho, Drift.of(drift), shift, n_samples=200_000, seed=11)
+    estimate = info_metric_g_mc(state, shift, n_samples=200_000, seed=11)
     assert abs(estimate.value - report.g_total) < 5.0 * estimate.stderr
     assert estimate.stderr < 1e-3
 
 
 def test_mc_estimate_reproducible_and_stream_separated():
-    spec = SystemSpec(1, 1, (1.0,), (40.0,), (256,), dt=0.05)
-    x = spec.axis_coords[0]
-    drift = Drift.of(ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec))
-    rho = gaussian_density(spec, 20.0, 2.0)
-    shift = ShiftVelocity.zero(spec)
-    a = info_metric_g_mc(rho, drift, shift, n_samples=500, seed=3)
-    b = info_metric_g_mc(rho, drift, shift, n_samples=500, seed=3)
-    c = info_metric_g_mc(rho, drift, shift, n_samples=500, seed=4)
+    state = cosine_drift_state()
+    shift = ShiftVelocity.zero(state.spec)
+    a = info_metric_g_mc(state, shift, n_samples=500, seed=3)
+    b = info_metric_g_mc(state, shift, n_samples=500, seed=3)
+    c = info_metric_g_mc(state, shift, n_samples=500, seed=4)
     assert a == b
     assert a.value != c.value
 
 
 def test_mc_standard_error_scales_with_sample_count():
-    spec = SystemSpec(1, 1, (1.0,), (40.0,), (256,), dt=0.05)
-    x = spec.axis_coords[0]
-    drift = Drift.of(ScalarField(np.cos(2.0 * np.pi * x / 40.0), spec))
-    rho = gaussian_density(spec, 20.0, 2.0)
-    shift = ShiftVelocity.zero(spec)
-    small = info_metric_g_mc(rho, drift, shift, n_samples=2_000, seed=5)
-    large = info_metric_g_mc(rho, drift, shift, n_samples=8_000, seed=5)
+    state = cosine_drift_state()
+    shift = ShiftVelocity.zero(state.spec)
+    small = info_metric_g_mc(state, shift, n_samples=2_000, seed=5)
+    large = info_metric_g_mc(state, shift, n_samples=8_000, seed=5)
     # quadrupling the samples should halve the standard error, up to noise
     ratio = large.stderr / small.stderr
     assert 0.35 < ratio < 0.65
@@ -148,13 +154,9 @@ def test_mc_standard_error_scales_with_sample_count():
 
 def test_mc_rejects_degenerate_inputs():
     spec = SystemSpec(1, 1, (1.0,), (20.0,), (64,), dt=0.05)
-    rho = gaussian_density(spec, 10.0, 1.0)
-    drift = Drift(spec)
+    state = gaussian_state(spec, sigma=1.0)
     with pytest.raises(ConsistencyError):
-        info_metric_g_mc(rho, drift, ShiftVelocity.zero(spec), n_samples=1, seed=0)
-    other = SystemSpec(1, 1, (1.0,), (20.0,), (128,), dt=0.05)
-    with pytest.raises(ConsistencyError):
-        info_metric_g_mc(rho, Drift(other), ShiftVelocity.zero(spec), 10, 0)
+        info_metric_g_mc(state, ShiftVelocity.zero(spec), n_samples=1, seed=0)
 
 
 def frozen_info_metric_g_mc(rho, drift_phi, shift, n_samples, seed, drift_slope):
@@ -183,7 +185,7 @@ def test_mc_of_a_sloped_drift_matches_frozen_pair_estimator():
     shift = ShiftVelocity(np.array([0.1, 0.0, -0.2]), spec)
     grid, slope = state_drift_potential(state)
     assert np.all(slope != 0.0)
-    got = info_metric_g_mc(state.rho, Drift.of(grid, slope), shift, n_samples=5_000, seed=7)
+    got = info_metric_g_mc(state, shift, n_samples=5_000, seed=7)
     want = frozen_info_metric_g_mc(state.rho, grid, shift, 5_000, 7, slope)
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     assert np.float64(got.stderr).tobytes() == np.float64(want.stderr).tobytes()

@@ -2,12 +2,11 @@
 
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import read_observables, shifted_kinetic_symbol
+from helpers import read_observables, shifted_kinetic_symbol, traced_peak
 import red.experiment
 import red.fields
 import red.model
@@ -443,20 +442,6 @@ def test_row_differentiates_the_wave_once_per_axis(case, monkeypatch):
     red.experiment._observe(RowCatcher(), WaveField(wave.values, wave.spec), potential, shift)
     dim = wave.spec.dim
     assert derivatives == {"complex": dim, "real": 2 * dim}
-
-
-def traced_peak(call) -> int:
-    """Peak bytes of the Python and numpy allocations made during call(), above those before it."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 def test_split_step_and_row_hold_few_full_grid_arrays():

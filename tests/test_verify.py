@@ -2,8 +2,9 @@
 
 import pytest
 
+from helpers import traced_peak
 from red.errors import UnknownSuiteError
-from red.verify import SUITES, Check, SuiteReport, below, above, run_suite, run_suites
+from red.verify import SUITES, Check, SuiteReport, below, above, run_suite, run_suites, suite_gdecomp
 
 
 def test_unknown_suite_lists_available():
@@ -72,3 +73,11 @@ def test_run_suites_all_returns_one_report_per_suite():
 def test_fast_suites_pass(name):
     report = run_suite(name)
     assert report.passed, "\n".join(report.lines())
+
+
+def test_gdecomp_holds_few_of_its_grids():
+    # one 64^3 grid is 2 MiB: drawing the cells before the drift potential exists and
+    # gathering one axis's gradient at a time keeps the suite at 11.6 MiB traced
+    suite_gdecomp()  # the first call also allocates what lives on past it
+    peak = traced_peak(suite_gdecomp)
+    assert peak <= 13 * 2 ** 20, peak / 2 ** 20
