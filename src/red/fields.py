@@ -97,22 +97,23 @@ def phase_gradient_arrays(state: EpistemicState, axes=None) -> list:
 
 
 def _bump_sigmoid(u: np.ndarray) -> np.ndarray:
-    """Monotone 0 -> 1 switch, exactly flat outside (0, 1), C-infinity inside; overwrites u."""
-    np.clip(u, 0.0, 1.0, out=u)
-    rising, falling = u > 0.0, u < 1.0
-    upper = _flat_exp_reciprocal(np.subtract(1.0, u), falling)
-    lower = _flat_exp_reciprocal(u, rising)
+    """Monotone 0 -> 1 switch, exactly 0 for u <= 0 and 1 for u >= 1, C-infinity between.
+
+    Overwrites u.  Outside (0, 1) one exponential underflows to exactly 0,
+    so the quotient is exactly 0 or 1 with no mask.
+    """
+    upper = _flat_exp_reciprocal(np.subtract(1.0, u))
+    lower = _flat_exp_reciprocal(u)
     upper += lower
     return np.divide(lower, upper, out=lower)
 
 
-def _flat_exp_reciprocal(x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """exp(-1 / max(x, 1e-300)) where live and 0 elsewhere, in x's buffer."""
+def _flat_exp_reciprocal(x: np.ndarray) -> np.ndarray:
+    """exp(-1 / x), exactly 0 for x <= 1e-300 (where it underflows), in x's buffer."""
     np.maximum(x, 1e-300, out=x)
-    with np.errstate(divide="ignore", under="ignore"):
-        np.divide(-1.0, x, out=x)
+    np.divide(-1.0, x, out=x)
+    with np.errstate(under="ignore"):
         np.exp(x, out=x)
-    x[~live] = 0.0
     return x
 
 
@@ -130,7 +131,8 @@ def regularized_log_density(rho: ScalarField) -> np.ndarray:
     C-infinity bump blend in log space: a transition of merely finite
     smoothness rings at the grid scale when differentiated spectrally, and
     the ringing puts spurious drift where the density holds real
-    probability.
+    probability.  The blend is exactly 0 below its band and 1 above it, so
+    it is computed on the band's cells alone, gathered into one short array.
     """
     vals = rho.values
     top = float(np.max(vals))
@@ -142,11 +144,18 @@ def regularized_log_density(rho: ScalarField) -> np.ndarray:
     np.clip(excess, OSMOTIC_FLOOR, None, out=excess)
     np.log(excess, out=excess)
     excess -= log_lo
-    blend = _bump_sigmoid(excess / width)
-    blend *= excess
-    blend += log_lo
-    blend += np.log(top)
-    return blend
+    # blend * excess in excess's own buffer: 0 at or below the band (a log rounded
+    # under log_lo is clamped to 0, as 0 * excess is), excess itself above it
+    np.maximum(excess, 0.0, out=excess)
+    band = excess > 0.0
+    band &= excess < width
+    inside = excess[band]
+    blend = _bump_sigmoid(inside / width)
+    blend *= inside
+    excess[band] = blend
+    excess += log_lo
+    excess += np.log(top)
+    return excess
 
 
 def state_drift_potential(state: EpistemicState) -> tuple:

@@ -227,7 +227,8 @@ class ScalarField:
 
     @classmethod
     def constant(cls, spec: SystemSpec, value: float) -> "ScalarField":
-        return cls(np.full(spec.grid_points, float(value)), spec)
+        """One value on every cell: a read-only broadcast view that holds no grid."""
+        return cls(np.broadcast_to(float(value), spec.grid_points), spec)
 
 
 def quadrature(f: ScalarField) -> float:
@@ -490,15 +491,6 @@ class EpistemicState:
             squares.append(float(np.sum(np.square(grad, out=grad))))
             del grad
         return tuple(squares)
-
-
-def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:
-    """Clip negligible negatives and rescale so the quadrature is exactly 1."""
-    values = np.asarray(values, dtype=float)
-    total = float(np.sum(values) * spec.cell_volume)
-    if total <= 0:
-        raise StateError("cannot normalize a field with non-positive total")
-    return ScalarField(values / total, spec)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, GridError
+from .errors import ConsistencyError, GridError, StateError
 from .model import (
     EpistemicState,
     ScalarField,
     SystemSpec,
-    normalized_density,
 )
 
 GAUSSIAN_IMAGES = 3
@@ -29,7 +28,7 @@ def periodic_gaussian_axis(coords: np.ndarray, box: float, center: float, sigma:
 
 
 def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
-    """Normalized product of wrapped Gaussians, one factor per configuration axis."""
+    """Normalized product of wrapped Gaussians, one factor per configuration axis, in one grid."""
     center = np.broadcast_to(np.asarray(center, dtype=float), (spec.dim,))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (spec.dim,))
     if np.any(sigma <= 0):
@@ -39,8 +38,12 @@ def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
         profile = periodic_gaussian_axis(
             spec.axis_coords[axis], spec.axis_box[axis], center[axis], sigma[axis]
         )
-        values = values * spec.along(axis, profile)
-    return normalized_density(spec, values)
+        values *= spec.along(axis, profile)
+    total = float(np.sum(values) * spec.cell_volume)
+    if total <= 0:
+        raise StateError("cannot normalize a field with non-positive total")
+    values /= total
+    return ScalarField(values, spec)
 
 
 def gaussian_state(spec: SystemSpec, center=None, sigma=1.0, slope=None) -> EpistemicState:

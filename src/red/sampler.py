@@ -127,9 +127,13 @@ def evolve_ensemble(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, step
 
 
 def minimal_image(spec: SystemSpec, displacement: np.ndarray) -> np.ndarray:
-    """Fold displacements into (-L/2, L/2] per configuration axis."""
+    """Fold displacements into (-L/2, L/2] per configuration axis, as a new array."""
     box = spec.axis_box
-    return displacement - box * np.round(displacement / box)
+    # in the result's own buffer: a real product is bitwise the same in either order
+    folded = np.divide(displacement, box)
+    np.round(folded, out=folded)
+    folded *= box
+    return np.subtract(displacement, folded, out=folded)
 
 
 def sample_from_density(rho: ScalarField, n: int, rng: np.random.Generator) -> np.ndarray:

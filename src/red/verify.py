@@ -134,10 +134,12 @@ def suite_moments() -> list:
     drift = Drift(spec, slope=[3.0, 1.0])
     shift = ShiftVelocity(np.array([0.4]), spec)
     k_samples = 100_000
-    start = np.tile(np.array([10.0, 10.0]), (k_samples, 1))
-    before = Ensemble(start, spec, DEFAULT_SEED, 0.0, 0)
+    # each walker array is dropped once read: the Ensemble holds its own copy of the start
+    before = Ensemble(np.tile(np.array([10.0, 10.0]), (k_samples, 1)), spec, DEFAULT_SEED, 0.0, 0)
     after = evolve_ensemble(before, drift, shift, 1)
-    disp = minimal_image(spec, after.positions - before.positions)
+    disp = after.positions - before.positions
+    del before, after
+    disp = minimal_image(spec, disp)
     mean = disp.mean(axis=0)
     var = disp.var(axis=0, ddof=1)
     cross = float(np.cov(disp.T, ddof=1)[0, 1])

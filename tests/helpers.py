@@ -5,13 +5,23 @@ import tracemalloc
 import numpy as np
 
 from red.io import read_float_csv
-from red.model import ShiftVelocity, SystemSpec, fftn, ifftn
+from red.errors import StateError
+from red.model import ScalarField, ShiftVelocity, SystemSpec, fftn, ifftn
 
 
 def read_observables(path) -> dict:
     """Columns of an observables.csv as {name: array}."""
     header, table = read_float_csv(path)
     return {name: table[:, i] for i, name in enumerate(header)}
+
+
+def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:
+    """values rescaled, in a new array, so that the quadrature is exactly 1."""
+    values = np.asarray(values, dtype=float)
+    total = float(np.sum(values) * spec.cell_volume)
+    if total <= 0:
+        raise StateError("cannot normalize a field with non-positive total")
+    return ScalarField(values / total, spec)
 
 
 def shifted_kinetic_symbol(spec: SystemSpec, shift: ShiftVelocity) -> np.ndarray:

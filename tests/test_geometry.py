@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import normalized_density
 from red.errors import ConsistencyError
 from red.fields import state_drift_potential
 from red.geometry import (
@@ -22,7 +23,6 @@ from red.model import (
     ShiftVelocity,
     SystemSpec,
     gradient_arrays,
-    normalized_density,
 )
 from red.presets import gaussian_density, gaussian_state
 from red.quantum import WaveField, from_wavefunction

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import normalized_density
 from red.errors import GridError, StateError
 from red.model import (
     MAX_DIM,
@@ -15,7 +16,6 @@ from red.model import (
     SystemSpec,
     gradient_arrays,
     interpolate,
-    normalized_density,
     quadrature,
     step_count,
     wrap_array,
@@ -74,6 +74,23 @@ def test_quadrature_constant_field():
 def test_quadrature_zero_field():
     spec = spec_1d(64, 10.0)
     assert quadrature(ScalarField.constant(spec, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, -3.7])
+def test_constant_field_holds_one_value(value):
+    # a read-only broadcast view: every stride is 0, and sums and spectral gradients of it
+    # have the bits of the same value on a full grid
+    spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), (32, 24), 0.01)
+    field = ScalarField.constant(spec, value)
+    full = np.full(spec.grid_points, value)
+    assert field.values.strides == (0, 0)
+    assert not field.values.flags.writeable
+    with pytest.raises(ValueError):
+        field.values[0, 0] = 1.0
+    assert np.float64(quadrature(field)).view(np.uint64) == np.float64(
+        quadrature(ScalarField(full, spec))).view(np.uint64)
+    for got, want in zip(gradient_arrays(field.values, spec), gradient_arrays(full, spec)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_quadrature_normalized_gaussian():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import normalized_density
 from red.model import SystemSpec
 from red.presets import (
+    GAUSSIAN_IMAGES,
     gaussian_density,
     gaussian_wave_values,
     harmonic_relational_values,
@@ -15,6 +17,33 @@ from red.presets import (
 from red.quantum import WaveField, expected_momentum
 
 SPEC = SystemSpec(2, 1, (1.0, 1.0), (16.0,), (64, 64), dt=0.05)
+
+
+def frozen_gaussian_density(spec, center, sigma):
+    """Each axis's profile times a new grid, normalized into another."""
+    center = np.broadcast_to(np.asarray(center, dtype=float), (spec.dim,))
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (spec.dim,))
+    values = np.ones(spec.grid_points)
+    for axis in range(spec.dim):
+        coords, box = spec.axis_coords[axis], spec.axis_box[axis]
+        profile = np.zeros_like(coords)
+        for image in range(-GAUSSIAN_IMAGES, GAUSSIAN_IMAGES + 1):
+            profile += np.exp(-0.5 * ((coords - center[axis] + image * box) / sigma[axis]) ** 2)
+        values = values * spec.along(axis, profile)
+    return normalized_density(spec, values)
+
+
+@pytest.mark.parametrize("spec, center, sigma", [
+    (SystemSpec(1, 1, (1.0,), (40.0,), (512,), 0.01), 20.0, 1.0),
+    (SPEC, (7.0, 9.3), (2.4, 0.8)),
+    (SystemSpec(1, 3, (1.0,), (16.0, 12.0, 10.0), (16, 12, 10), 0.05), (8.0, 1.0, 9.5), 1.3),
+])
+def test_gaussian_density_is_bitwise_the_out_of_place_product(spec, center, sigma):
+    # multiplying and normalizing in one grid changes no bit: the in-place product and
+    # quotient are the same operations on the same operands
+    got = gaussian_density(spec, center, sigma).values
+    want = frozen_gaussian_density(spec, center, sigma).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_smooth_harmonic_matches_kinked_near_the_well():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import shifted_kinetic_symbol, translate_array
+from helpers import normalized_density, shifted_kinetic_symbol, translate_array
 from red.errors import NumericalAbort, StabilityError, StateError
 from red.fields import alive_cells, phase_gradient_arrays
 from red.geometry import ensemble_hamiltonian_h0, total_momentum
@@ -14,7 +14,6 @@ from red.model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    normalized_density,
     quadrature,
 )
 from red.presets import (

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import normalized_density
 from red.errors import ConsistencyError
 from red.io import read_float_csv
-from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec, normalized_density
+from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec
 from red.sampler import (
     Drift,
     evolve_ensemble,
@@ -194,6 +195,22 @@ def test_minimal_image_displacements():
     b = Ensemble(np.array([[0.5], [0.5]]), spec, 1)
     disp = minimal_image(spec, b.positions - a.positions)
     assert np.allclose(disp, 1.0)
+
+
+def test_minimal_image_is_bitwise_the_out_of_place_fold():
+    # one buffer for quotient, rounding, product and difference; box * n and n * box are
+    # bitwise equal, so every fold keeps its bits
+    spec = spec_2p(box=7.3)
+    rng = np.random.default_rng(5)
+    box = spec.axis_box
+    displacement = np.concatenate([
+        rng.uniform(-40.0, 40.0, size=(1000, 2)),
+        [0.5 * box, -0.5 * box, 1.5 * box, [0.0, -0.0], 3.0 * box],
+    ])
+    want = displacement - box * np.round(displacement / box)
+    got = minimal_image(spec, displacement)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(minimal_image(spec, displacement[0]).view(np.uint64), want[0].view(np.uint64))
 
 
 def test_sample_from_density_histogram():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import red
+from helpers import normalized_density
 from red.errors import GridError, NumericalAbort, StabilityError
 from red.fields import diffuse
 from red.model import (
@@ -28,7 +29,6 @@ from red.model import (
     ifftn,
     irfftn,
     laplacian_symbol,
-    normalized_density,
     rfftn,
     rk4_step,
     step_count,
