@@ -137,7 +137,7 @@ class _Collector:
             if key not in allowed:
                 self.add(f"{pointer}/{key}", "unknown key")
 
-    def lookup(self, section: dict, key: str, pointer: str, required: bool, default):
+    def _lookup(self, section: dict, key: str, pointer: str, required: bool, default):
         """(pointer, value) of a present key; (None, default) of a missing one, a violation if required."""
         if key in section:
             return f"{pointer}/{key}", section[key]
@@ -148,7 +148,7 @@ class _Collector:
 
     def number(self, section: dict, key: str, pointer: str, required=True, default=None,
                positive=False, nonnegative=False):
-        at, value = self.lookup(section, key, pointer, required, default)
+        at, value = self._lookup(section, key, pointer, required, default)
         if at is None:
             return value
         problem = _number_problem(value, positive, nonnegative)
@@ -159,7 +159,7 @@ class _Collector:
 
     def integer(self, section: dict, key: str, pointer: str, required=True, default=None,
                 minimum=None, maximum=None):
-        at, value = self.lookup(section, key, pointer, required, default)
+        at, value = self._lookup(section, key, pointer, required, default)
         if at is None:
             return value
         if not _is_int(value):
@@ -175,7 +175,7 @@ class _Collector:
     def number_list(self, section: dict, key: str, pointer: str, length: int,
                     required=True, default=None, positive=False, integers=False):
         """A list of `length` numbers; a bare scalar broadcasts."""
-        at, value = self.lookup(section, key, pointer, required, default)
+        at, value = self._lookup(section, key, pointer, required, default)
         if at is None:
             return value
         if _is_number(value) if not integers else _is_int(value):

@@ -244,6 +244,11 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     writer.add(**named)
 
 
+def _record_crash(out: Path, exc: Exception, time: float) -> None:
+    """error.json: the error's type and message, and the time the run had reached."""
+    write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc), "time": time})
+
+
 def run_experiment(config: ExperimentConfig) -> Path:
     """Evolve the configured system and write the run directory.
 
@@ -290,11 +295,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 snapshot(step)
     except (RedError, ArithmeticError) as exc:
         writer.write(out / "observables.csv")
-        write_json(out / "error.json", {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "time": wave.time,
-        })
+        _record_crash(out, exc, wave.time)
         raise
     writer.write(out / "observables.csv")
     return out
@@ -327,11 +328,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
             if step % run.snapshot_every == 0:
                 walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
     except (RedError, ArithmeticError) as exc:
-        write_json(out / "error.json", {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "time": walkers.time,
-        })
+        _record_crash(out, exc, walkers.time)
         raise
     return out
 

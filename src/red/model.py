@@ -476,21 +476,23 @@ class EpistemicState:
         """True when the phase grid is stored modulo 2*pi*hbar: the state carries its wave."""
         return self.wave_values is not None
 
-    @cached_property
-    def root_gradient_squares(self) -> tuple:
-        """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats, computed once.
 
-        Each axis is squared and summed in its own derivative grid, which is
-        freed before the next axis is built.
-        """
-        root = np.clip(self.rho.values, 0.0, None)
-        np.sqrt(root, out=root)
-        squares = []
-        for axis in range(self.spec.dim):
-            [grad] = gradient_arrays(root, self.spec, (axis,))
-            squares.append(float(np.sum(np.square(grad, out=grad))))
-            del grad
-        return tuple(squares)
+def root_gradient_squares(state: EpistemicState) -> list:
+    """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats.
+
+    sqrt(rho) is clipped and rooted in one grid.  Each axis is squared and
+    summed in its own derivative grid, which is freed before the next axis
+    is built.
+    """
+    spec = state.spec
+    root = np.clip(state.rho.values, 0.0, None)
+    np.sqrt(root, out=root)
+    squares = []
+    for axis in range(spec.dim):
+        [grad] = gradient_arrays(root, spec, (axis,))
+        squares.append(float(np.sum(np.square(grad, out=grad))))
+        del grad
+    return squares
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,7 @@ def total_energy(state: EpistemicState, potential: Potential, h0: float) -> floa
     the split-step integrator preserves it to second order in dt_pde.  The
     state of a wave is from_wavefunction(wave).  h0 holds the flow and
     curvature pieces: the h0_term of the state's mismatch report
-    (geometry.info_metric_g), or geometry.ensemble_hamiltonian_h0.
+    (geometry.info_metric_g), which computes H0 in its one loop over the axes.
     """
     return h0 + float(np.sum(potential.values.values * state.rho.values)) * state.spec.cell_volume
 

@@ -59,9 +59,9 @@ class Drift:
             np.asarray(slope, dtype=float), (spec.dim,)).copy()
 
     @classmethod
-    def of(cls, drift_phi: ScalarField, slope=None) -> "Drift":
-        """Drift of the grid potential drift_phi (differentiated spectrally) plus slope . x."""
-        return cls(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec), slope)
+    def of(cls, drift_phi: ScalarField) -> "Drift":
+        """Drift of the grid potential drift_phi, differentiated spectrally."""
+        return cls(drift_phi.spec, gradient_arrays(drift_phi.values, drift_phi.spec))
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """grad phi at (K, D) points, as a new (K, D) array the caller owns."""

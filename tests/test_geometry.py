@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import normalized_density
 from red.errors import ConsistencyError
-from red.fields import state_drift_potential
+from red.fields import phase_gradient_arrays, state_drift_potential
 from red.geometry import (
     MonteCarloEstimate,
     best_match_shift,
@@ -77,6 +77,35 @@ def test_h0_shift_dependence_is_exactly_quadratic():
     mass = spec.total_mass
     predicted = h0_zero + 0.5 * mass * w[0] ** 2 - w[0] * momentum[0]
     assert h0_shift == pytest.approx(predicted, rel=1e-12)
+
+
+def frozen_ensemble_hamiltonian_h0(state, shift):
+    """H0 as its own loop once computed it: the root-gradient sums, then flow and curvature per axis."""
+    spec = state.spec
+    root_squares = [float(np.sum(np.square(grad)))
+                     for grad in gradient_arrays(np.sqrt(np.clip(state.rho.values, 0.0, None)), spec)]
+    total = 0.0
+    for axis, grad in enumerate(phase_gradient_arrays(state)):
+        mass = spec.axis_masses[axis]
+        relative = grad - mass * shift.per_axis[axis]
+        total += float(np.sum(np.square(relative) * state.rho.values) / (2.0 * mass)) * spec.cell_volume
+        total += float(root_squares[axis] * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
+    return total
+
+
+def test_h0_of_a_smooth_sloped_state_is_bitwise_the_frozen_loop():
+    # the wrapped form is pinned in test_run_path; this is the smooth phase grid,
+    # with a slope, a shift and a different mass and cell count on each of three axes
+    spec = SystemSpec(3, 1, (1.0, 2.0, 0.5), (10.0,), (12, 14, 16), dt=0.05, hbar=0.8)
+    x0, x1, x2 = spec.mesh()
+    wave_number = 2.0 * np.pi / 10.0
+    phase = 0.3 * np.cos(wave_number * x0) + 0.2 * np.sin(wave_number * x1) * np.cos(wave_number * x2)
+    state = EpistemicState(gaussian_density(spec, (4.0, 5.0, 6.0), (1.5, 1.2, 1.8)),
+                           ScalarField(phase, spec), np.array([0.4, -0.3, 0.7]))
+    shift = ShiftVelocity(np.array([0.25]), spec)
+    want = frozen_ensemble_hamiltonian_h0(state, shift)
+    assert info_metric_g(state, shift).h0_term == want
+    assert ensemble_hamiltonian_h0(state, shift) == want
 
 
 def test_info_metric_terms_sum_to_total():
@@ -174,8 +203,7 @@ def frozen_info_metric_g_mc(rho, drift_phi, shift, n_samples, seed, drift_slope)
         velocity = spec.hbar * grads / mass - shift.per_axis[axis]
         statistic += 0.5 * mass * velocity ** 2
     return MonteCarloEstimate(value=kernel_spread_constant(spec) + float(np.mean(statistic)),
-                              stderr=float(np.std(statistic, ddof=1) / np.sqrt(n_samples)),
-                              n_samples=n_samples)
+                              stderr=float(np.std(statistic, ddof=1) / np.sqrt(n_samples)))
 
 
 def test_mc_of_a_sloped_drift_matches_frozen_pair_estimator():

@@ -31,6 +31,7 @@ from red.model import (
     SystemSpec,
     gradient_arrays,
     interpolate,
+    root_gradient_squares,
     wrap_array,
 )
 from red.presets import gaussian_state, smooth_harmonic_relational_values
@@ -213,7 +214,7 @@ def test_split_step_is_bitwise_the_spelled_out_loop_and_leaves_its_input(grid, m
     assert not np.shares_memory(evolved.values, wave.values)
 
 
-def test_wave_state_shares_the_density_and_caches_root_squares():
+def test_wave_state_shares_the_density_and_carries_its_wave():
     wave = narrow_wave((16, 16), sigma=1.5)
     state = from_wavefunction(wave)
     # the state shares the wave's read-only density
@@ -223,14 +224,12 @@ def test_wave_state_shares_the_density_and_caches_root_squares():
     assert np.array_equal(state.rho.values, fresh.rho.values)
     # and carries the wave itself, with no phase grid
     assert state.phase is None and state.wave_values is wave.values
-    # it caches D floats, and no gradient grid
-    squares = state.root_gradient_squares
-    assert state.root_gradient_squares is squares
+    # its root-gradient sums are D floats of the grid formula
     roots = gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)
-    assert squares == tuple(float(np.sum(g ** 2)) for g in roots)
+    assert root_gradient_squares(state) == [float(np.sum(g ** 2)) for g in roots]
 
 
-def test_h0_from_cached_root_squares_matches_the_grid_formula():
+def test_h0_from_root_squares_matches_the_grid_formula():
     wave = narrow_wave((16, 16), sigma=1.5)
     spec = wave.spec
     state = from_wavefunction(wave)
