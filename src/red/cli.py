@@ -1,8 +1,8 @@
 """Command-line entry points: run, verify, sample, bestmatch.
 
 Exit codes: 0 success, 2 configuration error (including unknown verify
-suites and usage errors), 3 numerical abort mid-run, 4 verification
-failure.
+suites, usage errors and an output that cannot be written), 3 numerical
+abort mid-run, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ def _load_config(args):
     return load_config(args.config, seed=args.seed, outputs=args.out)
 
 
-def _out_directory(args):
-    """Create the --out directory before any work is done; None without --out."""
-    if args.out is None:
-        return None
-    if not args.out:
-        raise ConfigError([("--out", "must be a non-empty path string")])
-    directory = Path(args.out)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError([("--out", f"cannot create the output directory: {exc}")]) from exc
-    return directory
-
-
 def _command_run(args) -> int:
     from .experiment import run_experiment
 
@@ -98,28 +84,27 @@ def _command_bestmatch(args) -> int:
     report = bestmatch_report(config)
     text = json.dumps(report, indent=2, sort_keys=True)
     directory = Path(config.outputs)  # which --out overrides, as for run and sample
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "bestmatch.json").write_text(text + "\n")
-    except OSError as exc:
-        where = "/outputs" if args.out is None else "--out"
-        raise ConfigError([(where, f"cannot write the output directory: {exc}")]) from exc
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "bestmatch.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
 
 
 def _command_verify(args) -> int:
     from .io import write_json
-    from .verify import run_suites, suite_names
+    from .verify import run_suite, suite_names  # at call time: perfbench traces run_suite by wrapping it
 
-    suite_names(args.suite)  # an unknown suite exits 2 before --out is created
-    directory = _out_directory(args)
-    reports = run_suites(args.suite)
+    names = suite_names(args.suite)  # an unknown suite exits 2 before --out is created
+    if args.out is not None:
+        if not args.out:
+            raise ConfigError([("--out", "must be a non-empty path string")])
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # before any suite runs
+    reports = [run_suite(name) for name in names]
     for report in reports:
         for line in report.lines():
             print(line)
-        if directory is not None:
-            write_json(directory / f"verify_{report.suite}.json", report.as_dict())
+        if args.out is not None:
+            write_json(Path(args.out) / f"verify_{report.suite}.json", report.as_dict())
     if all(report.passed for report in reports):
         return EXIT_OK
     return EXIT_VERIFY
@@ -162,6 +147,10 @@ def main(argv=None) -> int:
     except (RedError, ArithmeticError) as exc:  # ArithmeticError: Python float arithmetic failed mid-run
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # every input read maps its own OSError, so this is an output
+        where = "/outputs" if args.out is None else "--out"
+        print(ConfigError([(where, f"cannot write the output directory: {exc}")]), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

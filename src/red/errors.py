@@ -13,19 +13,8 @@ class StateError(RedError, ValueError):
     """Epistemic state violates a structural invariant (normalization, positivity)."""
 
 
-class DensityFloorError(RedError, ValueError):
-    """A density cell is too small for a downstream logarithm or division."""
-
-
 class StabilityError(RedError, ValueError):
-    """Requested PDE step exceeds an RK4 stability bound (diffusive or dispersive).
-
-    Carries the largest admissible step so callers can retry.
-    """
-
-    def __init__(self, message: str, admissible_dt: float):
-        super().__init__(message)
-        self.admissible_dt = admissible_dt
+    """Requested PDE step exceeds an RK4 stability bound (diffusive or dispersive)."""
 
 
 class NumericalAbort(RedError, RuntimeError):

@@ -18,6 +18,7 @@ alone, one entropic step spec.dt per step.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .geometry import best_match_shift, info_metric_g
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
     Ensemble,
-    ScalarField,
     ShiftVelocity,
     SystemSpec,
     gradient_arrays,
@@ -97,7 +97,7 @@ def build_initial_wave(config: ExperimentConfig) -> WaveField:
         values = envelope * np.cos(_configuration_phase(spec, slope / spec.hbar)).astype(complex)
         norm = np.sqrt(float(np.sum(np.abs(values) ** 2)) * spec.cell_volume)
         return WaveField(values / norm, spec)
-    except RedError as exc:
+    except (RedError, OSError) as exc:
         raise ConfigError([("/initial_state" if choice.file is None else "/initial_state/file", str(exc))])
 
 
@@ -110,7 +110,7 @@ def build_potential(config: ExperimentConfig) -> Potential:
             payload = read_json(choice.file)
             values = np.asarray(payload["values"], dtype=float)
             relational = payload.get("relational", False)
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError([("/drift_or_potential/file", f"unreadable potential file: {exc}")])
         if not isinstance(relational, bool):
             raise ConfigError([("/drift_or_potential/file", "`relational` must be true or false")])
@@ -146,7 +146,7 @@ def build_drift(config: ExperimentConfig) -> Drift:
         return Drift(config.spec)
     if choice.preset == "linear":
         return Drift(config.spec, slope=choice.coefficients)
-    return Drift.of(ScalarField(build_potential(config).values.values, config.spec))
+    return Drift.of(build_potential(config).values)
 
 
 def _wave_drift(wave: WaveField) -> Drift:
@@ -208,15 +208,12 @@ def _open_outputs(config: ExperimentConfig) -> Path:
     Callers build every input first, so a rejected input leaves no directory.
     """
     out = Path(config.outputs)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "manifest.json", {
-            "artifact_version": __version__,
-            "config": config.resolved,
-            "seed": config.run.seed,
-        })
-    except OSError as exc:
-        raise ConfigError([("/outputs", f"cannot write the output directory: {exc}")]) from exc
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "manifest.json", {
+        "artifact_version": __version__,
+        "config": config.resolved,
+        "seed": config.run.seed,
+    })
     return out
 
 
@@ -346,5 +343,5 @@ def bestmatch_report(config: ExperimentConfig) -> dict:
         "numerical_shift": [float(c) for c in numerical.components],
         "total_momentum": [float(p) for p in momentum],
         "total_mass": config.spec.total_mass,
-        "mismatch_at_optimum": report.as_dict(),
+        "mismatch_at_optimum": asdict(report),
     }

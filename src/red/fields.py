@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DensityFloorError, NumericalAbort
+from .errors import NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
@@ -137,7 +137,7 @@ def regularized_log_density(rho: ScalarField) -> np.ndarray:
     vals = rho.values
     top = float(np.max(vals))
     if not top > 0.0:
-        raise DensityFloorError("density has no positive cells to anchor the logarithm")
+        raise StateError("density has no positive cells to anchor the logarithm")
     log_lo = np.log(OSMOTIC_FLOOR)
     width = np.log(OSMOTIC_EXACT) - log_lo
     excess = np.divide(vals, top)

@@ -52,16 +52,6 @@ class MismatchReport:
     shift: tuple
     dt: float
 
-    def as_dict(self) -> dict:
-        return {
-            "g_total": self.g_total,
-            "constant_term": self.constant_term,
-            "entropy_term": self.entropy_term,
-            "h0_term": self.h0_term,
-            "shift": list(self.shift),
-            "dt": self.dt,
-        }
-
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -69,17 +59,6 @@ class MonteCarloEstimate:
 
     value: float
     stderr: float
-
-
-def _flow_energy(state: EpistemicState, shift: ShiftVelocity, axis: int,
-                 phase_grad: np.ndarray) -> float:
-    """int rho (d_A Phi - m_A shift_A)^2 / (2 m_A) for one axis, computed in phase_grad's buffer."""
-    spec = state.spec
-    mass = spec.axis_masses[axis]
-    phase_grad -= mass * shift.per_axis[axis]
-    np.square(phase_grad, out=phase_grad)
-    phase_grad *= state.rho.values
-    return float(np.sum(phase_grad) / (2.0 * mass)) * spec.cell_volume
 
 
 def kernel_spread_constant(spec: SystemSpec) -> float:
@@ -105,8 +84,11 @@ def info_metric_g(state: EpistemicState, shift: ShiftVelocity) -> MismatchReport
     for axis in range(spec.dim):
         [grad] = phase_gradient_arrays(state, (axis,))
         rate -= entropy_rate_term(state, axis, grad)
-        h0_term += _flow_energy(state, shift, axis, grad)  # overwrites grad
         mass = spec.axis_masses[axis]
+        grad -= mass * shift.per_axis[axis]  # the flow term, in grad's buffer
+        np.square(grad, out=grad)
+        grad *= state.rho.values
+        h0_term += float(np.sum(grad) / (2.0 * mass)) * spec.cell_volume
         h0_term += float(root_squares[axis] * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
         del grad
     entropy_term = -0.5 * spec.hbar * (rate * spec.cell_volume)

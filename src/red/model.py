@@ -316,8 +316,7 @@ def check_rk4_bound(dt_pde: float, kind: str, rate: float, limit: float) -> None
     if rate * dt_pde > limit:
         raise StabilityError(
             f"dt_pde={dt_pde:.3e} exceeds the {kind} stability bound; "
-            f"largest admissible step is {limit / rate:.3e}",
-            admissible_dt=limit / rate,
+            f"largest admissible step is {limit / rate:.3e}"
         )
 
 

@@ -112,10 +112,6 @@ class Potential:
     values: ScalarField
     relational_flag: bool = False
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values.values)):
-            raise StateError("potential values must be finite")
-
     @property
     def spec(self) -> SystemSpec:
         return self.values.spec

@@ -407,8 +407,3 @@ def suite_names(name: str) -> list:
     if name not in SUITES:
         raise UnknownSuiteError(name, list(SUITES) + ["all"])
     return [name]
-
-
-def run_suites(name: str) -> list:
-    """One report per suite that the name selects."""
-    return [run_suite(suite) for suite in suite_names(name)]

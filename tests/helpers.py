@@ -1,5 +1,6 @@
 """Oracles, readers and probes shared by several test modules; nothing in `red` calls them."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,11 @@ def read_observables(path) -> dict:
     """Columns of an observables.csv as {name: array}."""
     header, table = read_float_csv(path)
     return {name: table[:, i] for i, name in enumerate(header)}
+
+
+def admissible_step(error) -> float:
+    """The largest admissible step that a StabilityError's message reports, to its 4 digits."""
+    return float(re.search(r"largest admissible step is (\S+)$", str(error)).group(1))
 
 
 def normalized_density(spec: SystemSpec, values: np.ndarray) -> ScalarField:

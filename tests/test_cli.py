@@ -302,6 +302,28 @@ def test_bestmatch_out_that_cannot_be_created_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, blocked, flag", [
+    ("run", "wave_000001.csv", False),
+    ("run", "observables.csv", False),
+    ("run", "manifest.json", True),
+    ("sample", "walkers_000001.csv", False),
+    ("bestmatch", "bestmatch.json", False),
+    ("verify", "verify_spreading.json", True),
+], ids=["run_wave", "run_observables", "run_manifest_out", "sample_walkers", "bestmatch_report",
+        "verify_report_out"])
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked, flag):
+    path = write_config(tmp_path, shift_mode={"mode": "fixed", "values": [0.0]},
+                        run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8})
+    out = tmp_path / ("other" if flag else "run")
+    (out / blocked).mkdir(parents=True)  # a directory stands where the file goes
+    argv = ["verify", "spreading"] if command == "verify" else [command, "--config", str(path)]
+    if flag:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    pointer = "--out" if flag else "/outputs"
+    assert f"  {pointer}: cannot write the output directory: " in capsys.readouterr().err
+
+
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(red.__file__).resolve().parent.parent))
 
 

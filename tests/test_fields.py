@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import normalized_density, traced_peak
+from helpers import admissible_step, normalized_density, traced_peak
 from red.errors import StabilityError
 from red.fields import (
     OSMOTIC_EXACT,
@@ -157,7 +157,7 @@ def test_fokker_planck_stability_error_reports_admissible_dt():
     rho = gaussian_density(spec, 10.0, 1.5)
     with pytest.raises(StabilityError, match="diffusive") as err:
         diffuse(rho, 0.1, 0.1)
-    admissible = err.value.admissible_dt
+    admissible = admissible_step(err.value)
     assert 0 < admissible < 0.1
     # the reported step must actually be admissible
     dt_pde = admissible * 0.99

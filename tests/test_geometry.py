@@ -1,5 +1,7 @@
 """Mismatch functional, its decomposition, Monte Carlo estimate, best matching."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,7 +116,7 @@ def test_info_metric_terms_sum_to_total():
     report = info_metric_g(state, ShiftVelocity.zero(spec))
     assert report.g_total == report.constant_term + report.entropy_term + report.h0_term
     assert report.dt == 0.05
-    payload = report.as_dict()
+    payload = asdict(report)
     assert set(payload) == {"g_total", "constant_term", "entropy_term", "h0_term", "shift", "dt"}
 
 

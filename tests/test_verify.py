@@ -5,7 +5,7 @@ import pytest
 from helpers import traced_peak
 from red.errors import UnknownSuiteError
 from red.verify import (
-    SUITES, Check, SuiteReport, below, above, run_suite, run_suites, suite_gdecomp, suite_moments,
+    SUITES, Check, SuiteReport, below, above, run_suite, suite_gdecomp, suite_moments, suite_names,
 )
 
 
@@ -66,9 +66,9 @@ def test_suite_without_budget_has_no_runtime_row():
     assert all(check.name != "runtime_seconds" for check in report.checks)
 
 
-def test_run_suites_all_returns_one_report_per_suite():
-    names = [report.suite for report in run_suites("spreading")]
-    assert names == ["spreading"]
+def test_suite_names_select_one_suite_or_all():
+    assert suite_names("spreading") == ["spreading"]
+    assert suite_names("all") == list(SUITES)
 
 
 @pytest.mark.parametrize("name", ["boostcov", "spreading", "entropyrate", "constraint"])
