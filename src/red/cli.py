@@ -1,8 +1,8 @@
 """Command-line entry points: run, verify, sample, bestmatch.
 
-Exit codes: 0 success, 2 configuration error (including unknown verify
-suites, usage errors and an output that cannot be written), 3 numerical
-abort mid-run, 4 verification failure.
+Exit codes: 0 success, 2 a ConfigError (bad config, command line or verify
+suite) or an output that cannot be written, 3 any other RedError or a failed
+float operation mid-run, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, RedError, UnknownSuiteError
+from .errors import ConfigError, RedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, UnknownSuiteError) as exc:
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     except (RedError, ArithmeticError) as exc:  # ArithmeticError: Python float arithmetic failed mid-run

@@ -249,8 +249,8 @@ def _record_crash(out: Path, exc: Exception, time: float) -> None:
 def run_experiment(config: ExperimentConfig) -> Path:
     """Evolve the configured system and write the run directory.
 
-    Any module error mid-run is recorded in error.json next to whatever
-    snapshots and observable rows were already produced, then re-raised.
+    Any module error or failed write mid-run is recorded in error.json, next
+    to the snapshots and observable rows already produced, then re-raised.
     """
     run = config.run
     wave = build_initial_wave(config)
@@ -290,11 +290,12 @@ def run_experiment(config: ExperimentConfig) -> Path:
             wave = evolved
             if step % run.snapshot_every == 0:
                 snapshot(step)
-    except (RedError, ArithmeticError) as exc:
         writer.write(out / "observables.csv")
+    except (RedError, ArithmeticError, OSError) as exc:
+        # error.json first: the rows may be what failed to write
         _record_crash(out, exc, wave.time)
+        writer.write(out / "observables.csv")
         raise
-    writer.write(out / "observables.csv")
     return out
 
 
@@ -324,7 +325,7 @@ def sample_experiment(config: ExperimentConfig) -> Path:
             walkers = walker_step(walkers, drift, shift, spec.dt, step * spec.dt)
             if step % run.snapshot_every == 0:
                 walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
-    except (RedError, ArithmeticError) as exc:
+    except (RedError, ArithmeticError, OSError) as exc:
         _record_crash(out, exc, walkers.time)
         raise
     return out

@@ -167,7 +167,7 @@ def state_drift_potential(state: EpistemicState) -> tuple:
     differentiable.
     """
     if state.phase_wrapped:
-        raise NumericalAbort(
+        raise StateError(
             "cannot build a drift potential from a wrapped phase grid; "
             "unwrap through the wavefunction route first"
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import StateError
 from .fields import entropy_rate_term, phase_gradient_arrays, state_drift_potential
 from .model import (
     EpistemicState,
@@ -126,12 +126,12 @@ def info_metric_g_mc(state: EpistemicState, shift: ShiftVelocity, n_samples: int
     with no interpolation, and freed before the next axis.
     """
     if n_samples < 2:
-        raise ConsistencyError("need at least two samples for a standard error")
+        raise StateError("need at least two samples for a standard error")
     spec = state.spec
     weights = np.clip(state.rho.values.reshape(-1), 0.0, None)
     total = float(np.sum(weights))
     if total <= 0.0:
-        raise ConsistencyError("density has no positive cells to sample")
+        raise StateError("density has no positive cells to sample")
     weights /= total
     rng = stream(seed, STREAM_MONTE_CARLO)
     flat_cells = rng.choice(weights.size, size=n_samples, p=weights)
@@ -193,7 +193,7 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
             return ShiftVelocity(state.momentum / mass, spec)
         return ShiftVelocity(total_momentum(state) / mass, spec)
     if mode != "numerical":
-        raise ValueError(f"unknown best-match mode {mode!r}")
+        raise StateError(f"unknown best-match mode {mode!r}")
 
     rho = state.rho.values
     phase_grads = phase_gradient_arrays(state)
@@ -214,7 +214,7 @@ def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
         if float(np.max(np.abs(gradient))) < BEST_MATCH_GRAD_TOL:
             return ShiftVelocity(shift, spec)
         shift = shift - gradient / mass
-    raise ConsistencyError(
+    raise StateError(
         f"best-match iteration failed to reach |gradient| < {BEST_MATCH_GRAD_TOL:g} "
         f"within {BEST_MATCH_MAX_ITER} iterations"
     )

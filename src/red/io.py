@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import StateError
 from .model import FLOAT_MAX, SystemSpec
 from .quantum import WaveField
 
@@ -274,25 +274,25 @@ def read_float_csv(path) -> tuple:
     """Header and (rows, columns) float table of a CSV, as write_float_csv writes it.
 
     Text that is not UTF-8, a missing header, a malformed row or a row whose
-    width differs from the header raises ConsistencyError.
+    width differs from the header raises StateError.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             header = next(csv.reader(handle), None)
     except UnicodeDecodeError as exc:
-        raise ConsistencyError(f"CSV {path} is not UTF-8 text: {exc}") from None
+        raise StateError(f"CSV {path} is not UTF-8 text: {exc}") from None
     if not header:
-        raise ConsistencyError(f"CSV {path} has no header row")
+        raise StateError(f"CSV {path} has no header row")
     try:
         with warnings.catch_warnings():  # an empty body is a table of zero rows
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError as exc:
-        raise ConsistencyError(f"malformed CSV row in {path}: {exc}") from None
+        raise StateError(f"malformed CSV row in {path}: {exc}") from None
     if table.size == 0:
         table = table.reshape(0, len(header))
     if table.shape[1] != len(header):
-        raise ConsistencyError(
+        raise StateError(
             f"CSV {path} rows hold {table.shape[1]} values under a header of {len(header)}"
         )
     return header, table
@@ -303,30 +303,30 @@ def _wave_sidecar(csv_path) -> tuple:
     try:
         sidecar = read_json(_sidecar_path(csv_path))
     except (ValueError, RecursionError) as exc:
-        raise ConsistencyError(f"wavefunction sidecar is not valid JSON: {exc}") from None
+        raise StateError(f"wavefunction sidecar is not valid JSON: {exc}") from None
     if not isinstance(sidecar, dict):
-        raise ConsistencyError("wavefunction sidecar must be a JSON object")
+        raise StateError("wavefunction sidecar must be a JSON object")
     shape, time = sidecar.get("shape"), sidecar.get("time")
     if not isinstance(shape, list):
-        raise ConsistencyError("wavefunction sidecar needs a `shape` list")
+        raise StateError("wavefunction sidecar needs a `shape` list")
     # a comparison, not isfinite: it also rejects JSON integers too large for a float
     if isinstance(time, bool) or not isinstance(time, (int, float)) or not abs(time) <= FLOAT_MAX:
-        raise ConsistencyError(f"wavefunction sidecar needs a finite `time`, got {time!r}")
+        raise StateError(f"wavefunction sidecar needs a finite `time`, got {time!r}")
     return shape, float(time)
 
 
 def wave_from_csv(csv_path, spec: SystemSpec) -> WaveField:
     shape, time = _wave_sidecar(csv_path)
     if tuple(shape) != spec.grid_points:
-        raise ConsistencyError(
+        raise StateError(
             f"snapshot shape {shape} does not match grid {list(spec.grid_points)}"
         )
     header, table = read_float_csv(csv_path)
     if header != ["real", "imaginary"]:
-        raise ConsistencyError(f"wavefunction CSV header {header} is not [real, imaginary]")
+        raise StateError(f"wavefunction CSV header {header} is not [real, imaginary]")
     cells = int(np.prod(spec.grid_points))
     if table.shape[0] != cells:
-        raise ConsistencyError(
+        raise StateError(
             f"wavefunction CSV holds {table.shape[0]} rows, expected {cells}"
         )
     flat = table.view(complex).reshape(spec.grid_points)
@@ -352,12 +352,12 @@ class ObservablesWriter:
         consumed = set()
         for column in self.header:
             if column not in named:
-                raise ConsistencyError(f"observable row is missing column {column!r}")
+                raise StateError(f"observable row is missing column {column!r}")
             row.append(float(named[column]))
             consumed.add(column)
         unknown = set(named) - consumed
         if unknown:
-            raise ConsistencyError(f"unknown observable columns: {sorted(unknown)}")
+            raise StateError(f"unknown observable columns: {sorted(unknown)}")
         self.rows.append(row)
 
     def write(self, path) -> None:

@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import GridError, StabilityError, StateError
+from .errors import StateError
 
 GRID_BUDGET = 2 ** 22
 # configuration axes D = N·d: past 22 the grid budget leaves some axis one cell wide
@@ -46,29 +46,29 @@ class SystemSpec:
         object.__setattr__(self, "box_length", tuple(float(b) for b in np.atleast_1d(self.box_length)))
         object.__setattr__(self, "grid_points", tuple(int(g) for g in np.atleast_1d(self.grid_points)))
         if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
+            raise StateError("n_particles must be at least 1")
         if self.spatial_dim not in (1, 2, 3):
-            raise ValueError("spatial_dim must be 1, 2, or 3")
+            raise StateError("spatial_dim must be 1, 2, or 3")
         if self.dim > MAX_DIM:
-            raise ValueError(f"n_particles · spatial_dim must be at most {MAX_DIM}")
+            raise StateError(f"n_particles · spatial_dim must be at most {MAX_DIM}")
         if len(self.masses) != self.n_particles:
-            raise ValueError(f"need {self.n_particles} masses, got {len(self.masses)}")
+            raise StateError(f"need {self.n_particles} masses, got {len(self.masses)}")
         if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
+            raise StateError("masses must be positive")
         if len(self.box_length) != self.spatial_dim:
-            raise ValueError(f"need {self.spatial_dim} box lengths, got {len(self.box_length)}")
+            raise StateError(f"need {self.spatial_dim} box lengths, got {len(self.box_length)}")
         if any(b <= 0 for b in self.box_length):
-            raise ValueError("box lengths must be positive")
+            raise StateError("box lengths must be positive")
         if len(self.grid_points) != self.dim:
-            raise ValueError(f"need {self.dim} grid sizes, got {len(self.grid_points)}")
+            raise StateError(f"need {self.dim} grid sizes, got {len(self.grid_points)}")
         if any(g < 1 for g in self.grid_points):
-            raise ValueError("grid sizes must be positive")
+            raise StateError("grid sizes must be positive")
         if int(np.prod(self.grid_points)) > GRID_BUDGET:
-            raise ValueError(f"grid has {int(np.prod(self.grid_points))} cells, budget is {GRID_BUDGET}")
+            raise StateError(f"grid has {int(np.prod(self.grid_points))} cells, budget is {GRID_BUDGET}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
+            raise StateError("dt must be positive and finite")
         if not (self.hbar > 0 and np.isfinite(self.hbar)):
-            raise ValueError("hbar must be positive and finite")
+            raise StateError("hbar must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -193,9 +193,9 @@ class ShiftVelocity:
     def __post_init__(self):
         comps = np.atleast_1d(np.asarray(self.components, dtype=float))
         if comps.shape != (self.spec.spatial_dim,):
-            raise GridError(f"expected {self.spec.spatial_dim} shift components, got shape {comps.shape}")
+            raise StateError(f"expected {self.spec.spatial_dim} shift components, got shape {comps.shape}")
         if not np.all(np.isfinite(comps)):
-            raise GridError("shift components must be finite")
+            raise StateError("shift components must be finite")
         object.__setattr__(self, "components", comps)
 
     @classmethod
@@ -218,11 +218,11 @@ class ScalarField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != tuple(self.spec.grid_points):
-            raise GridError(
+            raise StateError(
                 f"field shape {vals.shape} does not match grid {tuple(self.spec.grid_points)}"
             )
         if not np.all(np.isfinite(vals)):
-            raise GridError("field values must be finite")
+            raise StateError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -300,21 +300,21 @@ def gradient_arrays(values: np.ndarray, spec: SystemSpec, axes=None) -> list:
 def step_count(total_time: float, dt_pde: float) -> int:
     """Number of dt_pde steps spanning total_time; the one time-step validator."""
     if not (dt_pde > 0 and np.isfinite(dt_pde)):
-        raise ValueError(f"dt_pde must be positive and finite, got {dt_pde!r}")
+        raise StateError(f"dt_pde must be positive and finite, got {dt_pde!r}")
     if not np.isfinite(total_time):
-        raise ValueError(f"total_time must be finite, got {total_time!r}")
+        raise StateError(f"total_time must be finite, got {total_time!r}")
     steps = int(round(total_time / dt_pde))
     if abs(steps * dt_pde - total_time) > 1e-9 * max(1.0, abs(total_time)):
-        raise ValueError("total_time must be an integer multiple of dt_pde")
+        raise StateError("total_time must be an integer multiple of dt_pde")
     if steps < 0:
-        raise ValueError("total_time must not be negative")
+        raise StateError("total_time must not be negative")
     return steps
 
 
 def check_rk4_bound(dt_pde: float, kind: str, rate: float, limit: float) -> None:
     """RK4 on a spectral term needs rate * dt_pde <= limit; a violation reports the admissible step."""
     if rate * dt_pde > limit:
-        raise StabilityError(
+        raise StateError(
             f"dt_pde={dt_pde:.3e} exceeds the {kind} stability bound; "
             f"largest admissible step is {limit / rate:.3e}"
         )
@@ -507,9 +507,9 @@ class Ensemble:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != self.spec.dim:
-            raise GridError(f"positions must have shape (K, {self.spec.dim})")
+            raise StateError(f"positions must have shape (K, {self.spec.dim})")
         if not np.all(np.isfinite(pos)):
-            raise GridError("walker positions must be finite")
+            raise StateError("walker positions must be finite")
         object.__setattr__(self, "positions", wrap_array(self.spec, pos))
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be a non-negative integer")
+            raise StateError("rng_seed must be a non-negative integer")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, GridError, StateError
+from .errors import StateError
 from .model import (
     EpistemicState,
     ScalarField,
@@ -32,7 +32,7 @@ def gaussian_density(spec: SystemSpec, center, sigma) -> ScalarField:
     center = np.broadcast_to(np.asarray(center, dtype=float), (spec.dim,))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (spec.dim,))
     if np.any(sigma <= 0):
-        raise GridError("sigma must be positive")
+        raise StateError("sigma must be positive")
     values = np.ones(spec.grid_points)
     for axis in range(spec.dim):
         profile = periodic_gaussian_axis(
@@ -78,7 +78,7 @@ def gaussian_wave_values(spec: SystemSpec, center, sigma, modes) -> np.ndarray:
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (spec.dim,))
     modes = np.broadcast_to(np.asarray(modes, dtype=int), (spec.dim,))
     if np.any(sigma <= 0):
-        raise GridError("sigma must be positive")
+        raise StateError("sigma must be positive")
     values = np.ones(spec.grid_points, dtype=complex)
     for axis in range(spec.dim):
         coords = spec.axis_coords[axis]
@@ -97,7 +97,7 @@ def minimal_image_difference(spec: SystemSpec, axis_a: int, axis_b: int) -> np.n
     if spec.grid_points[axis_a] != spec.grid_points[axis_b] or not np.isclose(
         spec.axis_box[axis_a], spec.axis_box[axis_b]
     ):
-        raise ConsistencyError(
+        raise StateError(
             "relative coordinates need matching grids on the two axes"
         )
     xa = spec.along(axis_a, spec.axis_coords[axis_a])
@@ -110,7 +110,7 @@ def minimal_image_difference(spec: SystemSpec, axis_a: int, axis_b: int) -> np.n
 def harmonic_relational_values(spec: SystemSpec, k: float, particles=(0, 1)) -> np.ndarray:
     """U = k/2 * sum_a d(x_1a, x_2a)^2 with minimal-image distances."""
     if spec.n_particles < 2:
-        raise ConsistencyError("a relational potential needs at least two particles")
+        raise StateError("a relational potential needs at least two particles")
     p, q = particles
     values = np.zeros(spec.grid_points)
     for a in range(spec.spatial_dim):
@@ -129,7 +129,7 @@ def smooth_harmonic_relational_values(spec: SystemSpec, k: float, particles=(0, 
     at the seam and no grid representation of (rho, phase) can carry that.
     """
     if spec.n_particles < 2:
-        raise ConsistencyError("a relational potential needs at least two particles")
+        raise StateError("a relational potential needs at least two particles")
     p, q = particles
     values = np.zeros(spec.grid_points)
     for a in range(spec.spatial_dim):

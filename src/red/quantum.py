@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, NumericalAbort, StateError
+from .errors import NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
@@ -155,8 +155,10 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
 
     The slope part is single-valued on the box only when each component is
     a lattice momentum; anything else cannot be represented by a periodic
-    wavefunction and is rejected.
+    wavefunction and is rejected, as is a wrapped state (it has no phase grid).
     """
+    if state.phase_wrapped:
+        raise StateError("a wrapped state has no phase grid; it carries its wave as wave_values")
     spec = state.spec
     mesh = spec.mesh()
     total_phase = state.phase.values.copy()
@@ -411,7 +413,7 @@ def hamilton_evolve(
 
     def rates(rho_values: np.ndarray, phase_values: np.ndarray):
         if not np.all(np.isfinite(phase_values)):
-            raise GridError("cannot differentiate non-finite field values")
+            raise StateError("cannot differentiate non-finite field values")
         phase_spectrum = rfftn(phase_values, spec)
         phase_grads = [irfftn(ik * phase_spectrum, spec) for ik in spec.half_ik]
         # the curvature term enters the phase rate with a plus sign

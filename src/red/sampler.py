@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import StateError
 from .io import write_float_csv
 from .model import (
     Ensemble,
@@ -79,10 +79,10 @@ def kernel_moments(points: np.ndarray, drift: Drift, shift: ShiftVelocity, spec:
                    dt: float):
     """Vectorized kernel mean (K, D) and shared covariance diagonal (D,)."""
     if not (dt > 0 and np.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        raise StateError(f"dt must be positive and finite, got {dt!r}")
     mean = drift.gradient(points)
     if not np.all(np.isfinite(mean)):
-        raise ConsistencyError("drift gradient is not finite at a requested point")
+        raise StateError("drift gradient is not finite at a requested point")
     inv_mass = 1.0 / spec.axis_masses
     # ((hbar dt) grad) (1/m) - shift dt, in place on the gradient's own new array and one
     # column at a time: a (D,) row broadcast over (K, D) runs numpy's loop D elements at a time
@@ -119,7 +119,7 @@ def walker_step(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, dt: floa
 def evolve_ensemble(ensemble: Ensemble, drift: Drift, shift: ShiftVelocity, steps: int) -> Ensemble:
     """Advance every walker `steps` entropic instants of duration spec.dt."""
     if steps < 0:
-        raise ValueError("steps must be non-negative")
+        raise StateError("steps must be non-negative")
     t0, dt = ensemble.time, ensemble.spec.dt
     for s in range(1, steps + 1):
         ensemble = walker_step(ensemble, drift, shift, dt, t0 + s * dt)

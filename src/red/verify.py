@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownSuiteError
+from .errors import ConfigError
 from .fields import diffuse, entropy, entropy_rate
 from .geometry import best_match_shift, info_metric_g, info_metric_g_mc
 from .model import (
@@ -385,9 +385,7 @@ SUITE_BUDGETS_SECONDS = {
 
 
 def run_suite(name: str) -> SuiteReport:
-    """Run one suite; unknown names raise with the list of known suites."""
-    if name not in SUITES:
-        raise UnknownSuiteError(name, list(SUITES) + ["all"])
+    """Run one suite of the registry, by a name from suite_names."""
     start = time.perf_counter()
     checks = SUITES[name]()
     elapsed = time.perf_counter() - start
@@ -400,10 +398,11 @@ def run_suite(name: str) -> SuiteReport:
 def suite_names(name: str) -> list:
     """The suites a name selects; `all` is the full registry in order.
 
-    Unknown names raise with the list of known suites.
+    An unknown name is a ConfigError at pointer `suite` listing the known suites.
     """
     if name == "all":
         return list(SUITES)
     if name not in SUITES:
-        raise UnknownSuiteError(name, list(SUITES) + ["all"])
+        available = ", ".join(list(SUITES) + ["all"])
+        raise ConfigError([("suite", f"unknown suite {name!r}; available: {available}")])
     return [name]

@@ -17,7 +17,7 @@ def read_observables(path) -> dict:
 
 
 def admissible_step(error) -> float:
-    """The largest admissible step that a StabilityError's message reports, to its 4 digits."""
+    """The largest admissible step that a StateError's message reports, to its 4 digits."""
     return float(re.search(r"largest admissible step is (\S+)$", str(error)).group(1))
 
 

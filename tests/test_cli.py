@@ -322,6 +322,11 @@ def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command
     assert main(argv) == 2
     pointer = "--out" if flag else "/outputs"
     assert f"  {pointer}: cannot write the output directory: " in capsys.readouterr().err
+    if blocked in ("wave_000001.csv", "observables.csv", "walkers_000001.csv"):
+        # a write that fails mid-run is recorded like an abort
+        assert read_json(out / "error.json")["error"] == "IsADirectoryError"
+    if blocked == "wave_000001.csv":
+        assert list(read_observables(out / "observables.csv")["t"]) == [0.0]
 
 
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(red.__file__).resolve().parent.parent))

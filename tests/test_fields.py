@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import admissible_step, normalized_density, traced_peak
-from red.errors import StabilityError
+from red.errors import StateError
 from red.fields import (
     OSMOTIC_EXACT,
     OSMOTIC_FLOOR,
@@ -41,6 +41,13 @@ def test_phase_drift_round_trip():
     grid, slope = state_drift_potential(EpistemicState(rho, phase))
     assert np.max(np.abs(grid.values - phi.values)) < 1e-12
     assert np.array_equal(slope, [0.0])
+
+
+def test_drift_potential_rejects_a_wrapped_state():
+    spec = spec_1p()
+    state = from_wavefunction(WaveField(np.sqrt(gaussian_density(spec, 10.0, 1.3).values), spec))
+    with pytest.raises(StateError, match="wrapped phase grid"):
+        state_drift_potential(state)
 
 
 def test_drift_potential_is_bitwise_the_out_of_place_sum():
@@ -155,7 +162,7 @@ def test_fokker_planck_conserves_mass():
 def test_fokker_planck_stability_error_reports_admissible_dt():
     spec = spec_1p(n=256, box=20.0)
     rho = gaussian_density(spec, 10.0, 1.5)
-    with pytest.raises(StabilityError, match="diffusive") as err:
+    with pytest.raises(StateError, match="diffusive") as err:
         diffuse(rho, 0.1, 0.1)
     admissible = admissible_step(err.value)
     assert 0 < admissible < 0.1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import normalized_density
-from red.errors import ConsistencyError
+from red.errors import StateError
 from red.fields import phase_gradient_arrays, state_drift_potential
 from red.geometry import (
     MonteCarloEstimate,
@@ -186,7 +186,7 @@ def test_mc_standard_error_scales_with_sample_count():
 def test_mc_rejects_degenerate_inputs():
     spec = SystemSpec(1, 1, (1.0,), (20.0,), (64,), dt=0.05)
     state = gaussian_state(spec, sigma=1.0)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         info_metric_g_mc(state, ShiftVelocity.zero(spec), n_samples=1, seed=0)
 
 

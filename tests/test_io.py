@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import read_observables
-from red.errors import ConsistencyError
+from red.errors import StateError
 from red.io import (
     CSV_BLOCK_ROWS,
     ObservablesWriter,
@@ -60,7 +60,7 @@ def test_wave_shape_mismatch_rejected(tmp_path):
     wave = make_wave(SPEC)
     wave_to_csv(wave, tmp_path / "wave.csv")
     other = SystemSpec(1, 1, (1.0,), (16.0,), (64,), dt=0.05)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         wave_from_csv(tmp_path / "wave.csv", other)
 
 
@@ -70,7 +70,7 @@ def test_wave_header_checked(tmp_path):
     body = (tmp_path / "wave.csv").read_text().splitlines()
     body[0] = "re,im"
     (tmp_path / "wave.csv").write_text("\n".join(body) + "\n")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
@@ -144,7 +144,7 @@ def test_wave_malformed_row_rejected(tmp_path, row):
     body = (tmp_path / "wave.csv").read_text().splitlines()
     body[5] = row
     (tmp_path / "wave.csv").write_text("\n".join(body) + "\n")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
@@ -153,7 +153,7 @@ def test_wave_row_count_checked(tmp_path):
     wave_to_csv(wave, tmp_path / "wave.csv")
     body = (tmp_path / "wave.csv").read_text().splitlines()
     (tmp_path / "wave.csv").write_text("\n".join(body[:-1]) + "\n")
-    with pytest.raises(ConsistencyError, match="rows"):
+    with pytest.raises(StateError, match="rows"):
         wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
@@ -193,10 +193,10 @@ def test_observables_writer_bytes_match_csv_writer(tmp_path):
 
 def test_observables_writer_rejects_bad_rows():
     writer = ObservablesWriter(spatial_dim=1)
-    with pytest.raises(ConsistencyError, match="missing column"):
+    with pytest.raises(StateError, match="missing column"):
         writer.add(t=0.0)
     full = {name: 0.0 for name in writer.header}
-    with pytest.raises(ConsistencyError, match="unknown observable"):
+    with pytest.raises(StateError, match="unknown observable"):
         writer.add(extra=1.0, **full)
 
 
@@ -214,7 +214,7 @@ def test_observables_writer_rejects_bad_rows():
 def test_wave_sidecar_validated(tmp_path, sidecar):
     wave_to_csv(make_wave(SPEC), tmp_path / "wave.csv")
     (tmp_path / "wave.json").write_text(sidecar)
-    with pytest.raises(ConsistencyError, match="sidecar"):
+    with pytest.raises(StateError, match="sidecar"):
         wave_from_csv(tmp_path / "wave.csv", SPEC)
 
 
@@ -232,7 +232,7 @@ def test_read_float_csv_header_and_table(tmp_path):
 @pytest.mark.parametrize("text", ["", "a,b\r\n1.0,abc\r\n", "a,b\r\n1.0\r\n", "a,b\r\n1,2,3\r\n4,5,6\r\n"])
 def test_read_float_csv_rejects_malformed_tables(tmp_path, text):
     (tmp_path / "t.csv").write_text(text)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         read_float_csv(tmp_path / "t.csv")
 
 
@@ -242,7 +242,7 @@ def test_read_observables_rejects_a_malformed_row(tmp_path):
     writer.write(tmp_path / "obs.csv")
     text = (tmp_path / "obs.csv").read_text()
     (tmp_path / "obs.csv").write_text(text.replace("1,", "one,", 1))
-    with pytest.raises(ConsistencyError, match="malformed"):
+    with pytest.raises(StateError, match="malformed"):
         read_observables(tmp_path / "obs.csv")
 
 

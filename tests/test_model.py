@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import normalized_density
-from red.errors import GridError, StateError
+from red.errors import StateError
 from red.model import (
     MAX_DIM,
     Ensemble,
@@ -161,13 +161,13 @@ def test_gradient_commutes_with_whole_cell_shift(shift0, shift1, seed):
 
 def test_gradient_rejects_non_finite():
     spec = spec_1d(16, 4.0)
-    with pytest.raises(GridError):
+    with pytest.raises(StateError):
         ScalarField(np.full(spec.grid_points, np.nan), spec)
 
 
 def test_field_shape_mismatch_is_an_error():
     spec = spec_1d(16, 4.0)
-    with pytest.raises(GridError, match="shape"):
+    with pytest.raises(StateError, match="shape"):
         ScalarField(np.zeros(17), spec)
 
 

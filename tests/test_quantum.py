@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import admissible_step, normalized_density, shifted_kinetic_symbol, translate_array
-from red.errors import NumericalAbort, StabilityError, StateError
+from red.errors import NumericalAbort, StateError
 from red.fields import alive_cells, phase_gradient_arrays
 from red.geometry import ensemble_hamiltonian_h0, total_momentum
 from red.model import (
@@ -114,6 +114,12 @@ def test_wavefunction_round_trip_preserves_density_and_phase():
     back_phase = spec.hbar * np.angle(back.wave_values)
     mismatch = np.exp(1j * (back_phase - total_in)[alive] / spec.hbar)
     assert np.max(np.abs(mismatch - 1.0)) < 1e-10
+
+
+def test_to_wavefunction_rejects_a_wrapped_state():
+    state = from_wavefunction(to_wavefunction(gaussian_state(SPEC_1D, sigma=1.5)))
+    with pytest.raises(StateError, match="wrapped state"):
+        to_wavefunction(state)
 
 
 def test_wavefunction_masks_dead_tail_cells():
@@ -447,7 +453,7 @@ def test_hamilton_step_underflow_points_to_wavefunction_path():
 def test_hamilton_step_guards_dispersive_stability():
     state = floored_state(gaussian_state(SPEC_1D, sigma=1.5))
     potential = Potential.free(SPEC_1D)
-    with pytest.raises(StabilityError) as info:
+    with pytest.raises(StateError) as info:
         hamilton_evolve(state, potential, ShiftVelocity.zero(SPEC_1D), 0.1, 0.1)
     assert 0.0 < admissible_step(info.value) < 0.1
 

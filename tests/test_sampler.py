@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import normalized_density
-from red.errors import ConsistencyError
+from red.errors import StateError
 from red.io import read_float_csv
 from red.model import Ensemble, ScalarField, ShiftVelocity, SystemSpec
 from red.sampler import (
@@ -227,7 +227,7 @@ def test_sample_from_density_histogram():
 def test_walker_csv_malformed_rows_rejected(tmp_path, body):
     path = tmp_path / "walkers.csv"
     path.write_text("x_0,x_1\r\n" + body)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(StateError):
         read_float_csv(path)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import red
 from helpers import admissible_step, normalized_density
-from red.errors import GridError, NumericalAbort, StabilityError
+from red.errors import NumericalAbort, StateError
 from red.fields import diffuse
 from red.model import (
     EpistemicState,
@@ -358,7 +358,7 @@ def test_hamilton_evolve_non_finite_rates_are_caught():
     state = floored_state(gaussian_state(spec, sigma=2.0))
     potential = Potential.from_values(1e300 * np.sin(2.0 * np.pi * x / 16.0), spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(GridError, match="non-finite"):
+        with pytest.raises(StateError, match="non-finite"):
             hamilton_evolve(state, potential, ShiftVelocity.zero(spec), 1e-3, 1e-3)
 
 
@@ -369,7 +369,7 @@ def diffusion_setup(n=64):
 
 def test_diffuse_diffusive_bound_reports_admissible_dt():
     spec, rho = diffusion_setup()
-    with pytest.raises(StabilityError, match="diffusive") as info:
+    with pytest.raises(StateError, match="diffusive") as info:
         diffuse(rho, 0.1, 0.1)
     assert 0.0 < admissible_step(info.value) < 0.1
 

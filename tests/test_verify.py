@@ -3,18 +3,20 @@
 import pytest
 
 from helpers import traced_peak
-from red.errors import UnknownSuiteError
+from red.errors import ConfigError
 from red.verify import (
     SUITES, Check, SuiteReport, below, above, run_suite, suite_gdecomp, suite_moments, suite_names,
 )
 
 
 def test_unknown_suite_lists_available():
-    with pytest.raises(UnknownSuiteError) as err:
-        run_suite("nonexistent")
-    assert err.value.name == "nonexistent"
-    assert "madelung" in err.value.available
-    assert "all" in err.value.available
+    with pytest.raises(ConfigError) as err:
+        suite_names("nonexistent")
+    [(pointer, message)] = err.value.violations
+    assert pointer == "suite"
+    assert "'nonexistent'" in message
+    assert "madelung" in message
+    assert message.endswith(", all")
 
 
 def test_registry_order_is_stable():
