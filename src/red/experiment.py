@@ -27,7 +27,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, RedError
 from .fields import alive_cells, entropy
-from .geometry import best_match_shift, info_metric_g
+from .geometry import best_match_fit, best_match_shift, info_metric_g
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
     Ensemble,
@@ -336,7 +336,7 @@ def bestmatch_report(config: ExperimentConfig) -> dict:
     wave = build_initial_wave(config)
     state = from_wavefunction(wave)
     closed = best_match_shift(wave)
-    numerical = best_match_shift(state, mode="numerical")
+    numerical = best_match_fit(state)
     report = info_metric_g(state, closed)
     momentum = wave.momentum
     return {

@@ -46,8 +46,8 @@ def alive_cells(rho: np.ndarray) -> np.ndarray:
     return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
 
 
-def phase_gradient_arrays(state: EpistemicState, axes=None) -> list:
-    """grad Phi along `axes` (default: all), plus the exact slope contribution.
+def phase_gradient_arrays(state: EpistemicState, axes) -> list:
+    """grad Phi along `axes`, plus the exact slope contribution.
 
     A caller that reduces one axis before it needs the next asks for one
     axis at a time, phase_gradient_arrays(state, (axis,)), and holds one
@@ -71,7 +71,6 @@ def phase_gradient_arrays(state: EpistemicState, axes=None) -> list:
     first factor, so no conj(psi) grid is built.
     """
     spec = state.spec
-    axes = range(spec.dim) if axes is None else axes
     if not state.phase_wrapped:
         grads = gradient_arrays(state.phase.values, spec, axes)
         for axis, grad in zip(axes, grads):

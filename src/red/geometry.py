@@ -16,7 +16,9 @@ with H0 the sum of a flow kinetic term and a density-curvature term,
 
 Minimizing g_total over the shift is linear: the optimum equalizes the
 shift with the mean flow velocity, shift_a = P_a / M, where P is the total
-flow momentum and M the total mass.
+flow momentum and M the total mass (best_match_shift).  As g is exactly
+quadratic in the shift, three values of it per axis give the same optimum
+(best_match_fit).
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .model import (
 )
 from .quantum import WaveField, WaveSpectrum, spectrum_momentum
 from .sampler import STREAM_MONTE_CARLO, stream
-
-BEST_MATCH_GRAD_TOL = 1e-10
-BEST_MATCH_MAX_ITER = 10_000
-
 
 @dataclass(frozen=True)
 class MismatchReport:
@@ -171,50 +169,49 @@ def total_momentum(state: EpistemicState) -> np.ndarray:
     return out
 
 
-def best_match_shift(state, mode: str = "closed_form") -> ShiftVelocity:
-    """Shift velocity minimizing the mismatch with the next instant.
+def best_match_shift(state) -> ShiftVelocity:
+    """Shift velocity minimizing the mismatch with the next instant: P / M.
 
-    closed_form solves the stationarity condition directly, shift = P / M;
-    numerical descends the quadrature gradient M * shift - P until it
-    vanishes, as a cross-check of the same condition.  state is an
-    EpistemicState, whose P is total_momentum, or, in the closed form only,
-    a WaveField, whose P is WaveField.momentum and needs no phase grid, or a
-    WaveSpectrum, whose P is spectrum_momentum and needs no transform (the
-    split step matches its half-kicked spectrum this way).  The P of a wave
-    or spectrum is per unit norm, so it equals that of
-    from_wavefunction(wave) only up to the wave's norm error.
+    The closed form solves the stationarity condition directly.  state is an
+    EpistemicState, whose P is total_momentum, a WaveField, whose P is
+    WaveField.momentum and needs no phase grid, or a WaveSpectrum, whose P is
+    spectrum_momentum and needs no transform (the split step matches its
+    half-kicked spectrum this way).  The P of a wave or spectrum is per unit
+    norm, so it equals that of from_wavefunction(wave) only up to the wave's
+    norm error.
     """
     spec = state.spec
     mass = spec.total_mass
-    if mode == "closed_form":
-        if isinstance(state, WaveSpectrum):
-            return ShiftVelocity(spectrum_momentum(state) / mass, spec)
-        if isinstance(state, WaveField):
-            return ShiftVelocity(state.momentum / mass, spec)
-        return ShiftVelocity(total_momentum(state) / mass, spec)
-    if mode != "numerical":
-        raise StateError(f"unknown best-match mode {mode!r}")
+    if isinstance(state, WaveSpectrum):
+        return ShiftVelocity(spectrum_momentum(state) / mass, spec)
+    if isinstance(state, WaveField):
+        return ShiftVelocity(state.momentum / mass, spec)
+    return ShiftVelocity(total_momentum(state) / mass, spec)
 
-    rho = state.rho.values
-    phase_grads = phase_gradient_arrays(state)
 
-    def quadrature_gradient(shift_components: np.ndarray) -> np.ndarray:
-        # d(g_total)/d(shift_a) = -int rho sum_n (d_A Phi - m_A shift_a)
-        out = np.zeros(spec.spatial_dim)
-        for axis in range(spec.dim):
-            relative = phase_grads[axis] - spec.axis_masses[axis] * shift_components[
-                spec.spatial_of_axis(axis)
-            ]
-            out[spec.spatial_of_axis(axis)] -= float(np.sum(rho * relative)) * spec.cell_volume
-        return out
+def best_match_fit(state: EpistemicState) -> ShiftVelocity:
+    """The same optimum from info_metric_g alone, reading no momentum.
 
-    shift = np.zeros(spec.spatial_dim)
-    for _ in range(BEST_MATCH_MAX_ITER):
-        gradient = quadrature_gradient(shift)
-        if float(np.max(np.abs(gradient))) < BEST_MATCH_GRAD_TOL:
-            return ShiftVelocity(shift, spec)
-        shift = shift - gradient / mass
-    raise StateError(
-        f"best-match iteration failed to reach |gradient| < {BEST_MATCH_GRAD_TOL:g} "
-        f"within {BEST_MATCH_MAX_ITER} iterations"
-    )
+    The shift enters g only through H0's flow term, so h0_term is exactly
+    quadratic in it, with no cross terms between spatial axes: its values g0,
+    g+ and g- at 0 and +-h_a e_a give s_a = -h_a (g+ - g-) / (2 (g+ - 2 g0 + g-)).
+    h_a = 2 pi hbar / (L_a M), the shift one lattice momentum quantum gives the
+    system, scales with any mass; the ratio comes before the product, so
+    neither underflows.  (g_total's spread constant would drown the
+    differences at small dt.)  The result is P / (M int rho), which is P / M
+    up to the state's norm error.
+    """
+    spec = state.spec
+    g0 = info_metric_g(state, ShiftVelocity.zero(spec)).h0_term
+    out = np.zeros(spec.spatial_dim)
+    for a in range(spec.spatial_dim):
+        step = np.zeros(spec.spatial_dim)
+        step[a] = 2.0 * np.pi * spec.hbar / (spec.box_length[a] * spec.total_mass)
+        g_plus = info_metric_g(state, ShiftVelocity(step, spec)).h0_term
+        g_minus = info_metric_g(state, ShiftVelocity(-step, spec)).h0_term
+        curvature = g_plus - 2.0 * g0 + g_minus
+        if not (np.isfinite(curvature) and curvature > 0.0):
+            raise StateError(f"best-match fit: the mismatch along spatial axis {a} has curvature "
+                             f"{curvature:g}, not a finite positive value")
+        out[a] = -step[a] * ((g_plus - g_minus) / (2.0 * curvature))
+    return ShiftVelocity(out, spec)

@@ -139,9 +139,7 @@ def smooth_harmonic_relational_values(spec: SystemSpec, k: float, particles=(0, 
     return values
 
 
-def harmonic_external_values(spec: SystemSpec, k: float, axis: int = 0, center: float = None) -> np.ndarray:
+def harmonic_external_values(spec: SystemSpec, k: float, axis: int, center: float) -> np.ndarray:
     """U = k/2 * (x_axis - center)^2 along one configuration axis (box frame)."""
-    if center is None:
-        center = spec.axis_box[axis] / 2.0
     coords = spec.along(axis, spec.axis_coords[axis] - center)
     return np.broadcast_to(0.5 * k * coords ** 2, spec.grid_points).copy()

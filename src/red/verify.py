@@ -9,7 +9,7 @@ Suite map:
     moments       one-step kernel mean / variance / cross-covariance
     mcfp          walker histogram vs density evolution vs heat kernel
     gdecomp       Monte Carlo vs field form of the mismatch functional
-    bestmatch     closed-form vs numerical optimum shift, flat gradient
+    bestmatch     closed-form vs mismatch-fit optimum shift, flat gradient
     boostcov      best-match covariance under a boost of the phase
     madelung      hamilton vs schrodinger trajectories, dt convergence
     conservation  relational momentum conservation and the Ehrenfest rate
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import diffuse, entropy, entropy_rate
-from .geometry import best_match_shift, info_metric_g, info_metric_g_mc
+from .geometry import best_match_fit, best_match_shift, info_metric_g, info_metric_g_mc
 from .model import (
     Ensemble,
     EpistemicState,
@@ -208,10 +208,10 @@ def _bestmatch_state():
 
 
 def suite_bestmatch() -> list:
-    """Optimum shift three ways: closed form, descent, flat finite difference."""
+    """Optimum shift three ways: closed form, fit of the mismatch, flat finite difference."""
     spec, state = _bestmatch_state()
-    closed = best_match_shift(state, mode="closed_form")
-    numerical = best_match_shift(state, mode="numerical")
+    closed = best_match_shift(state)
+    numerical = best_match_fit(state)
     eps = 1e-3
     g_plus = info_metric_g(state, ShiftVelocity(closed.components + eps, spec)).g_total
     g_minus = info_metric_g(state, ShiftVelocity(closed.components - eps, spec)).g_total

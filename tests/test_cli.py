@@ -248,6 +248,20 @@ def test_bestmatch_subcommand_prints_json(tmp_path, capsys):
     assert not (tmp_path / "run").exists()  # --out replaces the config's outputs
 
 
+def test_bestmatch_without_a_usable_curvature_exits_3(tmp_path, capsys):
+    # masses 1e-300 and 1: the light particle's flow energy, near 1e299, swamps the
+    # probes' differences, so the fit reads a curvature of 0
+    system = {"n_particles": 2, "spatial_dim": 1, "box": [16.0], "grid": [64, 64],
+              "dt": 0.05, "masses": [1e-300, 1.0]}
+    path = write_config(tmp_path, system=system, drift_or_potential={"preset": "free"})
+    assert main(["bestmatch", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "best-match fit" in captured.err
+    assert "curvature" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_bestmatch_writes_to_the_configured_outputs(tmp_path, capsys):
     path = write_config(tmp_path, drift_or_potential={"preset": "free"})
     assert main(["bestmatch", "--config", str(path)]) == 0

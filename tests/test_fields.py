@@ -120,7 +120,7 @@ def test_phase_gradient_handles_wrapped_phase():
     assert state.phase_wrapped
     assert state.phase is None  # the state keeps the wave, not a phase grid
     assert np.max(np.abs(np.angle(state.wave_values))) > 0.9 * np.pi  # whose phase wraps
-    (g,) = phase_gradient_arrays(state)
+    (g,) = phase_gradient_arrays(state, range(spec.dim))
     assert np.max(np.abs(g - k)) < 1e-10
 
 
@@ -137,7 +137,7 @@ def test_one_axis_phase_gradients_are_the_all_axes_ones_bitwise(wrapped):
     if wrapped:
         wave = from_wavefunction(WaveField(np.sqrt(rho.values) * np.exp(1j * phase.values), spec))
         state = EpistemicState(wave.rho, None, state.phase_slope, wave_values=wave.wave_values)
-    every = phase_gradient_arrays(state)
+    every = phase_gradient_arrays(state, range(spec.dim))
     assert len(every) == 2
     for axis in range(2):
         [one] = phase_gradient_arrays(state, (axis,))

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import normalized_density
+import red.geometry
+import red.quantum
 from red.errors import StateError
 from red.fields import phase_gradient_arrays, state_drift_potential
 from red.geometry import (
     MonteCarloEstimate,
+    best_match_fit,
     best_match_shift,
     ensemble_hamiltonian_h0,
     info_metric_g,
@@ -26,7 +29,7 @@ from red.model import (
     SystemSpec,
     gradient_arrays,
 )
-from red.presets import gaussian_density, gaussian_state
+from red.presets import gaussian_density, gaussian_state, gaussian_wave_values
 from red.quantum import WaveField, from_wavefunction
 from red.sampler import STREAM_MONTE_CARLO, stream
 
@@ -87,7 +90,7 @@ def frozen_ensemble_hamiltonian_h0(state, shift):
     root_squares = [float(np.sum(np.square(grad)))
                      for grad in gradient_arrays(np.sqrt(np.clip(state.rho.values, 0.0, None)), spec)]
     total = 0.0
-    for axis, grad in enumerate(phase_gradient_arrays(state)):
+    for axis, grad in enumerate(phase_gradient_arrays(state, range(spec.dim))):
         mass = spec.axis_masses[axis]
         relative = grad - mass * shift.per_axis[axis]
         total += float(np.sum(np.square(relative) * state.rho.values) / (2.0 * mass)) * spec.cell_volume
@@ -244,11 +247,43 @@ def test_best_match_modes_agree():
     spec = SystemSpec(2, 1, (1.0, 3.0), (20.0,), (128, 128), dt=0.01)
     rho = normalized_density(spec, gaussian_density(spec, (8.0, 13.0), 1.5).values)
     state = EpistemicState(rho, ScalarField.constant(spec, 0.0), np.array([0.5, -0.9]))
-    closed = best_match_shift(state, mode="closed_form")
-    numerical = best_match_shift(state, mode="numerical")
-    assert numerical.components == pytest.approx(closed.components, abs=1e-10)
-    with pytest.raises(ValueError):
-        best_match_shift(state, mode="fancy")
+    closed = best_match_shift(state)
+    fitted = best_match_fit(state)
+    assert fitted.components == pytest.approx(closed.components, abs=1e-10)
+
+
+def fit_state(spatial_dim, masses, wrapped, dt=0.05):
+    """Two particles with momentum along every spatial axis, sloped and smooth or a wrapped wave."""
+    grid, box = {1: (64, 16.0), 2: (12, 10.0), 3: (6, 8.0)}[spatial_dim]
+    spec = SystemSpec(2, spatial_dim, masses, (box,) * spatial_dim, (grid,) * (2 * spatial_dim), dt)
+    if wrapped:
+        modes = np.resize([1, 2, 1], spec.dim)
+        return from_wavefunction(WaveField(gaussian_wave_values(spec, box / 2.0, 1.5, modes), spec))
+    return gaussian_state(spec, sigma=1.5, slope=np.resize([0.5, -0.3, 0.8], spec.dim))
+
+
+# the last two cases: at dt = 1e-10 g_total's spread constant would drown the
+# probes' differences, and at masses 1e200 a unit probe shift would overflow
+@pytest.mark.parametrize("spatial_dim, masses, dt", [
+    (1, (1.0, 1.0), 0.05), (1, (1.0, 2.5), 0.05),
+    (2, (1.0, 1.0), 0.05), (2, (1.0, 2.5), 0.05),
+    (3, (1.0, 1.0), 0.05), (3, (1.0, 2.5), 0.05),
+    (2, (1.0, 2.5), 1e-10), (2, (1e200, 2.5e200), 0.05),
+])
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_best_match_fit_is_momentum_over_mass(wrapped, spatial_dim, masses, dt):
+    state = fit_state(spatial_dim, masses, wrapped, dt)
+    want = total_momentum(state) / state.spec.total_mass
+    assert best_match_fit(state).components == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_best_match_fit_reads_no_momentum(monkeypatch):
+    state = fit_state(2, (1.0, 2.5), wrapped=True)
+    want = total_momentum(state) / state.spec.total_mass
+    for module, name in ((red.geometry, "total_momentum"), (red.geometry, "spectrum_momentum"),
+                         (red.quantum, "expected_momentum"), (red.quantum, "spectrum_momentum")):
+        monkeypatch.setattr(module, name, None)  # a call would raise
+    assert best_match_fit(state).components == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_best_match_minimizes_the_mismatch():

@@ -47,6 +47,11 @@ def floored_state(state, floor=1e-3):
     return EpistemicState(rho, state.phase, state.phase_slope)
 
 
+def centered_spring(spec, k):
+    """The external harmonic potential along axis 0, centered in the box."""
+    return harmonic_external_values(spec, k, 0, spec.axis_box[0] / 2.0)
+
+
 def packet_wave(spec, centers, sigmas, modes, weights=None):
     """Sum over particles of Gaussian amplitudes with lattice plane-wave factors.
 
@@ -128,11 +133,11 @@ def test_wavefunction_masks_dead_tail_cells():
     masked = int(np.sum(~alive))
     assert 0 < masked < SPEC_1D.grid_points[0] // 2
     # dead cells get gradient exactly zero, plus the slope of a state that has one
-    (grad,) = phase_gradient_arrays(state)
+    (grad,) = phase_gradient_arrays(state, range(SPEC_1D.dim))
     assert np.all(grad[~alive] == 0.0)
     slope = np.array([0.37])
     sloped = EpistemicState(state.rho, state.phase, slope, wave_values=state.wave_values)
-    (grad,) = phase_gradient_arrays(sloped)
+    (grad,) = phase_gradient_arrays(sloped, range(SPEC_1D.dim))
     assert np.all(grad[~alive] == slope[0])
 
 
@@ -230,7 +235,7 @@ def test_relational_potentials_are_translation_invariant():
     cells = np.random.default_rng(7).integers(0, 64, size=16)
     # built from periodic relative coordinates: bitwise invariant
     assert translation_deviation(harmonic_relational_values(spec, 0.3), cells) == 0.0
-    assert translation_deviation(harmonic_external_values(spec, 0.3), cells) > 1.0
+    assert translation_deviation(centered_spring(spec, 0.3), cells) > 1.0
     assert translation_deviation(np.full(spec.grid_points, 2.5), cells[:4]) < 1e-10
 
 
@@ -336,7 +341,7 @@ def test_ehrenfest_series_free_and_relational_and_external():
     series = ehrenfest_diagnostic(run, relational)
     assert np.max(np.abs(series.momentum_rate)) < 1e-8
 
-    external = Potential.from_values(harmonic_external_values(spec, 0.25), spec)
+    external = Potential.from_values(centered_spring(spec, 0.25), spec)
     series = ehrenfest_diagnostic(trajectory(external), external)
     np.testing.assert_allclose(series.momentum_rate, series.force, rtol=2e-4, atol=1e-9)
     assert np.min(np.abs(series.force)) > 1e-2  # the comparison is not vacuous
@@ -359,7 +364,7 @@ def test_external_force_from_midpoint_density_matches_momentum_rate():
     stiffness = 0.25
     state = gaussian_state(spec, center=np.array([9.5]), sigma=1.2)
     wave = to_wavefunction(state)
-    potential = Potential.from_values(harmonic_external_values(spec, stiffness), spec)
+    potential = Potential.from_values(centered_spring(spec, stiffness), spec)
     shift = ShiftVelocity.zero(spec)
     dt = 1e-3
 
@@ -376,7 +381,7 @@ def test_split_step_conserves_energy_at_second_order():
     spec = SPEC_1D
     state = gaussian_state(spec, center=np.array([9.5]), sigma=1.2)
     wave = to_wavefunction(state)
-    potential = Potential.from_values(harmonic_external_values(spec, 0.25), spec)
+    potential = Potential.from_values(centered_spring(spec, 0.25), spec)
     shift = ShiftVelocity.zero(spec)
 
     def energy(wave):
@@ -398,7 +403,7 @@ def test_split_step_final_state_is_second_order_accurate():
     spec = SPEC_1D
     state = gaussian_state(spec, center=np.array([9.5]), sigma=1.2)
     wave = to_wavefunction(state)
-    potential = Potential.from_values(harmonic_external_values(spec, 0.25), spec)
+    potential = Potential.from_values(centered_spring(spec, 0.25), spec)
     shift = ShiftVelocity.zero(spec)
     t = 0.2
 

@@ -20,7 +20,7 @@ from red.experiment import (
     sample_experiment,
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
-from red.geometry import best_match_shift, ensemble_hamiltonian_h0, total_momentum
+from red.geometry import best_match_fit, best_match_shift, ensemble_hamiltonian_h0, total_momentum
 from red.io import ObservablesWriter, read_float_csv, wave_from_csv, wave_to_csv
 from red.model import (
     Ensemble,
@@ -62,7 +62,7 @@ def gradient_form_momentum(state):
     """int rho d_A Phi per spatial axis through the real-space phase gradient."""
     spec = state.spec
     out = np.zeros(spec.spatial_dim)
-    for axis, grad in enumerate(phase_gradient_arrays(state)):
+    for axis, grad in enumerate(phase_gradient_arrays(state, range(spec.dim))):
         out[spec.spatial_of_axis(axis)] += float(np.sum(state.rho.values * grad)) * spec.cell_volume
     return out
 
@@ -109,8 +109,8 @@ def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform
     wave = narrow_wave(grid)
     if uniform:
         wave = WaveField(np.full(grid, wave.spec.volume ** -0.5), wave.spec)
-    # the closed form of a wave is <P> / M and builds no phase grid; both modes on
-    # the state agree with it to rounding
+    # the closed form of a wave is <P> / M and builds no phase grid; the closed form
+    # and the mismatch fit on the state agree with it to rounding
     with monkeypatch.context() as patch:
         patch.setattr(red.fields, "phase_gradient_arrays", None)  # a call would raise
         got = best_match_shift(wave).components
@@ -118,8 +118,8 @@ def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     state = from_wavefunction(wave)
-    for mode in ("closed_form", "numerical"):
-        other = best_match_shift(state, mode).components
+    for match in (best_match_shift, best_match_fit):
+        other = match(state).components
         assert np.max(np.abs(got - other)) <= 1e-12 * max(1.0, float(np.max(np.abs(got))))
     if uniform and grid != (31, 33):
         # no momentum at all: the shift is an exact zero
@@ -236,7 +236,8 @@ def test_h0_from_root_squares_matches_the_grid_formula():
     shift = ShiftVelocity(np.array([0.3]), spec)
     roots = gradient_arrays(np.sqrt(state.rho.values), spec)
     want = 0.0
-    for axis, (phase_grad, root_grad) in enumerate(zip(phase_gradient_arrays(state), roots)):
+    grads = phase_gradient_arrays(state, range(spec.dim))
+    for axis, (phase_grad, root_grad) in enumerate(zip(grads, roots)):
         mass = spec.axis_masses[axis]
         relative = phase_grad - mass * shift.per_axis[axis]
         want += float(np.sum(state.rho.values * relative ** 2) / (2.0 * mass)) * spec.cell_volume
@@ -271,7 +272,7 @@ def frozen_mismatch_terms(state, shift):
     """(g_entropy, g_h0) as two passes over all D phase gradients: entropy_rate, then H0."""
     spec = state.spec
     rho = state.rho.values
-    grads = phase_gradient_arrays(state)
+    grads = phase_gradient_arrays(state, range(spec.dim))
     rate = 0.0
     for axis, grad in enumerate(grads):
         [product] = gradient_arrays(rho, spec, (axis,))
@@ -557,7 +558,7 @@ def test_wrapped_phase_gradients_are_bitwise_the_conj_first_loop(grid, dead):
     assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
     slope = np.linspace(0.37, -1.25, len(grid))
     state = EpistemicState(wrapped.rho, None, slope, wave_values=wrapped.wave_values)
-    got = phase_gradient_arrays(state)
+    got = phase_gradient_arrays(state, range(state.spec.dim))
     want = spelled_out_phase_gradients(state)
     assert len(got) == len(want) == len(grid)
     for g, w in zip(got, want):
