@@ -5,7 +5,7 @@ import numpy as np
 from red.fields import entropy
 from red.model import ShiftVelocity, SystemSpec
 from red.presets import gaussian_state
-from red.quantum import Potential, from_wavefunction, schrodinger_evolve, to_wavefunction
+from red.quantum import Potential, schrodinger_evolve, to_wavefunction
 
 L = 40.0
 CELLS = 512
@@ -35,9 +35,8 @@ t = 0.0
 for target in TIMES:
     wave = schrodinger_evolve(wave, free, rest, target - t, DT_PDE)
     t = target
-    state = from_wavefunction(wave)
-    width = packet_width(state.rho.values)
+    width = packet_width(wave.rho.values)
     exact = SIGMA0 * np.sqrt(1.0 + (t / (2.0 * SIGMA0 ** 2)) ** 2)
     rel = abs(width - exact) / exact
     print(f"{t:5.2f} {width:12.8f} {exact:12.8f} {rel:10.2e} "
-          f"{entropy(state.rho):10.6f}")
+          f"{entropy(wave.rho):10.6f}")

@@ -46,7 +46,6 @@ from .presets import (
 from .quantum import (
     Potential,
     WaveField,
-    from_wavefunction,
     schrodinger_evolve,
     to_wavefunction,
     total_energy,
@@ -158,7 +157,7 @@ def _wave_drift(wave: WaveField) -> Drift:
     """
     spec = wave.spec
     psi = wave.values
-    rho = wave.density.values
+    rho = wave.rho.values
     alive = alive_cells(rho)
     grads = []
     for axis in range(spec.dim):
@@ -198,7 +197,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
 def _initial_walkers(config: ExperimentConfig, wave: WaveField, time: float) -> Ensemble:
     """ensemble_K walkers drawn from |psi|^2 on the seed's init stream."""
     run = config.run
-    positions = sample_from_density(wave.density, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
+    positions = sample_from_density(wave.rho, run.ensemble_k, stream(run.seed, STREAM_INIT, 0))
     return Ensemble(positions, config.spec, run.seed, time, 0)
 
 
@@ -220,16 +219,15 @@ def _open_outputs(config: ExperimentConfig) -> Path:
 def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
              shift: ShiftVelocity) -> None:
     spec = wave.spec
-    # one state per snapshot serves the mismatch and the energy; shift is the
-    # one the step that made this wave used
-    state = from_wavefunction(wave)
+    # the wave serves the mismatch and the energy; shift is the one the step
+    # that made this wave used
     momentum = wave.momentum
-    report = info_metric_g(state, shift)
+    report = info_metric_g(wave, shift)
     named = {
         "t": wave.time,
-        "energy": total_energy(state, potential, report.h0_term),
-        "norm": quadrature(state.rho),
-        "entropy": entropy(state.rho),
+        "energy": total_energy(wave, potential, report.h0_term),
+        "norm": quadrature(wave.rho),
+        "entropy": entropy(wave.rho),
         "g_total": report.g_total,
         "g_constant": report.constant_term,
         "g_entropy": report.entropy_term,
@@ -334,10 +332,9 @@ def sample_experiment(config: ExperimentConfig) -> Path:
 def bestmatch_report(config: ExperimentConfig) -> dict:
     """Single-state best-matching query: optimum shift and the mismatch there."""
     wave = build_initial_wave(config)
-    state = from_wavefunction(wave)
     closed = best_match_shift(wave)
-    numerical = best_match_fit(state)
-    report = info_metric_g(state, closed)
+    numerical = best_match_fit(wave)
+    report = info_metric_g(wave, closed)
     momentum = wave.momentum
     return {
         "best_match_shift": [float(c) for c in closed.components],

@@ -8,9 +8,10 @@ and the density obeys the continuity equation d_t rho = -div(rho V).  With
 no drift (phi = 0) and no shift that is free diffusion, the flow `diffuse`
 integrates: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
 
-Phase gradients are computed through the unimodular field u = exp(i Phi / hbar)
-plus the explicit slope, so a phase that winds (known only modulo one period)
-still differentiates cleanly: grad Phi = hbar * Im(conj(u) grad u) + slope.
+A state's phase gradient is the spectral derivative of its smooth phase
+grid plus the explicit slope.  A wave's phase winds (it is known only modulo
+one period), so it is differentiated through psi instead, which stays clean:
+grad Phi = hbar * Im(conj(psi) grad psi) / rho.
 
 Entropy here is S = -int rho log rho.  Its exact rate along the continuity
 flow is dS/dt = + int rho m^{AB} d_A d_B Phi (the shift drops out); this is
@@ -34,6 +35,7 @@ from .model import (
     rk4_step,
     step_count,
 )
+from .quantum import WaveField
 
 POSITIVITY_MONITOR = -1e-10
 PHASE_DEAD_RELATIVE = 1e-15
@@ -46,39 +48,39 @@ def alive_cells(rho: np.ndarray) -> np.ndarray:
     return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
 
 
-def phase_gradient_arrays(state: EpistemicState, axes) -> list:
-    """grad Phi along `axes`, plus the exact slope contribution.
+def phase_gradient_arrays(state: EpistemicState | WaveField, axes) -> list:
+    """grad Phi along `axes` of a state (with its exact slope contribution) or of a wave.
 
     A caller that reduces one axis before it needs the next asks for one
     axis at a time, phase_gradient_arrays(state, (axis,)), and holds one
     real gradient grid, not D.
 
-    Smooth (unwrapped) phase grids are differentiated spectrally as they
-    stand.  That path involves no division by rho, so roundoff junk in
-    exponentially dead density cells can never leak into the velocity; in a
-    stepper that feeds its own output back in, any rho-dependent noise in
-    the velocity is self-amplifying.
+    A state's smooth phase grid is differentiated spectrally as it stands.
+    That path involves no division by rho, so roundoff junk in exponentially
+    dead density cells can never leak into the velocity; in a stepper that
+    feeds its own output back in, any rho-dependent noise in the velocity is
+    self-amplifying.
 
-    Wrapped states (recovered from a wavefunction, whose phase is known only
-    modulo 2*pi*hbar) go through the wave they carry, psi = wave_values,
-    which is immune to the wraps, with hbar * Im(conj(psi) grad psi) / rho.
-    Cells outside alive_cells sit under the FFT roundoff floor, where that
-    division is pure noise; psi is zeroed there before differentiating,
-    they get gradient 0, and every consumer weights by rho anyway.  A wave
-    with no dead cell is differentiated as it stands, with no masked copy.
-    Each derivative is conjugated and multiplied by psi in its own buffer:
-    Im(psi conj(d psi)) is bitwise -Im(conj(psi) d psi) with psi as the
-    first factor, so no conj(psi) grid is built.
+    A WaveField, whose phase is known only modulo 2*pi*hbar, is
+    differentiated through psi, which is immune to the wraps, as
+    hbar * Im(conj(psi) grad psi) / rho.  Cells outside alive_cells sit under
+    the FFT roundoff floor, where that division is pure noise; psi is zeroed
+    there before differentiating, they get gradient 0, and every consumer
+    weights by rho anyway.  A wave with no dead cell is differentiated as it
+    stands, with no masked copy.  Each derivative is conjugated and
+    multiplied by psi in its own buffer: Im(psi conj(d psi)) is bitwise
+    -Im(conj(psi) d psi) with psi as the first factor, so no conj(psi) grid
+    is built.
     """
     spec = state.spec
-    if not state.phase_wrapped:
+    if not isinstance(state, WaveField):
         grads = gradient_arrays(state.phase.values, spec, axes)
         for axis, grad in zip(axes, grads):
             grad += state.phase_slope[axis]
         return grads
     rho = state.rho.values
     alive = alive_cells(rho)
-    psi = state.wave_values if np.all(alive) else np.where(alive, state.wave_values, 0.0)
+    psi = state.values if np.all(alive) else np.where(alive, state.values, 0.0)
     grads = []
     for axis in axes:
         # one complex derivative at a time, reduced to its real gradient before the next
@@ -87,9 +89,10 @@ def phase_gradient_arrays(state: EpistemicState, axes) -> list:
         # psi first: the last bits of a complex product depend on the order of its factors
         np.multiply(psi, product, out=product)
         grad = np.zeros(spec.grid_points)
-        np.multiply(product.imag, -spec.hbar, out=grad, where=alive)
+        np.multiply(product.imag, spec.hbar, out=grad, where=alive)
         np.divide(grad, rho, out=grad, where=alive)
-        grad += state.phase_slope[axis]
+        # the sign as 0 - x: an exact zero of Im(psi conj(d psi)), either sign, gives +0.0
+        np.subtract(0.0, grad, out=grad)
         grads.append(grad)
         del product
     return grads
@@ -165,11 +168,6 @@ def state_drift_potential(state: EpistemicState) -> tuple:
     Uses the dead-tail-safe logarithm so the grid part stays spectrally
     differentiable.
     """
-    if state.phase_wrapped:
-        raise StateError(
-            "cannot build a drift potential from a wrapped phase grid; "
-            "unwrap through the wavefunction route first"
-        )
     spec = state.spec
     # in the logarithm's own buffer: a sum of two floats is bitwise the same in either order
     grid = regularized_log_density(state.rho)
@@ -211,8 +209,8 @@ def entropy(rho: ScalarField) -> float:
     return float(-np.sum(vals * np.log(np.where(vals > 0, vals, 1.0))) * rho.spec.cell_volume)
 
 
-def entropy_rate(state: EpistemicState) -> float:
-    """dS/dt along the continuity flow: + int rho m^{AB} d_A d_B Phi.
+def entropy_rate(state: EpistemicState | WaveField) -> float:
+    """dS/dt along the continuity flow: + int rho m^{AB} d_A d_B Phi, of a state or a wave.
 
     Evaluated as -sum_A (1/m_A) int d_A(rho) d_A(Phi), exact under the
     spectral integration-by-parts identity.  Independent of the shift.
@@ -226,7 +224,7 @@ def entropy_rate(state: EpistemicState) -> float:
     return total * spec.cell_volume
 
 
-def entropy_rate_term(state: EpistemicState, axis: int, phase_grad: np.ndarray) -> float:
+def entropy_rate_term(state: EpistemicState | WaveField, axis: int, phase_grad: np.ndarray) -> float:
     """(1/m_A) sum over cells of d_A(rho) d_A(Phi) for one axis; phase_grad is left as it was."""
     spec = state.spec
     [product] = gradient_arrays(state.rho.values, spec, (axis,))

@@ -64,11 +64,12 @@ def kernel_spread_constant(spec: SystemSpec) -> float:
     return spec.dim * spec.hbar / (4.0 * spec.dt)
 
 
-def info_metric_g(state: EpistemicState, shift: ShiftVelocity) -> MismatchReport:
+def info_metric_g(state: EpistemicState | WaveField, shift: ShiftVelocity) -> MismatchReport:
     """Mismatch between the instant and its entropic successor, decomposed.
 
-    Uses the kernel time step spec.dt.  The three reported terms sum to
-    g_total exactly by construction; each is also independently meaningful.
+    state is an EpistemicState or a WaveField; the kernel time step is
+    spec.dt.  The three reported terms sum to g_total exactly by
+    construction; each is also independently meaningful.
     The entropy rate and H0 share one loop over the axes, the only H0 loop:
     each phase gradient serves both, then is freed before the next axis is
     built, with the bits of fields.entropy_rate.  Per axis, H0 takes the flow
@@ -150,13 +151,13 @@ def info_metric_g_mc(state: EpistemicState, shift: ShiftVelocity, n_samples: int
     return MonteCarloEstimate(value=value, stderr=stderr)
 
 
-def total_momentum(state: EpistemicState) -> np.ndarray:
+def total_momentum(state: EpistemicState | WaveField) -> np.ndarray:
     """Density-weighted total flow momentum per spatial axis, shape (d,).
 
     int rho d_A Phi from fields.phase_gradient_arrays, one axis at a time,
-    summed onto the spatial axes; smooth and wrapped states alike (a wrapped
-    one differentiates the wave it carries).  The momentum of a WaveField is
-    WaveField.momentum (quantum.expected_momentum, kept with the wave).
+    summed onto the spatial axes, for a state or a wave (whose psi is
+    differentiated).  A wave's <P> in mode space is WaveField.momentum
+    (quantum.expected_momentum, kept with the wave).
     """
     spec = state.spec
     rho = state.rho.values
@@ -174,11 +175,10 @@ def best_match_shift(state) -> ShiftVelocity:
 
     The closed form solves the stationarity condition directly.  state is an
     EpistemicState, whose P is total_momentum, a WaveField, whose P is
-    WaveField.momentum and needs no phase grid, or a WaveSpectrum, whose P is
-    spectrum_momentum and needs no transform (the split step matches its
+    WaveField.momentum and needs no phase gradient, or a WaveSpectrum, whose
+    P is spectrum_momentum and needs no transform (the split step matches its
     half-kicked spectrum this way).  The P of a wave or spectrum is per unit
-    norm, so it equals that of from_wavefunction(wave) only up to the wave's
-    norm error.
+    norm, so it equals the wave's total_momentum only up to its norm error.
     """
     spec = state.spec
     mass = spec.total_mass
@@ -189,7 +189,7 @@ def best_match_shift(state) -> ShiftVelocity:
     return ShiftVelocity(total_momentum(state) / mass, spec)
 
 
-def best_match_fit(state: EpistemicState) -> ShiftVelocity:
+def best_match_fit(state: EpistemicState | WaveField) -> ShiftVelocity:
     """The same optimum from info_metric_g alone, reading no momentum.
 
     The shift enters g only through H0's flow term, so h0_term is exactly

@@ -429,25 +429,18 @@ class EpistemicState:
     """Probability density plus phase on the configuration grid.
 
     The full phase is phase.values + phase_slope @ x; the slope part keeps
-    boosts exact even when they are not lattice modes of the box.
-
-    A wrapped state is one that carries its wave in place of a phase grid:
-    wave_values is the psi it was read from (quantum.from_wavefunction, the
-    slope part excluded) and phase is None, since hbar * arg(psi) is known
-    only modulo 2*pi*hbar.  Smooth (unwrapped) phase grids are
-    differentiated directly; wrapped states differentiate wave_values.
+    boosts exact even when they are not lattice modes of the box.  A wave
+    psi = sqrt(rho) exp(i Phi / hbar) is the other face of the same pair and
+    is not a state: quantum.WaveField has its own rho, and the functionals
+    of a phase gradient take either (fields.phase_gradient_arrays).
     """
 
     rho: ScalarField
     phase: ScalarField
     phase_slope: np.ndarray = None
-    wave_values: np.ndarray = None
 
     def __post_init__(self):
-        if (self.phase is None) == (self.wave_values is None):
-            raise StateError("a state carries either a phase grid or its wave (wave_values)")
-        phase = self.phase
-        if phase is not None and phase.spec is not self.rho.spec and phase.spec != self.rho.spec:
+        if self.phase.spec is not self.rho.spec and self.phase.spec != self.rho.spec:
             raise StateError("rho and phase live on different grids")
         slope = self.phase_slope
         slope = np.zeros(self.spec.dim) if slope is None else np.asarray(slope, dtype=float)
@@ -463,22 +456,16 @@ class EpistemicState:
         total = quadrature(self.rho)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise StateError(f"density quadrature is {total!r}, expected 1 within {NORMALIZATION_TOL}")
-        if self.wave_values is not None and np.shape(self.wave_values) != tuple(self.spec.grid_points):
-            raise StateError("wave_values shape does not match the grid")
 
     @property
     def spec(self) -> SystemSpec:
         return self.rho.spec
 
-    @property
-    def phase_wrapped(self) -> bool:
-        """True when the phase grid is stored modulo 2*pi*hbar: the state carries its wave."""
-        return self.wave_values is not None
 
-
-def root_gradient_squares(state: EpistemicState) -> list:
+def root_gradient_squares(state) -> list:
     """Grid sum of (d_A sqrt(rho))^2 per axis (negatives clipped): D floats.
 
+    state is an EpistemicState or a quantum.WaveField: only its rho is read.
     sqrt(rho) is clipped and rooted in one grid.  Each axis is squared and
     summed in its own derivative grid, which is freed before the next axis
     is built.

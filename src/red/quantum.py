@@ -51,7 +51,7 @@ RK4_IMAG_STABILITY = 2.82
 
 @dataclass(frozen=True)
 class WaveField:
-    """Normalized complex amplitude on the configuration grid."""
+    """Normalized complex amplitude on the configuration grid, and a state in its own right."""
 
     values: np.ndarray
     spec: SystemSpec
@@ -75,11 +75,11 @@ class WaveField:
         object.__setattr__(self, "values", vals)
 
     @cached_property
-    def density(self) -> ScalarField:
-        """|psi|^2, computed once and read-only; from_wavefunction and the walkers share it."""
-        density = ScalarField(np.abs(self.values) ** 2, self.spec)
-        density.values.flags.writeable = False
-        return density
+    def rho(self) -> ScalarField:
+        """|psi|^2, computed once and read-only; the row, the drift and the walkers share it."""
+        rho = ScalarField(np.abs(self.values) ** 2, self.spec)
+        rho.values.flags.writeable = False
+        return rho
 
     @cached_property
     def momentum(self) -> np.ndarray:
@@ -155,10 +155,8 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
 
     The slope part is single-valued on the box only when each component is
     a lattice momentum; anything else cannot be represented by a periodic
-    wavefunction and is rejected, as is a wrapped state (it has no phase grid).
+    wavefunction and is rejected.
     """
-    if state.phase_wrapped:
-        raise StateError("a wrapped state has no phase grid; it carries its wave as wave_values")
     spec = state.spec
     mesh = spec.mesh()
     total_phase = state.phase.values.copy()
@@ -176,17 +174,14 @@ def to_wavefunction(state: EpistemicState) -> WaveField:
     return WaveField(amplitude * np.exp(1j * total_phase / spec.hbar), spec)
 
 
-def from_wavefunction(wave: WaveField) -> EpistemicState:
-    """Density of a wavefunction plus the wave itself: the one maker of wrapped states.
+def from_wavefunction(wave: WaveField) -> WaveField:
+    """The state of a wave, which is the wave itself.
 
-    The state shares the wave's cached density and carries psi as
-    wave_values, with no phase grid: hbar * arg(psi) is known only modulo
-    2 pi hbar, and the consumers of the phase differentiate psi instead
-    (fields.phase_gradient_arrays), masking the cells of negligible density
-    (fields.alive_cells).  Beyond the density, building the state allocates
-    no grid.
+    Every functional of a state takes a WaveField (fields.phase_gradient_arrays
+    differentiates psi), so this view builds nothing.  No code path of red
+    calls it; perfbench's traced layer list names it.
     """
-    return EpistemicState(wave.density, None, wave_values=wave.values)
+    return wave
 
 
 def kinetic_symbol(spec: SystemSpec) -> np.ndarray:
@@ -299,13 +294,13 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     return spectrum_momentum(WaveSpectrum(fftn(wave.values, spec, out=buffer), spec))
 
 
-def total_energy(state: EpistemicState, potential: Potential, h0: float) -> float:
+def total_energy(state: EpistemicState | WaveField, potential: Potential, h0: float) -> float:
     """Discrete ensemble Hamiltonian: flow plus curvature terms plus potential average.
 
     This is the conserved quantity of the coupled (rho, Phi) equations;
-    the split-step integrator preserves it to second order in dt_pde.  The
-    state of a wave is from_wavefunction(wave).  h0 holds the flow and
-    curvature pieces: the h0_term of the state's mismatch report
+    the split-step integrator preserves it to second order in dt_pde.  state
+    is an EpistemicState or a WaveField; only its rho is read.  h0 holds the
+    flow and curvature pieces: the h0_term of the state's mismatch report
     (geometry.info_metric_g), which computes H0 in its one loop over the axes.
     """
     return h0 + float(np.sum(potential.values.values * state.rho.values)) * state.spec.cell_volume
@@ -357,7 +352,7 @@ def ehrenfest_diagnostic(trajectory, potential: Potential) -> EhrenfestSeries:
     dt = float(gaps[0])
     momenta = np.array([expected_momentum(w) for w in waves])
     rate = (momenta[2:] - momenta[:-2]) / (2.0 * dt)
-    force = np.array([ehrenfest_force(w.density, potential) for w in waves[1:-1]])
+    force = np.array([ehrenfest_force(w.rho, potential) for w in waves[1:-1]])
     return EhrenfestSeries(times[1:-1], rate, force)
 
 
@@ -384,11 +379,6 @@ def hamilton_evolve(
     spec = state.spec
     if potential.spec != spec:
         raise StateError("potential and state live on different grids")
-    if state.phase_wrapped:
-        raise StateError(
-            "hamilton stepping squares the phase gradient and needs an unwrapped "
-            "phase grid; evolve wavefunction-derived states with schrodinger_evolve"
-        )
 
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber

@@ -48,7 +48,6 @@ from .quantum import (
     WaveField,
     ehrenfest_diagnostic,
     expected_momentum,
-    from_wavefunction,
     hamilton_evolve,
     schrodinger_evolve,
     to_wavefunction,
@@ -321,9 +320,8 @@ def suite_entropyrate() -> list:
     spacing = 0.01
     entropies, rates = [], []
     for _ in range(101):
-        state = from_wavefunction(wave)
-        entropies.append(entropy(state.rho))
-        rates.append(entropy_rate(state))
+        entropies.append(entropy(wave.rho))
+        rates.append(entropy_rate(wave))
         wave = schrodinger_evolve(wave, potential, shift, spacing, 1e-2)
     entropies = np.asarray(entropies)
     rates = np.asarray(rates)

@@ -8,7 +8,8 @@ class is read as `.name` in src/red, scripts or perfbench: a public one
 outside its own class body, a private one (leading underscore) outside its
 own definition.  This is the search by name; whether a caller passes values
 at which a code path does any work is not checked.  Every LAYERS entry must
-also resolve on its `red` module.
+also resolve on its `red` module, and every one but those in LAYERS_ONLY must
+have a caller in src/red or scripts.
 """
 
 import ast
@@ -17,6 +18,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "red"
+# LAYERS entries that no code path of red or its scripts calls: one-line views
+# kept only because perfbench traces them by name
+LAYERS_ONLY = {("geometry", "ensemble_hamiltonian_h0"), ("quantum", "from_wavefunction")}
 
 
 def parsed(directory: Path) -> list:
@@ -124,3 +128,10 @@ def test_every_traced_layer_resolves_on_its_module():
         if not callable(target):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_only_the_layers_only_entries_lack_a_caller_in_red_or_its_scripts():
+    called = referenced_names(parsed(PACKAGE) + parsed(ROOT / "scripts"), strings=False)
+    uncalled = {(module, path) for module, path in perfbench_layers()
+                if path.split(".")[-1] not in called}
+    assert uncalled == LAYERS_ONLY

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,8 @@ def _long_run(doc) -> bool:
     return isinstance(steps, int) and not isinstance(steps, bool) and steps > 3
 
 
+# mutated values such as 1e308 overflow on purpose; numpy warns before red's checks raise
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(doc=mutated())

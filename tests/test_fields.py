@@ -21,7 +21,7 @@ from red.model import (
     quadrature,
 )
 from red.presets import gaussian_density, gaussian_state
-from red.quantum import WaveField, from_wavefunction
+from red.quantum import WaveField
 
 
 def spec_1p(n=256, box=20.0, dt=0.01, mass=1.0, hbar=1.0):
@@ -41,13 +41,6 @@ def test_phase_drift_round_trip():
     grid, slope = state_drift_potential(EpistemicState(rho, phase))
     assert np.max(np.abs(grid.values - phi.values)) < 1e-12
     assert np.array_equal(slope, [0.0])
-
-
-def test_drift_potential_rejects_a_wrapped_state():
-    spec = spec_1p()
-    state = from_wavefunction(WaveField(np.sqrt(gaussian_density(spec, 10.0, 1.3).values), spec))
-    with pytest.raises(StateError, match="wrapped phase grid"):
-        state_drift_potential(state)
 
 
 def test_drift_potential_is_bitwise_the_out_of_place_sum():
@@ -111,32 +104,28 @@ def test_osmotic_phase_of_constant_drift_is_minus_half_log_rho():
 
 
 def test_phase_gradient_handles_wrapped_phase():
-    # a lattice-mode phase stored wrapped into one period still differentiates exactly
+    # a lattice-mode phase, known from the wave only modulo one period, still differentiates exactly
     spec = spec_1p(n=128)
     x = spec.axis_coords[0]
     k = 2 * np.pi * 3 / 20.0
     wave = WaveField(np.exp(1j * k * x) / np.sqrt(spec.volume), spec)
-    state = from_wavefunction(wave)
-    assert state.phase_wrapped
-    assert state.phase is None  # the state keeps the wave, not a phase grid
-    assert np.max(np.abs(np.angle(state.wave_values))) > 0.9 * np.pi  # whose phase wraps
-    (g,) = phase_gradient_arrays(state, range(spec.dim))
+    assert np.max(np.abs(np.angle(wave.values))) > 0.9 * np.pi  # whose phase wraps
+    (g,) = phase_gradient_arrays(wave, range(spec.dim))
     assert np.max(np.abs(g - k)) < 1e-10
 
 
-@pytest.mark.parametrize("wrapped", [False, True])
-def test_one_axis_phase_gradients_are_the_all_axes_ones_bitwise(wrapped):
+@pytest.mark.parametrize("wave", [False, True])
+def test_one_axis_phase_gradients_are_the_all_axes_ones_bitwise(wave):
     # the row asks for one axis at a time; each keeps the bits of the all-axes call,
-    # slope included, on the smooth and the wrapped path alike
+    # on a smooth state with its slope and on a wave alike
     spec = SystemSpec(2, 1, (1.0, 1.5), (12.0,), (24, 20), dt=0.05)
     x0 = spec.axis_coords[0].reshape(-1, 1)
     x1 = spec.axis_coords[1].reshape(1, -1)
     rho = normalized_density(spec, np.exp(-0.3 * (x0 - 6.0) ** 2 - 0.4 * (x1 - 5.0) ** 2))
     phase = ScalarField(0.2 * np.sin(2 * np.pi * x0 / 12.0) * np.cos(2 * np.pi * x1 / 12.0), spec)
     state = EpistemicState(rho, phase, np.array([0.3, -0.7]))
-    if wrapped:
-        wave = from_wavefunction(WaveField(np.sqrt(rho.values) * np.exp(1j * phase.values), spec))
-        state = EpistemicState(wave.rho, None, state.phase_slope, wave_values=wave.wave_values)
+    if wave:
+        state = WaveField(np.sqrt(rho.values) * np.exp(1j * phase.values), spec)
     every = phase_gradient_arrays(state, range(spec.dim))
     assert len(every) == 2
     for axis in range(2):

@@ -30,7 +30,7 @@ from red.model import (
     gradient_arrays,
 )
 from red.presets import gaussian_density, gaussian_state, gaussian_wave_values
-from red.quantum import WaveField, from_wavefunction
+from red.quantum import WaveField
 from red.sampler import STREAM_MONTE_CARLO, stream
 
 
@@ -99,7 +99,7 @@ def frozen_ensemble_hamiltonian_h0(state, shift):
 
 
 def test_h0_of_a_smooth_sloped_state_is_bitwise_the_frozen_loop():
-    # the wrapped form is pinned in test_run_path; this is the smooth phase grid,
+    # the wave's form is pinned in test_run_path; this is the smooth phase grid,
     # with a slope, a shift and a different mass and cell count on each of three axes
     spec = SystemSpec(3, 1, (1.0, 2.0, 0.5), (10.0,), (12, 14, 16), dt=0.05, hbar=0.8)
     x0, x1, x2 = spec.mesh()
@@ -233,14 +233,14 @@ def test_total_momentum_uniform_slopes():
 
 
 def test_total_momentum_wrapped_and_smooth_channels_agree():
+    # a wave, whose phase is known only wrapped, and a smooth state with the same slope
     spec = SystemSpec(1, 1, (1.0,), (20.0,), (128,), dt=0.01)
     x = spec.axis_coords[0]
     k = 2.0 * np.pi * 3 / 20.0
     rho = gaussian_density(spec, 10.0, 2.0)
     smooth = EpistemicState(rho, ScalarField(spec.hbar * k * x * 0.0, spec), np.array([k * spec.hbar]))
-    wrapped = from_wavefunction(WaveField(np.sqrt(rho.values) * np.exp(1j * k * x), spec))
-    assert wrapped.phase_wrapped
-    assert total_momentum(smooth)[0] == pytest.approx(total_momentum(wrapped)[0], rel=1e-9)
+    wave = WaveField(np.sqrt(rho.values) * np.exp(1j * k * x), spec)
+    assert total_momentum(smooth)[0] == pytest.approx(total_momentum(wave)[0], rel=1e-9)
 
 
 def test_best_match_modes_agree():
@@ -252,13 +252,13 @@ def test_best_match_modes_agree():
     assert fitted.components == pytest.approx(closed.components, abs=1e-10)
 
 
-def fit_state(spatial_dim, masses, wrapped, dt=0.05):
-    """Two particles with momentum along every spatial axis, sloped and smooth or a wrapped wave."""
+def fit_state(spatial_dim, masses, wave, dt=0.05):
+    """Two particles with momentum along every spatial axis: a sloped smooth state, or a wave."""
     grid, box = {1: (64, 16.0), 2: (12, 10.0), 3: (6, 8.0)}[spatial_dim]
     spec = SystemSpec(2, spatial_dim, masses, (box,) * spatial_dim, (grid,) * (2 * spatial_dim), dt)
-    if wrapped:
+    if wave:
         modes = np.resize([1, 2, 1], spec.dim)
-        return from_wavefunction(WaveField(gaussian_wave_values(spec, box / 2.0, 1.5, modes), spec))
+        return WaveField(gaussian_wave_values(spec, box / 2.0, 1.5, modes), spec)
     return gaussian_state(spec, sigma=1.5, slope=np.resize([0.5, -0.3, 0.8], spec.dim))
 
 
@@ -270,15 +270,15 @@ def fit_state(spatial_dim, masses, wrapped, dt=0.05):
     (3, (1.0, 1.0), 0.05), (3, (1.0, 2.5), 0.05),
     (2, (1.0, 2.5), 1e-10), (2, (1e200, 2.5e200), 0.05),
 ])
-@pytest.mark.parametrize("wrapped", [False, True])
-def test_best_match_fit_is_momentum_over_mass(wrapped, spatial_dim, masses, dt):
-    state = fit_state(spatial_dim, masses, wrapped, dt)
+@pytest.mark.parametrize("wave", [False, True])
+def test_best_match_fit_is_momentum_over_mass(wave, spatial_dim, masses, dt):
+    state = fit_state(spatial_dim, masses, wave, dt)
     want = total_momentum(state) / state.spec.total_mass
     assert best_match_fit(state).components == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_best_match_fit_reads_no_momentum(monkeypatch):
-    state = fit_state(2, (1.0, 2.5), wrapped=True)
+    state = fit_state(2, (1.0, 2.5), wave=True)
     want = total_momentum(state) / state.spec.total_mass
     for module, name in ((red.geometry, "total_momentum"), (red.geometry, "spectrum_momentum"),
                          (red.quantum, "expected_momentum"), (red.quantum, "spectrum_momentum")):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -240,14 +241,22 @@ def test_epistemic_state_validation():
     spec = spec_1d(64, 10.0)
     x = spec.axis_coords[0]
     rho = normalized_density(spec, np.exp(-0.5 * (x - 5.0) ** 2))
-    state = EpistemicState(rho, ScalarField.constant(spec, 0.0))
-    assert not state.phase_wrapped
+    EpistemicState(rho, ScalarField.constant(spec, 0.0))
     with pytest.raises(StateError, match="quadrature"):
         EpistemicState(ScalarField(rho.values * 2.0, spec), ScalarField.constant(spec, 0.0))
     bad = rho.values.copy()
     bad[0] = -1e-6
     with pytest.raises(StateError, match="negative"):
         EpistemicState(ScalarField(bad, spec), ScalarField.constant(spec, 0.0))
+
+
+def test_epistemic_state_takes_no_wave():
+    # a wave is its own state (quantum.WaveField); a state holds rho, its phase grid and the slope
+    spec = spec_1d(64, 10.0)
+    rho = ScalarField.constant(spec, 1.0 / spec.volume)
+    assert [field.name for field in dataclasses.fields(EpistemicState)] == ["rho", "phase", "phase_slope"]
+    with pytest.raises(TypeError, match="wave_values"):
+        EpistemicState(rho, None, wave_values=np.sqrt(rho.values).astype(complex))
 
 
 def test_shift_velocity_layout():

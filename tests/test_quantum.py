@@ -29,7 +29,6 @@ from red.quantum import (
     ehrenfest_diagnostic,
     ehrenfest_force,
     expected_momentum,
-    from_wavefunction,
     hamilton_evolve,
     schrodinger_evolve,
     to_wavefunction,
@@ -108,37 +107,25 @@ def test_wavefunction_round_trip_preserves_density_and_phase():
     state = EpistemicState(state.rho, phase, slope)
 
     wave = to_wavefunction(state)
-    back = from_wavefunction(wave)
 
-    assert back.phase_wrapped
-    np.testing.assert_allclose(back.rho.values, state.rho.values, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(wave.rho.values, state.rho.values, rtol=1e-12, atol=1e-300)
     # phases can only agree modulo 2 pi hbar; compare on the circle, away
     # from the masked tail cells
     total_in = state.phase.values + slope[0] * x
-    alive = alive_cells(back.rho.values)
-    back_phase = spec.hbar * np.angle(back.wave_values)
+    alive = alive_cells(wave.rho.values)
+    back_phase = spec.hbar * np.angle(wave.values)
     mismatch = np.exp(1j * (back_phase - total_in)[alive] / spec.hbar)
     assert np.max(np.abs(mismatch - 1.0)) < 1e-10
 
 
-def test_to_wavefunction_rejects_a_wrapped_state():
-    state = from_wavefunction(to_wavefunction(gaussian_state(SPEC_1D, sigma=1.5)))
-    with pytest.raises(StateError, match="wrapped state"):
-        to_wavefunction(state)
-
-
 def test_wavefunction_masks_dead_tail_cells():
-    state = from_wavefunction(to_wavefunction(gaussian_state(SPEC_1D, sigma=0.9)))
-    alive = alive_cells(state.rho.values)
+    wave = to_wavefunction(gaussian_state(SPEC_1D, sigma=0.9))
+    alive = alive_cells(wave.rho.values)
     masked = int(np.sum(~alive))
     assert 0 < masked < SPEC_1D.grid_points[0] // 2
-    # dead cells get gradient exactly zero, plus the slope of a state that has one
-    (grad,) = phase_gradient_arrays(state, range(SPEC_1D.dim))
+    # dead cells get gradient exactly zero
+    (grad,) = phase_gradient_arrays(wave, range(SPEC_1D.dim))
     assert np.all(grad[~alive] == 0.0)
-    slope = np.array([0.37])
-    sloped = EpistemicState(state.rho, state.phase, slope, wave_values=state.wave_values)
-    (grad,) = phase_gradient_arrays(sloped, range(SPEC_1D.dim))
-    assert np.all(grad[~alive] == slope[0])
 
 
 def test_to_wavefunction_rejects_non_lattice_slope():
@@ -371,7 +358,7 @@ def test_external_force_from_midpoint_density_matches_momentum_rate():
     half = schrodinger_evolve(wave, potential, shift, 0.5 * dt, 0.5 * dt)
     full = schrodinger_evolve(wave, potential, shift, dt, dt)
     measured = (expected_momentum(full)[0] - expected_momentum(wave)[0]) / dt
-    predicted = ehrenfest_force(half.density, potential)[0]
+    predicted = ehrenfest_force(half.rho, potential)[0]
 
     assert predicted == pytest.approx(-stiffness * 1.5, rel=1e-5)
     assert measured == pytest.approx(predicted, rel=1e-6)
@@ -385,8 +372,7 @@ def test_split_step_conserves_energy_at_second_order():
     shift = ShiftVelocity.zero(spec)
 
     def energy(wave):
-        state = from_wavefunction(wave)
-        return total_energy(state, potential, ensemble_hamiltonian_h0(state, shift))
+        return total_energy(wave, potential, ensemble_hamiltonian_h0(wave, shift))
 
     start = energy(wave)
     t = 0.5
@@ -438,13 +424,6 @@ def test_hamilton_matches_schrodinger_on_smooth_potential():
     p_ham = expected_momentum(to_wavefunction(ham))
     p_schrod = expected_momentum(schrod)
     np.testing.assert_allclose(p_ham, p_schrod, rtol=0, atol=1e-6)
-
-
-def test_hamilton_step_rejects_wrapped_phase():
-    state = from_wavefunction(to_wavefunction(floored_state(gaussian_state(SPEC_1D, sigma=1.5))))
-    potential = Potential.free(SPEC_1D)
-    with pytest.raises(StateError):
-        hamilton_evolve(state, potential, ShiftVelocity.zero(SPEC_1D), 1e-3, 1e-3)
 
 
 def test_hamilton_step_underflow_points_to_wavefunction_path():

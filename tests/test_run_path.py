@@ -20,7 +20,13 @@ from red.experiment import (
     sample_experiment,
 )
 from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
-from red.geometry import best_match_fit, best_match_shift, ensemble_hamiltonian_h0, total_momentum
+from red.geometry import (
+    best_match_fit,
+    best_match_shift,
+    ensemble_hamiltonian_h0,
+    info_metric_g,
+    total_momentum,
+)
 from red.io import ObservablesWriter, read_float_csv, wave_from_csv, wave_to_csv
 from red.model import (
     Ensemble,
@@ -40,7 +46,6 @@ from red.quantum import (
     WaveField,
     WaveSpectrum,
     expected_momentum,
-    from_wavefunction,
     kinetic_factor,
     kinetic_symbol,
     schrodinger_evolve,
@@ -67,38 +72,40 @@ def gradient_form_momentum(state):
     return out
 
 
-def narrow_wave(grid, box=16.0, sigma=0.8):
+def narrow_state(grid, box=16.0, sigma=0.8):
     """A boosted narrow packet whose far tails underflow below the dead-cell threshold."""
     dim = len(grid)
     spec = SystemSpec(dim, 1, tuple(1.0 + 0.5 * n for n in range(dim)), (box,), grid, dt=0.05)
     slope = np.array([2.0 * np.pi * (n + 1) / box for n in range(dim)])
-    state = gaussian_state(spec, center=np.full(dim, 0.45 * box), sigma=np.full(dim, sigma),
-                           slope=slope)
-    return to_wavefunction(state)
+    return gaussian_state(spec, center=np.full(dim, 0.45 * box), sigma=np.full(dim, sigma),
+                          slope=slope)
+
+
+def narrow_wave(grid, box=16.0, sigma=0.8):
+    """The wave of narrow_state."""
+    return to_wavefunction(narrow_state(grid, box, sigma))
 
 
 @pytest.mark.parametrize("grid", [(32,), (33,), (32, 32), (31, 33), (32, 31)])
 def test_mode_space_momentum_matches_gradient_form(grid):
     wave = narrow_wave(grid)
-    state = from_wavefunction(wave)
-    rho = state.rho.values
+    rho = wave.rho.values
     # the packet's tails are dead cells: the alive mask really cuts something
     assert np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))
     got = expected_momentum(wave)
-    want = gradient_form_momentum(state)
+    want = gradient_form_momentum(wave)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("grid", [(32, 32), (31, 33)])
 def test_mode_space_momentum_keeps_the_slope_term(grid):
-    # a wrapped state with a slope adds slope . int rho to the momentum of its wave
-    wave = narrow_wave(grid)
-    wrapped = from_wavefunction(wave)
+    # a slope added to a state adds slope . int rho to the momentum of its wave
+    base = narrow_state(grid)
+    wave = to_wavefunction(base)
     slope = np.array([0.37, -1.25])
-    state = EpistemicState(wrapped.rho, wrapped.phase, slope, wave_values=wrapped.wave_values)
-    assert state.phase_wrapped
+    state = EpistemicState(base.rho, base.phase, base.phase_slope + slope)
     got = total_momentum(state)
-    mass = float(np.sum(wrapped.rho.values)) * wave.spec.cell_volume
+    mass = float(np.sum(base.rho.values)) * wave.spec.cell_volume
     want = expected_momentum(wave) + float(np.sum(slope)) * mass
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
@@ -117,9 +124,7 @@ def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform
     want = expected_momentum(wave) / wave.spec.total_mass
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    state = from_wavefunction(wave)
-    for match in (best_match_shift, best_match_fit):
-        other = match(state).components
+    for other in (total_momentum(wave) / wave.spec.total_mass, best_match_fit(wave).components):
         assert np.max(np.abs(got - other)) <= 1e-12 * max(1.0, float(np.max(np.abs(got))))
     if uniform and grid != (31, 33):
         # no momentum at all: the shift is an exact zero
@@ -133,10 +138,10 @@ def test_best_match_of_a_wave_is_per_unit_norm(grid):
     # unit norm, the state's is int rho dPhi, so the two differ by the norm factor
     wave = narrow_wave(grid)
     wave = WaveField(wave.values * (1.0 + 2e-11), wave.spec)
-    norm = float(np.sum(wave.density.values)) * wave.spec.cell_volume
+    norm = float(np.sum(wave.rho.values)) * wave.spec.cell_volume
     assert 1e-11 < norm - 1.0 < 1e-10
     got = best_match_shift(wave).components
-    of_state = best_match_shift(from_wavefunction(wave)).components
+    of_state = total_momentum(wave) / wave.spec.total_mass
     scale = float(np.max(np.abs(got)))
     assert np.max(np.abs(got * norm - of_state)) <= 1e-12 * scale
     assert np.max(np.abs(got - of_state)) > 1e-12 * scale
@@ -214,35 +219,24 @@ def test_split_step_is_bitwise_the_spelled_out_loop_and_leaves_its_input(grid, m
     assert not np.shares_memory(evolved.values, wave.values)
 
 
-def test_wave_state_shares_the_density_and_carries_its_wave():
-    wave = narrow_wave((16, 16), sigma=1.5)
-    state = from_wavefunction(wave)
-    # the state shares the wave's read-only density
-    assert state.rho is wave.density
-    assert not state.rho.values.flags.writeable
-    fresh = from_wavefunction(wave)
-    assert np.array_equal(state.rho.values, fresh.rho.values)
-    # and carries the wave itself, with no phase grid
-    assert state.phase is None and state.wave_values is wave.values
-    # its root-gradient sums are D floats of the grid formula
-    roots = gradient_arrays(np.sqrt(fresh.rho.values), wave.spec)
-    assert root_gradient_squares(state) == [float(np.sum(g ** 2)) for g in roots]
-
-
 def test_h0_from_root_squares_matches_the_grid_formula():
     wave = narrow_wave((16, 16), sigma=1.5)
     spec = wave.spec
-    state = from_wavefunction(wave)
+    # the wave's density is computed once and read-only
+    assert wave.rho is wave.rho
+    assert not wave.rho.values.flags.writeable
     shift = ShiftVelocity(np.array([0.3]), spec)
-    roots = gradient_arrays(np.sqrt(state.rho.values), spec)
+    roots = gradient_arrays(np.sqrt(wave.rho.values), spec)
+    # the root-gradient sums are D floats of the grid formula
+    assert root_gradient_squares(wave) == [float(np.sum(g ** 2)) for g in roots]
     want = 0.0
-    grads = phase_gradient_arrays(state, range(spec.dim))
+    grads = phase_gradient_arrays(wave, range(spec.dim))
     for axis, (phase_grad, root_grad) in enumerate(zip(grads, roots)):
         mass = spec.axis_masses[axis]
         relative = phase_grad - mass * shift.per_axis[axis]
-        want += float(np.sum(state.rho.values * relative ** 2) / (2.0 * mass)) * spec.cell_volume
+        want += float(np.sum(wave.rho.values * relative ** 2) / (2.0 * mass)) * spec.cell_volume
         want += float(np.sum(root_grad ** 2) * spec.hbar ** 2 / (2.0 * mass)) * spec.cell_volume
-    assert ensemble_hamiltonian_h0(state, shift) == want
+    assert ensemble_hamiltonian_h0(wave, shift) == want
 
 
 # ---------------------------------------------------------------- frozen loop
@@ -290,9 +284,9 @@ def frozen_mismatch_terms(state, shift):
 
 
 def frozen_row(wave, potential, shift):
-    """The observables row from fresh (uncached) states, one per quantity as before."""
+    """The observables row with the mismatch in two passes and the rest from psi, as before."""
     spec = wave.spec
-    g_entropy, g_h0 = frozen_mismatch_terms(from_wavefunction(wave), shift)
+    g_entropy, g_h0 = frozen_mismatch_terms(wave, shift)
     g_constant = spec.dim * spec.hbar / (4.0 * spec.dt)
     rho = np.abs(wave.values) ** 2
     energy = g_h0 + float(np.sum(potential.values.values * rho)) * spec.cell_volume
@@ -321,7 +315,7 @@ def frozen_run(config):
     potential = build_potential(config)
 
     def best_match(wave):
-        return ShiftVelocity(gradient_form_momentum(from_wavefunction(wave)) / spec.total_mass, spec)
+        return ShiftVelocity(gradient_form_momentum(wave) / spec.total_mass, spec)
 
     t0 = wave.time
     shift = best_match(wave)
@@ -363,16 +357,16 @@ def test_run_observables_match_frozen_loop(tmp_path):
 
 
 def test_row_evaluates_h0_on_one_state(tmp_path, monkeypatch):
-    # each snapshot reads psi into one state, and the energy is the H0 of that
-    # state (the row's g_h0) plus int rho U
+    # each snapshot takes one mismatch report of the wave itself, and the energy is
+    # the H0 of that report (the row's g_h0) plus int rho U
     made = []
 
-    def counted(wave):
-        made.append(wave.time)
-        return from_wavefunction(wave)
+    def counted(state, shift):
+        assert isinstance(state, WaveField)
+        made.append(state.time)
+        return info_metric_g(state, shift)
 
-    monkeypatch.setattr(red.experiment, "from_wavefunction", counted)
-    monkeypatch.setattr(red.quantum, "from_wavefunction", counted)
+    monkeypatch.setattr(red.experiment, "info_metric_g", counted)
     config = best_match_config(tmp_path, steps=6, snapshot_every=2)
     out = run_experiment(config)
     table = read_observables(out / "observables.csv")
@@ -417,7 +411,7 @@ def test_row_is_bitwise_the_frozen_row(case):
     # one loop over the axes gives the entropy rate and H0 with the bits of two passes
     # over all D phase gradients, and the energy is that H0 plus <U>
     wave, potential, shift = evolved_case(case)
-    rho = wave.density.values
+    rho = wave.rho.values
     assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == (case == "narrow")
     got, want = rows_of_a_run_and_before(wave, potential, shift)
     assert want["g_entropy"] != 0.0 and want["g_h0"] > 0.0
@@ -449,10 +443,9 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     # factor (2.1 grids; the norm check builds no |psi|^2); a matched step holds the
     # buffer with |psi_k|^2 while it matches, then with the kinetic factor it builds
     # (2.3 grids); one observables row of a new wave peaks at 2.07 grids (4.07 with all
-    # D phase gradients kept on the state): the density, then per axis one complex
-    # derivative and the real phase gradient it becomes, freed before the next axis,
-    # with no phase grid, no conj(psi) grid and no masked copy of a wave without dead
-    # cells; the state adds nothing beyond the density it shares with the wave
+    # D phase gradients kept): the density, then per axis one complex derivative and
+    # the real phase gradient it becomes, freed before the next axis, with no phase
+    # grid, no conj(psi) grid and no masked copy of a wave without dead cells
     wave, potential = packet_and_spring((16, 16, 16, 16))
     shift = best_match_shift(wave)
     grid_bytes = wave.values.nbytes
@@ -463,11 +456,9 @@ def test_split_step_and_row_hold_few_full_grid_arrays():
     writer = ObservablesWriter(wave.spec.spatial_dim)
     fresh = WaveField(wave.values, wave.spec)  # no cached density or <P>, as in a run
     row = traced_peak(lambda: red.experiment._observe(writer, fresh, potential, shift))
-    state = traced_peak(lambda: from_wavefunction(fresh))
     assert step <= 3.5 * grid_bytes, step / grid_bytes
     assert matched <= 3.5 * grid_bytes, matched / grid_bytes
     assert row <= 2.5 * grid_bytes, row / grid_bytes
-    assert state <= 0.01 * grid_bytes, state / grid_bytes
 
 
 def frozen_kinetic_symbol(spec):
@@ -501,7 +492,7 @@ def test_wave_drift_is_bitwise_the_frozen_drift(grid, dead):
     # psi * conj(d psi), made in the derivative's buffer, gives Re - Im with the bits of
     # Im + Re of conj(psi) * d psi; dead cells are divided around and zeroed
     wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
-    rho = wave.density.values
+    rho = wave.rho.values
     assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
     got = red.experiment._wave_drift(wave)
     want = frozen_wave_drift(wave)._grids
@@ -518,7 +509,7 @@ def test_wave_drift_and_walker_step_hold_few_arrays():
     # per corner): the 2.0 MB stencil, the gradient, and one corner buffer
     wave, _ = packet_and_spring((128, 128))
     spec = wave.spec
-    wave.density  # the drift divides by the wave's cached density
+    wave.rho  # the drift divides by the wave's cached density
     # a first call also builds numpy's transform plans for 128-point axes
     drift = red.experiment._wave_drift(wave)
     drift_peak = traced_peak(lambda: red.experiment._wave_drift(wave))
@@ -529,40 +520,59 @@ def test_wave_drift_and_walker_step_hold_few_arrays():
     assert step_peak <= 3.8 * 2 ** 20, step_peak / 2 ** 20
 
 
-def spelled_out_phase_gradients(state):
-    """Wrapped phase gradients, conj first: masked psi, conj(psi) * d psi, hbar Im / rho, plus slope."""
-    spec = state.spec
-    rho = state.rho.values
+def spelled_out_phase_gradients(wave):
+    """A wave's phase gradients, conj first: masked psi, conj(psi) * d psi, hbar Im / rho.
+
+    The + 0.0 makes every zero +0.0, as the library gives it: an exact zero of the
+    product's Im has either sign.
+    """
+    spec = wave.spec
+    rho = wave.rho.values
     alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
-    psi = np.where(alive, state.wave_values, 0.0)
+    psi = np.where(alive, wave.values, 0.0)
     conj_psi = np.conj(psi)
     safe_rho = np.where(alive, rho, 1.0)
     grads = []
     for axis in range(spec.dim):
         [derivative] = gradient_arrays(psi, spec, (axis,))
         product = conj_psi * derivative
-        grads.append(np.where(alive, spec.hbar * product.imag / safe_rho, 0.0)
-                     + state.phase_slope[axis])
+        grads.append(np.where(alive, spec.hbar * product.imag / safe_rho, 0.0) + 0.0)
     return grads
 
 
-@pytest.mark.parametrize("grid", [(24, 24), (128, 128), (16, 16, 16, 16)])
+def real_wave(dead):
+    """An unboosted packet on 32^2, whose psi is real: narrow enough for dead cells, or not."""
+    spec = SystemSpec(2, 1, (1.0, 1.5), (10.0,), (32, 32), dt=0.05)
+    sigma = 0.5 if dead else 1.6
+    return to_wavefunction(gaussian_state(spec, center=np.full(2, 5.0), sigma=np.full(2, sigma)))
+
+
+@pytest.mark.parametrize("grid", [(24, 24), (128, 128), (16, 16, 16, 16), "real"])
 @pytest.mark.parametrize("dead", [False, True])
 def test_wrapped_phase_gradients_are_bitwise_the_conj_first_loop(grid, dead):
-    # the product psi * conj(d psi), made in the derivative's buffer and scaled by -hbar,
-    # keeps the bits of conj(psi) * d psi; a wave without dead cells goes unmasked, and
-    # (24, 24) is under numpy's 256 KiB elision size
-    wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
-    wrapped = from_wavefunction(wave)
-    rho = wrapped.rho.values
-    assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
-    slope = np.linspace(0.37, -1.25, len(grid))
-    state = EpistemicState(wrapped.rho, None, slope, wave_values=wrapped.wave_values)
-    got = phase_gradient_arrays(state, range(state.spec.dim))
-    want = spelled_out_phase_gradients(state)
-    assert len(got) == len(want) == len(grid)
+    # the product psi * conj(d psi), made in the derivative's buffer and scaled by hbar,
+    # then taken from 0, keeps the bits of conj(psi) * d psi; a wave without dead cells
+    # goes unmasked, and (24, 24) is under numpy's 256 KiB elision size; on a real wave
+    # Im(psi * conj(d psi)) has exact zeros of both signs, and each gradient is +0.0 there
+    if grid == "real":
+        wave = real_wave(dead)
+    else:
+        wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
+    rho = wave.rho.values
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    assert bool(np.any(~alive)) == dead
+    got = phase_gradient_arrays(wave, range(wave.spec.dim))
+    want = spelled_out_phase_gradients(wave)
+    assert len(got) == len(want) == wave.spec.dim
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+    if grid == "real":
+        psi = np.where(alive, wave.values, 0.0)
+        for axis, grad in enumerate(got):
+            [derivative] = gradient_arrays(psi, wave.spec, (axis,))
+            imag = (psi * np.conj(derivative)).imag[alive]
+            assert np.any((imag == 0.0) & np.signbit(imag)) and np.any((imag == 0.0) & ~np.signbit(imag))
+            assert np.any(grad[alive] == 0.0) and not np.any(np.signbit(grad[grad == 0.0]))
 
 
 def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
