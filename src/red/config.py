@@ -46,42 +46,6 @@ POTENTIAL_PRESETS = (
 SHIFT_MODES = ("fixed", "best_match", "zero_constrained")
 
 
-class _Section:
-    """Typed fields of one resolved config section; its JSON lists become tuples."""
-
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            if isinstance(value, list):
-                object.__setattr__(self, name, tuple(value))
-
-
-@dataclass(frozen=True)
-class InitialStateChoice(_Section):
-    preset: str = None
-    file: str = None
-    center: tuple = None
-    sigma: tuple = None
-    boost: tuple = None
-    k: tuple = None
-
-
-@dataclass(frozen=True)
-class PotentialChoice(_Section):
-    preset: str = None
-    file: str = None
-    k: float = None
-    particles: tuple = None
-    axis: int = None
-    center: float = None
-    coefficients: tuple = None
-
-
-@dataclass(frozen=True)
-class ShiftChoice(_Section):
-    mode: str
-    values: tuple = None
-
-
 @dataclass(frozen=True)
 class RunSettings:
     steps: int
@@ -94,9 +58,10 @@ class RunSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     spec: SystemSpec
-    initial_state: InitialStateChoice
-    potential: PotentialChoice
-    shift_mode: ShiftChoice
+    # the resolved sections themselves, as resolved and the manifest hold them
+    initial_state: dict
+    potential: dict
+    shift_mode: dict
     run: RunSettings
     outputs: str
     resolved: dict
@@ -484,9 +449,9 @@ def parse_config(text: str, seed: int = None, outputs: str = None) -> Experiment
     return ExperimentConfig(
         spec=SystemSpec(system["n_particles"], system["spatial_dim"], system["masses"], system["box"],
                         system["grid"], system["dt"], system["hbar"]),
-        initial_state=InitialStateChoice(**initial),
-        potential=PotentialChoice(**potential),
-        shift_mode=ShiftChoice(**shift),
+        initial_state=initial,
+        potential=potential,
+        shift_mode=shift,
         # the resolved key ensemble_K is the field ensemble_k
         run=RunSettings(**{key.lower(): value for key, value in run.items()}),
         outputs=outputs,

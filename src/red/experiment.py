@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError, RedError
+from .errors import ConfigError, RedError, StateError
 from .fields import alive_cells, entropy
 from .geometry import best_match_fit, best_match_shift, info_metric_g
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
@@ -33,6 +33,7 @@ from .model import (
     Ensemble,
     ShiftVelocity,
     SystemSpec,
+    check_step_bound,
     gradient_arrays,
     quadrature,
 )
@@ -46,6 +47,7 @@ from .presets import (
 from .quantum import (
     Potential,
     WaveField,
+    kinetic_phase_rate,
     schrodinger_evolve,
     to_wavefunction,
     total_energy,
@@ -60,6 +62,9 @@ from .sampler import (
 )
 
 CONSTRAINT_MOMENTUM_TOL = 1e-6
+# rad per split step of the potential and of the initial wave's kinetic energy; a
+# legitimate run turns under 0.2
+MAX_STEP_PHASE = 1.0
 
 
 def _configuration_phase(spec: SystemSpec, slope: np.ndarray) -> np.ndarray:
@@ -78,35 +83,35 @@ def build_initial_wave(config: ExperimentConfig) -> WaveField:
     spec = config.spec
     choice = config.initial_state
     try:
-        if choice.file is not None:
-            return wave_from_csv(choice.file, spec)
-        if choice.preset == "plane_wave":
-            phase = _configuration_phase(spec, np.asarray(choice.k) / spec.hbar)
+        if "file" in choice:
+            return wave_from_csv(choice["file"], spec)
+        if choice["preset"] == "plane_wave":
+            phase = _configuration_phase(spec, np.asarray(choice["k"]) / spec.hbar)
             values = np.exp(1j * phase) / np.sqrt(spec.volume)
             return WaveField(values, spec)
         # the per-spatial-axis boost on every particle's axes, as in ShiftVelocity.per_axis
-        slope = np.tile(choice.boost, spec.n_particles)
-        if choice.preset == "gaussian_packet":
-            state = gaussian_state(spec, center=np.asarray(choice.center),
-                                   sigma=np.asarray(choice.sigma), slope=slope)
+        slope = np.tile(choice["boost"], spec.n_particles)
+        if choice["preset"] == "gaussian_packet":
+            state = gaussian_state(spec, center=np.asarray(choice["center"]),
+                                   sigma=np.asarray(choice["sigma"]), slope=slope)
             return to_wavefunction(state)
         # two_packet: symmetric superposition of opposite boosts over one envelope
-        envelope = np.sqrt(gaussian_density(spec, np.asarray(choice.center),
-                                            np.asarray(choice.sigma)).values)
+        envelope = np.sqrt(gaussian_density(spec, np.asarray(choice["center"]),
+                                            np.asarray(choice["sigma"])).values)
         values = envelope * np.cos(_configuration_phase(spec, slope / spec.hbar)).astype(complex)
         norm = np.sqrt(float(np.sum(np.abs(values) ** 2)) * spec.cell_volume)
         return WaveField(values / norm, spec)
     except (RedError, OSError) as exc:
-        raise ConfigError([("/initial_state" if choice.file is None else "/initial_state/file", str(exc))])
+        raise ConfigError([("/initial_state/file" if "file" in choice else "/initial_state", str(exc))])
 
 
 def build_potential(config: ExperimentConfig) -> Potential:
     """Grid potential for the quantum run path."""
     spec = config.spec
     choice = config.potential
-    if choice.file is not None:
+    if "file" in choice:
         try:
-            payload = read_json(choice.file)
+            payload = read_json(choice["file"])
             values = np.asarray(payload["values"], dtype=float)
             relational = payload.get("relational", False)
         except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
@@ -121,16 +126,17 @@ def build_potential(config: ExperimentConfig) -> Potential:
         if not np.all(np.isfinite(values)):
             raise ConfigError([("/drift_or_potential/file", "potential has non-finite entries")])
         return Potential.from_values(values, spec, relational_flag=relational)
-    if choice.preset == "free":
+    preset = choice["preset"]
+    if preset == "free":
         return Potential.free(spec)
-    if choice.preset == "harmonic_relational":
-        values = harmonic_relational_values(spec, choice.k, choice.particles)
+    if preset == "harmonic_relational":
+        values = harmonic_relational_values(spec, choice["k"], choice["particles"])
         return Potential.from_values(values, spec, relational_flag=True)
-    if choice.preset == "smooth_harmonic_relational":
-        values = smooth_harmonic_relational_values(spec, choice.k, choice.particles)
+    if preset == "smooth_harmonic_relational":
+        values = smooth_harmonic_relational_values(spec, choice["k"], choice["particles"])
         return Potential.from_values(values, spec, relational_flag=True)
-    if choice.preset == "harmonic_external":
-        values = harmonic_external_values(spec, choice.k, choice.axis, choice.center)
+    if preset == "harmonic_external":
+        values = harmonic_external_values(spec, choice["k"], choice["axis"], choice["center"])
         return Potential.from_values(values, spec, relational_flag=False)
     raise ConfigError([
         ("/drift_or_potential/preset",
@@ -141,10 +147,12 @@ def build_potential(config: ExperimentConfig) -> Potential:
 def build_drift(config: ExperimentConfig) -> Drift:
     """Prescribed drift for the sample path: none, linear, or a grid potential's."""
     choice = config.potential
-    if choice.preset == "free":
+    # a potential file has no preset: its drift is its grid potential's
+    preset = choice.get("preset")
+    if preset == "free":
         return Drift(config.spec)
-    if choice.preset == "linear":
-        return Drift(config.spec, slope=choice.coefficients)
+    if preset == "linear":
+        return Drift(config.spec, slope=choice["coefficients"])
     return Drift.of(build_potential(config).values)
 
 
@@ -177,9 +185,9 @@ def _wave_drift(wave: WaveField) -> Drift:
 
 def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
     spec = config.spec
-    mode = config.shift_mode.mode
+    mode = config.shift_mode["mode"]
     if mode == "fixed":
-        return ShiftVelocity(np.asarray(config.shift_mode.values), spec)
+        return ShiftVelocity(np.asarray(config.shift_mode["values"]), spec)
     if mode == "zero_constrained":
         momentum = wave.momentum
         worst = float(np.max(np.abs(momentum)))
@@ -192,6 +200,29 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
         return ShiftVelocity.zero(spec)
     # best_match, recomputed every step
     return best_match_shift(wave)
+
+
+def _check_step_phases(config: ExperimentConfig, wave: WaveField, potential: Potential) -> None:
+    """Bound the phases one split step turns: dt_pde (max U - min U) / hbar and dt_pde <T> / hbar.
+
+    A step past either gives meaningless numbers with no error, so it is a
+    ConfigError at /run/dt_pde, before any output exists.  The spread, not
+    max |U|: a constant offset is a global phase.  dt_pde max(kinetic_symbol)
+    / hbar is not bounded: the step is unitary, and the Nyquist modes of a
+    smooth packet hold almost no weight.
+    """
+    dt_pde = config.run.dt_pde
+    u = potential.values.values
+    rates = (("potential phase", (float(np.max(u)) - float(np.min(u))) / config.spec.hbar),
+             ("kinetic phase", kinetic_phase_rate(wave)))
+    violations = []
+    for bound, rate in rates:
+        try:
+            check_step_bound(dt_pde, bound, rate, MAX_STEP_PHASE)
+        except StateError as exc:
+            violations.append(("/run/dt_pde", str(exc)))
+    if violations:
+        raise ConfigError(violations)
 
 
 def _initial_walkers(config: ExperimentConfig, wave: WaveField, time: float) -> Ensemble:
@@ -253,6 +284,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     run = config.run
     wave = build_initial_wave(config)
     potential = build_potential(config)
+    _check_step_phases(config, wave, potential)
     shift = _resolve_shift(config, wave)
     walkers = _initial_walkers(config, wave, wave.time) if run.ensemble_k > 0 else None
     out = _open_outputs(config)
@@ -264,7 +296,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             walkers_to_csv(walkers, out / f"walkers_{step:06d}.csv")
         _observe(writer, wave, potential, shift)
 
-    best_match = config.shift_mode.mode == "best_match"
+    best_match = config.shift_mode["mode"] == "best_match"
     # a relational potential keeps <P> through the half kick, so the step
     # matches the spectrum it transforms anyway; an external one is matched
     # at the start of the step
@@ -307,13 +339,13 @@ def sample_experiment(config: ExperimentConfig) -> Path:
     run = config.run
     if run.ensemble_k < 2:
         raise ConfigError([("/run/ensemble_K", "sampling needs at least two walkers")])
-    if config.shift_mode.mode != "fixed":
+    if config.shift_mode["mode"] != "fixed":
         raise ConfigError([
             ("/shift_mode/mode", "sampling a prescribed drift needs a fixed shift")
         ])
     wave = build_initial_wave(config)
     drift = build_drift(config)
-    shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
+    shift = ShiftVelocity(np.asarray(config.shift_mode["values"]), spec)
     walkers = _initial_walkers(config, wave, 0.0)
     out = _open_outputs(config)
 

@@ -27,7 +27,7 @@ from .errors import NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
-    check_rk4_bound,
+    check_step_bound,
     gradient_arrays,
     irfftn,
     laplacian_symbol,
@@ -187,7 +187,7 @@ def diffuse(rho: ScalarField, total_time: float, dt_pde: float) -> ScalarField:
     steps = step_count(total_time, dt_pde)
     spec = rho.spec
     heat_symbol = laplacian_symbol(spec, [0.5 * spec.hbar / m for m in spec.axis_masses])
-    check_rk4_bound(dt_pde, "diffusive", float(np.max(heat_symbol)), 2.78)
+    check_step_bound(dt_pde, "diffusive stability", float(np.max(heat_symbol)), 2.78)
 
     def rate(rho_values: np.ndarray) -> tuple:
         return (irfftn(-heat_symbol * rfftn(rho_values, spec), spec),)

@@ -33,7 +33,7 @@ from .model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    check_rk4_bound,
+    check_step_bound,
     divergence_spectrum,
     fftn,
     ifftn,
@@ -274,13 +274,41 @@ def spectrum_momentum(spectrum: WaveSpectrum) -> np.ndarray:
     mass it is the best match of the spectrum (geometry.best_match_shift).
     """
     spec = spectrum.spec
-    power = np.abs(spectrum.values) ** 2
+    marginals, total = _power_marginals(spectrum)
     momentum = np.zeros(spec.spatial_dim)
-    for axis in range(spec.dim):
-        others = tuple(a for a in range(spec.dim) if a != axis)
-        marginal = np.sum(power, axis=others)
+    for axis, marginal in enumerate(marginals):
         momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
-    return spec.hbar * momentum / float(np.sum(power))
+    return spec.hbar * momentum / total
+
+
+def kinetic_phase_rate(wave: WaveField) -> float:
+    """<T>/hbar of a wave, the phase per unit time its kinetic energy turns: hbar sum_A <k_A^2> / (2 m_A).
+
+    <k_A^2> comes from the 1-D marginals of |psi_k|^2 that spectrum_momentum
+    reads, so no full-grid kinetic symbol is built.  hbar multiplies last, in
+    Python floats: the rate stays finite, or becomes inf, with no overflow
+    warning for any hbar and masses the config accepts.
+    """
+    spec = wave.spec
+    marginals, total = _power_marginals(_spectrum(wave))
+    rate = 0.0
+    for marginal, k, mass in zip(marginals, spec.wavenumbers, spec.axis_masses):
+        rate += float((k * k) @ marginal) / total / (2.0 * float(mass))
+    return float(spec.hbar) * rate
+
+
+def _power_marginals(spectrum: WaveSpectrum) -> tuple:
+    """The 1-D marginal of |psi_k|^2 on each axis, and its total; |psi_k|^2 is freed on return."""
+    dim = spectrum.spec.dim
+    power = np.abs(spectrum.values) ** 2
+    marginals = [np.sum(power, axis=tuple(a for a in range(dim) if a != axis)) for axis in range(dim)]
+    return marginals, float(np.sum(power))
+
+
+def _spectrum(wave: WaveField) -> WaveSpectrum:
+    """fftn(psi) in one fresh buffer; the wave is not written."""
+    buffer = np.empty(wave.spec.grid_points, dtype=complex)
+    return WaveSpectrum(fftn(wave.values, wave.spec, out=buffer), wave.spec)
 
 
 def expected_momentum(wave: WaveField) -> np.ndarray:
@@ -289,9 +317,7 @@ def expected_momentum(wave: WaveField) -> np.ndarray:
     The transform goes into one fresh buffer, so a call holds that buffer
     and |psi_k|^2 at most.
     """
-    spec = wave.spec
-    buffer = np.empty(spec.grid_points, dtype=complex)
-    return spectrum_momentum(WaveSpectrum(fftn(wave.values, spec, out=buffer), spec))
+    return spectrum_momentum(_spectrum(wave))
 
 
 def total_energy(state: EpistemicState | WaveField, potential: Potential, h0: float) -> float:
@@ -383,7 +409,7 @@ def hamilton_evolve(
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber
     dispersion = float(np.max(curvature_symbol)) / spec.hbar
-    check_rk4_bound(dt_pde, "dispersive", dispersion, RK4_IMAG_STABILITY)
+    check_step_bound(dt_pde, "dispersive stability", dispersion, RK4_IMAG_STABILITY)
 
     u_values = potential.values.values
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]

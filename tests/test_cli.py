@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import read_observables
+from helpers import admissible_step, read_observables
 import red
 import red.experiment
 import red.verify
@@ -533,12 +534,84 @@ def test_rejected_inputs_leave_no_output_directory(tmp_path, capsys, command, ca
     assert not (tmp_path / "run").exists()
 
 
-# hbar = 1e308 overflows on purpose; numpy warns before the run's check raises
+# hbar = 1e308 overflows on purpose; numpy warns before the run's check raises. A
+# dt_pde of 5e-308 keeps the kinetic phase per step at 0.56 rad, inside the build-time
+# bound, so the run starts and its first row overflows
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_float_overflow_mid_run_exits_3_with_error_json(tmp_path, capsys):
     path = write_config(tmp_path, system={"n_particles": 2, "spatial_dim": 1, "box": [16.0],
                                           "grid": [64, 64], "dt": 0.05, "hbar": 1e308},
-                        initial_state={"preset": "gaussian_packet", "sigma": 1.5})
+                        initial_state={"preset": "gaussian_packet", "sigma": 1.5},
+                        run={"steps": 2, "dt_pde": 5e-308, "seed": 5})
     assert main(["run", "--config", str(path)]) == 3
     assert "OverflowError" in capsys.readouterr().err
     assert read_json(tmp_path / "run" / "error.json")["error"] == "OverflowError"
+
+
+# the minimal configuration of the README, at the step the build-time bounds are sized on
+README_CONFIG = {
+    "system": {"n_particles": 2, "spatial_dim": 1, "masses": [1.0, 1.0], "box": [16.0],
+               "grid": [64, 64], "dt": 0.01},
+    "initial_state": {"preset": "gaussian_packet", "sigma": 1.5, "boost": [0.7853981633974483]},
+    "drift_or_potential": {"preset": "smooth_harmonic_relational", "k": 0.3},
+    "shift_mode": {"mode": "best_match"},
+    "run": {"steps": 100, "dt_pde": 0.05, "snapshot_every": 10, "ensemble_K": 200, "seed": 3},
+}
+
+
+def readme_config(tmp_path, **sections):
+    """The README config with its outputs under tmp_path; each keyword replaces its section."""
+    doc = {**README_CONFIG, **sections, "outputs": str(tmp_path / "run")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_readme_config_at_dt_pde_0_05_runs(tmp_path):
+    # it turns 0.195 rad of potential phase and 0.036 rad of kinetic phase per step
+    assert main(["run", "--config", str(readme_config(tmp_path))]) == 0
+    assert (tmp_path / "run" / "observables.csv").is_file()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "dt_pde", 1e6),
+    ("run", "dt_pde", 1e300),
+    ("drift_or_potential", "k", 1e300),
+    ("system", "masses", [1e-300, 1.0]),
+    ("system", "hbar", 1e300),
+])
+def test_meaningless_step_sizes_exit_2_before_any_output(tmp_path, capsys, section, key, value):
+    # each of these ran to exit 0 with meaningless numbers, or overflowed mid-run; each is
+    # at least 7.3e5 rad per step on the bound it trips
+    path = readme_config(tmp_path, **{section: {**README_CONFIG[section], key: value}})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "  /run/dt_pde: dt_pde=" in err
+    assert "phase bound; largest admissible step is " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bound, potential", [
+    ("potential phase", {"preset": "smooth_harmonic_relational", "k": 0.3}),
+    ("kinetic phase", {"preset": "free"}),
+])
+def test_a_step_just_past_a_phase_bound_is_rejected(tmp_path, capsys, bound, potential):
+    # the admissible step in the message is the bound: 0.1 % past it is rejected, and
+    # 0.1 % short of it runs
+    def run_at(dt_pde):
+        path = readme_config(tmp_path, drift_or_potential=potential,
+                             run={**README_CONFIG["run"], "steps": 1, "dt_pde": dt_pde})
+        shutil.rmtree(tmp_path / "run", ignore_errors=True)
+        code = main(["run", "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    code, err = run_at(1e6)
+    assert code == 2
+    [line] = [line for line in err.splitlines() if f"the {bound} bound" in line]
+    admissible = admissible_step(line)
+    code, err = run_at(admissible * 1.001)
+    assert code == 2
+    assert err.count("/run/dt_pde") == 1 and f"the {bound} bound" in err
+    assert not (tmp_path / "run").exists()
+    assert run_at(admissible * 0.999)[0] == 0

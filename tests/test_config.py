@@ -41,6 +41,10 @@ def test_minimal_config_applies_documented_defaults():
     assert resolved["run"]["ensemble_K"] == 0
     assert resolved["run"]["seed"] == 0
     assert resolved["outputs"] == "out"
+    # each choice section is its resolved dict: the config holds it once
+    assert config.initial_state is resolved["initial_state"]
+    assert config.potential is resolved["drift_or_potential"]
+    assert config.shift_mode is resolved["shift_mode"]
     assert config.spec.hbar == 1.0
     assert config.run.seed == 0
 
@@ -128,7 +132,7 @@ def test_plane_wave_k_is_per_configuration_axis():
         "run": {"steps": 1, "dt_pde": 0.01},
     }
     config = parse(doc)
-    assert config.initial_state.k == pytest.approx((0.7853981633974483, -0.39269908169872414))
+    assert config.initial_state["k"] == pytest.approx([0.7853981633974483, -0.39269908169872414])
 
 
 def test_two_packet_requires_nonzero_boost():
@@ -200,7 +204,7 @@ def test_scalars_broadcast_to_lists():
     config = parse(doc)
     assert config.spec.masses == (2.0, 2.0)
     assert config.spec.grid_points == (64, 64)
-    assert config.initial_state.sigma == (1.5, 1.5)
+    assert config.initial_state["sigma"] == [1.5, 1.5]
 
 
 def test_load_config_flags_update_resolved_copy(tmp_path):

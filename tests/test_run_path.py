@@ -47,6 +47,7 @@ from red.quantum import (
     WaveSpectrum,
     expected_momentum,
     kinetic_factor,
+    kinetic_phase_rate,
     kinetic_symbol,
     schrodinger_evolve,
     spectrum_momentum,
@@ -595,6 +596,43 @@ def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
     assert peak <= 1.6 * wave.values.nbytes, peak / wave.values.nbytes
 
 
+@pytest.mark.parametrize("hbar", [0.7, 1e300])
+def test_kinetic_phase_rate_is_the_state_weighted_kinetic_symbol(hbar):
+    # <T>/hbar from the 1-D marginals equals the full-grid sum of kinetic_symbol |psi_k|^2;
+    # at hbar = 1e300 the symbol overflows, the marginal form does not
+    spec = SystemSpec(2, 1, (1.0, 1.5), (10.0,), (32, 48), dt=0.01, hbar=hbar)
+    state = gaussian_state(spec, center=np.full(2, 5.0), sigma=np.array([1.4, 1.8]),
+                           slope=np.full(2, 2.0 * np.pi * hbar / 10.0))
+    wave = to_wavefunction(state)
+    rate = kinetic_phase_rate(wave)
+    power = np.abs(np.fft.fftn(wave.values)) ** 2
+    k2 = [spec.along(axis, k * k) for axis, k in enumerate(spec.wavenumbers)]
+    want = float(np.sum((k2[0] / 2.0 + k2[1] / 3.0) * power) / np.sum(power))
+    assert np.isfinite(rate)
+    assert rate / hbar == pytest.approx(want, rel=1e-12)
+
+
+def test_step_phase_check_stays_under_the_first_split_steps_peak():
+    # the check transforms the initial wave into one buffer and reads |psi_k|^2 (1.5
+    # grids on 16^4); the run's first matched step builds its factors beside its buffer
+    # (4.3 grids), so the check does not raise a run's traced peak
+    doc = {"system": {"n_particles": 2, "spatial_dim": 2, "masses": [1.0, 1.5],
+                      "box": [10.0, 10.0], "grid": [16, 16, 16, 16], "dt": 0.01},
+           "initial_state": {"preset": "gaussian_packet", "center": [5.0, 4.5, 5.5, 5.0],
+                             "sigma": 2.7, "boost": [2.0 * np.pi / 10.0, 0.0]},
+           "drift_or_potential": {"preset": "smooth_harmonic_relational", "k": 0.4},
+           "shift_mode": {"mode": "best_match"},
+           "run": {"steps": 1, "dt_pde": 0.005}}
+    config = parse_config(json.dumps(doc))
+    wave, potential = build_initial_wave(config), build_potential(config)
+    grid_bytes = wave.values.nbytes
+    check = traced_peak(lambda: red.experiment._check_step_phases(config, wave, potential))
+    step = traced_peak(lambda: schrodinger_evolve(wave, potential, None, 0.005, 0.005,
+                                                  match=best_match_shift))
+    assert check <= 1.7 * grid_bytes, check / grid_bytes
+    assert check < step, (check / grid_bytes, step / grid_bytes)
+
+
 def test_matched_step_matches_the_spectrum_it_transforms():
     # each step hands match the spectrum of its half-kicked wave and uses the shift
     # that comes back; the call returns the last one
@@ -843,7 +881,7 @@ def frozen_sample_walkers(config):
     if drift.grids:
         assert not np.any(drift.slope)
         drift = FrozenGridDrift(spec, drift.grids)
-    shift = ShiftVelocity(np.asarray(config.shift_mode.values), spec)
+    shift = ShiftVelocity(np.asarray(config.shift_mode["values"]), spec)
     walkers = initial_walkers(config, build_initial_wave(config), 0.0)
     snapshots = {0: walkers.positions}
     for step in range(1, run.steps + 1):
