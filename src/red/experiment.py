@@ -47,7 +47,6 @@ from .presets import (
 from .quantum import (
     Potential,
     WaveField,
-    kinetic_phase_rate,
     schrodinger_evolve,
     to_wavefunction,
     total_energy,
@@ -129,19 +128,25 @@ def build_potential(config: ExperimentConfig) -> Potential:
     preset = choice["preset"]
     if preset == "free":
         return Potential.free(spec)
-    if preset == "harmonic_relational":
-        values = harmonic_relational_values(spec, choice["k"], choice["particles"])
-        return Potential.from_values(values, spec, relational_flag=True)
-    if preset == "smooth_harmonic_relational":
-        values = smooth_harmonic_relational_values(spec, choice["k"], choice["particles"])
-        return Potential.from_values(values, spec, relational_flag=True)
-    if preset == "harmonic_external":
-        values = harmonic_external_values(spec, choice["k"], choice["axis"], choice["center"])
-        return Potential.from_values(values, spec, relational_flag=False)
-    raise ConfigError([
-        ("/drift_or_potential/preset",
-         "a linear drift is not a periodic potential; only the sample command accepts it")
-    ])
+    if preset == "linear":
+        raise ConfigError([
+            ("/drift_or_potential/preset",
+             "a linear drift is not a periodic potential; only the sample command accepts it")
+        ])
+    # k / 2 times a squared distance can overflow for numbers the parser accepts:
+    # numpy's warnings are held back, and the grid's finiteness check names k
+    with np.errstate(over="ignore", invalid="ignore"):
+        if preset == "harmonic_external":
+            values = harmonic_external_values(spec, choice["k"], choice["axis"], choice["center"])
+        elif preset == "harmonic_relational":
+            values = harmonic_relational_values(spec, choice["k"], choice["particles"])
+        else:
+            values = smooth_harmonic_relational_values(spec, choice["k"], choice["particles"])
+    try:
+        return Potential.from_values(values, spec, relational_flag=preset != "harmonic_external")
+    except StateError as exc:  # a preset grid has the grid's shape, so it is not finite
+        raise ConfigError([("/drift_or_potential/k", f"{exc}: k / 2 times a squared distance "
+                                                     f"overflows in the {preset} potential")])
 
 
 def build_drift(config: ExperimentConfig) -> Drift:
@@ -189,7 +194,7 @@ def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
     if mode == "fixed":
         return ShiftVelocity(np.asarray(config.shift_mode["values"]), spec)
     if mode == "zero_constrained":
-        momentum = wave.momentum
+        momentum, _ = wave.moments
         worst = float(np.max(np.abs(momentum)))
         if worst > CONSTRAINT_MOMENTUM_TOL:
             raise ConfigError([
@@ -209,12 +214,13 @@ def _check_step_phases(config: ExperimentConfig, wave: WaveField, potential: Pot
     ConfigError at /run/dt_pde, before any output exists.  The spread, not
     max |U|: a constant offset is a global phase.  dt_pde max(kinetic_symbol)
     / hbar is not bounded: the step is unitary, and the Nyquist modes of a
-    smooth packet hold almost no weight.
+    smooth packet hold almost no weight.  <T> / hbar comes from the moments
+    the wave keeps, which the first best match and row 0 read as well.
     """
     dt_pde = config.run.dt_pde
     u = potential.values.values
     rates = (("potential phase", (float(np.max(u)) - float(np.min(u))) / config.spec.hbar),
-             ("kinetic phase", kinetic_phase_rate(wave)))
+             ("kinetic phase", wave.moments[1]))
     violations = []
     for bound, rate in rates:
         try:
@@ -252,7 +258,7 @@ def _observe(writer: ObservablesWriter, wave: WaveField, potential: Potential,
     spec = wave.spec
     # the wave serves the mismatch and the energy; shift is the one the step
     # that made this wave used
-    momentum = wave.momentum
+    momentum, _ = wave.moments
     report = info_metric_g(wave, shift)
     named = {
         "t": wave.time,
@@ -367,7 +373,7 @@ def bestmatch_report(config: ExperimentConfig) -> dict:
     closed = best_match_shift(wave)
     numerical = best_match_fit(wave)
     report = info_metric_g(wave, closed)
-    momentum = wave.momentum
+    momentum, _ = wave.moments
     return {
         "best_match_shift": [float(c) for c in closed.components],
         "numerical_shift": [float(c) for c in numerical.components],

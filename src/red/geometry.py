@@ -36,7 +36,7 @@ from .model import (
     gradient_arrays,
     root_gradient_squares,
 )
-from .quantum import WaveField, WaveSpectrum, spectrum_momentum
+from .quantum import WaveField, WaveSpectrum, spectral_moments
 from .sampler import STREAM_MONTE_CARLO, stream
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def total_momentum(state: EpistemicState | WaveField) -> np.ndarray:
 
     int rho d_A Phi from fields.phase_gradient_arrays, one axis at a time,
     summed onto the spatial axes, for a state or a wave (whose psi is
-    differentiated).  A wave's <P> in mode space is WaveField.momentum
-    (quantum.expected_momentum, kept with the wave).
+    differentiated).  A wave's <P> in mode space is in WaveField.moments
+    (quantum.spectral_moments, kept with the wave).
     """
     spec = state.spec
     rho = state.rho.values
@@ -174,18 +174,19 @@ def best_match_shift(state) -> ShiftVelocity:
     """Shift velocity minimizing the mismatch with the next instant: P / M.
 
     The closed form solves the stationarity condition directly.  state is an
-    EpistemicState, whose P is total_momentum, a WaveField, whose P is
-    WaveField.momentum and needs no phase gradient, or a WaveSpectrum, whose
-    P is spectrum_momentum and needs no transform (the split step matches its
-    half-kicked spectrum this way).  The P of a wave or spectrum is per unit
-    norm, so it equals the wave's total_momentum only up to its norm error.
+    EpistemicState, whose P is total_momentum, a WaveField, whose P is in
+    WaveField.moments and needs no phase gradient, or a WaveSpectrum, whose
+    P is in spectral_moments and needs no transform (the split step matches
+    its half-kicked spectrum this way).  The P of a wave or spectrum is per
+    unit norm, so it equals the wave's total_momentum only up to its norm
+    error.
     """
     spec = state.spec
     mass = spec.total_mass
     if isinstance(state, WaveSpectrum):
-        return ShiftVelocity(spectrum_momentum(state) / mass, spec)
+        return ShiftVelocity(spectral_moments(state)[0] / mass, spec)
     if isinstance(state, WaveField):
-        return ShiftVelocity(state.momentum / mass, spec)
+        return ShiftVelocity(state.moments[0] / mass, spec)
     return ShiftVelocity(total_momentum(state) / mass, spec)
 
 

@@ -22,8 +22,10 @@ GAUSSIAN_IMAGES = 3
 def periodic_gaussian_axis(coords: np.ndarray, box: float, center: float, sigma: float) -> np.ndarray:
     """1-D wrapped Gaussian profile (unnormalized)."""
     out = np.zeros_like(coords)
-    for image in range(-GAUSSIAN_IMAGES, GAUSSIAN_IMAGES + 1):
-        out += np.exp(-0.5 * ((coords - center + image * box) / sigma) ** 2)
+    # far from the center the square overflows to inf, whose exponential is the exact 0
+    with np.errstate(over="ignore"):
+        for image in range(-GAUSSIAN_IMAGES, GAUSSIAN_IMAGES + 1):
+            out += np.exp(-0.5 * ((coords - center + image * box) / sigma) ** 2)
     return out
 
 

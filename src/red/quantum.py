@@ -82,15 +82,16 @@ class WaveField:
         return rho
 
     @cached_property
-    def momentum(self) -> np.ndarray:
-        """expected_momentum of this wave, computed once and read-only: D floats, no grid kept.
+    def moments(self) -> tuple:
+        """spectral_moments of fftn(psi), computed once: (<P>, read-only, and <T>/hbar); no grid kept.
 
-        The observables row and the best match of the next step share it, so
-        a wave is transformed for its <P> once.
+        The step bound, the first best match and the observables row read
+        them, and the row and the best match of the next step share them, so
+        a wave is transformed for its moments once.
         """
-        momentum = expected_momentum(self)
+        momentum, rate = spectral_moments(_spectrum(self))
         momentum.flags.writeable = False
-        return momentum
+        return momentum, rate
 
 
 @dataclass(frozen=True)
@@ -264,45 +265,33 @@ def schrodinger_evolve(
     return evolved if match is None else (evolved, shift)
 
 
-def spectrum_momentum(spectrum: WaveSpectrum) -> np.ndarray:
-    """Total momentum expectation per spatial axis: hbar sum_k k_A |psi_k|^2 / sum_k |psi_k|^2.
+def spectral_moments(spectrum: WaveSpectrum) -> tuple:
+    """(<P> per spatial axis, <T>/hbar) of a spectrum, from one pass over |psi_k|^2.
 
-    By Parseval it equals the quadrature of Re[psi* (-i hbar) sum_n d psi /
-    dx_n^a] exactly (both use the odd-derivative wavenumbers, so the empty
-    sawtooth mode counts as 0).  Each axis is reduced to its 1-D marginal
-    first, which needs no full-grid wavenumber array.  Divided by the total
-    mass it is the best match of the spectrum (geometry.best_match_shift).
+    <P>_a = hbar sum_k k_A |psi_k|^2 / sum_k |psi_k|^2, summed over the axes
+    A of spatial axis a.  By Parseval it equals the quadrature of Re[psi*
+    (-i hbar) sum_n d psi / dx_n^a] exactly (both use the odd-derivative
+    wavenumbers, so the empty sawtooth mode counts as 0).  Divided by the
+    total mass it is the best match of the spectrum (geometry.best_match_shift).
+
+    <T>/hbar = hbar sum_A <k_A^2> / (2 m_A) is the phase per unit time the
+    kinetic energy turns.  hbar multiplies last, in Python floats: the rate
+    stays finite, or becomes inf, with no overflow warning for any hbar and
+    masses the config accepts.
+
+    Both read the 1-D marginal of |psi_k|^2 on each axis, so no full-grid
+    wavenumber array or kinetic symbol is built; |psi_k|^2 is freed on return.
     """
     spec = spectrum.spec
-    marginals, total = _power_marginals(spectrum)
-    momentum = np.zeros(spec.spatial_dim)
-    for axis, marginal in enumerate(marginals):
-        momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
-    return spec.hbar * momentum / total
-
-
-def kinetic_phase_rate(wave: WaveField) -> float:
-    """<T>/hbar of a wave, the phase per unit time its kinetic energy turns: hbar sum_A <k_A^2> / (2 m_A).
-
-    <k_A^2> comes from the 1-D marginals of |psi_k|^2 that spectrum_momentum
-    reads, so no full-grid kinetic symbol is built.  hbar multiplies last, in
-    Python floats: the rate stays finite, or becomes inf, with no overflow
-    warning for any hbar and masses the config accepts.
-    """
-    spec = wave.spec
-    marginals, total = _power_marginals(_spectrum(wave))
-    rate = 0.0
-    for marginal, k, mass in zip(marginals, spec.wavenumbers, spec.axis_masses):
-        rate += float((k * k) @ marginal) / total / (2.0 * float(mass))
-    return float(spec.hbar) * rate
-
-
-def _power_marginals(spectrum: WaveSpectrum) -> tuple:
-    """The 1-D marginal of |psi_k|^2 on each axis, and its total; |psi_k|^2 is freed on return."""
-    dim = spectrum.spec.dim
     power = np.abs(spectrum.values) ** 2
-    marginals = [np.sum(power, axis=tuple(a for a in range(dim) if a != axis)) for axis in range(dim)]
-    return marginals, float(np.sum(power))
+    total = float(np.sum(power))
+    momentum = np.zeros(spec.spatial_dim)
+    rate = 0.0
+    for axis, (k, mass) in enumerate(zip(spec.wavenumbers, spec.axis_masses)):
+        marginal = np.sum(power, axis=tuple(a for a in range(spec.dim) if a != axis))
+        momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
+        rate += float((k * k) @ marginal) / total / (2.0 * float(mass))
+    return spec.hbar * momentum / total, float(spec.hbar) * rate
 
 
 def _spectrum(wave: WaveField) -> WaveSpectrum:
@@ -312,12 +301,12 @@ def _spectrum(wave: WaveField) -> WaveSpectrum:
 
 
 def expected_momentum(wave: WaveField) -> np.ndarray:
-    """Total momentum expectation of a wave per spatial axis: spectrum_momentum of fftn(psi).
+    """Total momentum expectation of a wave per spatial axis: the <P> of spectral_moments of fftn(psi).
 
     The transform goes into one fresh buffer, so a call holds that buffer
-    and |psi_k|^2 at most.
+    and |psi_k|^2 at most.  Nothing is kept: WaveField.moments keeps them.
     """
-    return spectrum_momentum(_spectrum(wave))
+    return spectral_moments(_spectrum(wave))[0]
 
 
 def total_energy(state: EpistemicState | WaveField, potential: Potential, h0: float) -> float:

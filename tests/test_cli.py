@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,27 @@ def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys, section, key, va
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path)]) == 2
     assert pointer in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("potential", [
+    {"preset": "smooth_harmonic_relational", "k": 1e308},
+    {"preset": "harmonic_relational", "k": 1e308},
+    {"preset": "harmonic_external", "k": 1e308, "axis": 1},
+    {"preset": "harmonic_external", "k": 0.3, "axis": 1, "center": 1e308},
+], ids=["smooth_relational", "relational", "external", "external_center"])
+def test_overflowing_preset_numbers_exit_2_at_k_with_no_warning(tmp_path, capsys, command, potential):
+    # the parser accepts these numbers, but k / 2 times a squared distance overflows
+    path = write_config(tmp_path, drift_or_potential=potential,
+                        shift_mode={"mode": "fixed", "values": [0.0]},
+                        run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "  /drift_or_potential/k: " in captured.err and "overflows" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "run").exists()
 
 
@@ -359,6 +381,19 @@ def test_entry_points_load_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_package_imports_nothing_but_its_version():
+    # every caller imports the submodule it needs, so `import red` loads no numpy
+    probe = (
+        "import sys\n"
+        "import red\n"
+        "print(sorted(n for n in vars(red) if not n.startswith('__')), 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] False"
+
+
 def test_only_main_sets_the_allocator_policy():
     # every C function looked up by name passes CDLL.__getitem__; mallopt is replaced by a recorder
     probe = (
@@ -386,6 +421,31 @@ def test_only_main_sets_the_allocator_policy():
     assert on_import == "[]"
     assert code == "2"
     assert json.loads(in_main) == [[-3, 32 * 2 ** 20], [-1, 64 * 2 ** 20]]
+
+
+def test_main_freezes_the_heap_at_exit_once():
+    # atexit.register is replaced by a recorder; handlers run last in, first out, so
+    # the probe registered before main reports what gc.freeze did at exit
+    probe = (
+        "import atexit, contextlib, gc, io\n"
+        "registered = []\n"
+        "register = atexit.register\n"
+        "def spy(fn, *args, **kwargs):\n"
+        "    registered.append(fn)\n"
+        "    return register(fn, *args, **kwargs)\n"
+        "atexit.register = spy\n"
+        "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+        "import red, red.cli, red.config, red.experiment, red.io, red.verify\n"
+        "print('on import', registered.count(gc.freeze))\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        red.cli.main(['verify', 'no-such-suite'])\n"
+        "print('in main', registered.count(gc.freeze), gc.get_freeze_count())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["on import 0", "in main 1 0", "frozen at exit True"]
 
 
 @pytest.mark.parametrize("libc", ["no_library", "no_mallopt", "mallopt_ignored"])
@@ -508,9 +568,8 @@ def test_unreadable_text_exits_2(tmp_path, capsys, make, pointer, words):
 
 @pytest.mark.parametrize("command", ["run", "sample"])
 @pytest.mark.parametrize("case", [
-    "potential_shape", "potential_overflow",
-    # the packet's profile overflows on purpose before the input is rejected
-    pytest.param("packet_far_away", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # the packet's profile overflows before the input is rejected, with no warning
+    "potential_shape", "potential_overflow", "packet_far_away",
 ])
 def test_rejected_inputs_leave_no_output_directory(tmp_path, capsys, command, case):
     potential = tmp_path / "potential.json"

@@ -280,8 +280,8 @@ def test_best_match_fit_is_momentum_over_mass(wave, spatial_dim, masses, dt):
 def test_best_match_fit_reads_no_momentum(monkeypatch):
     state = fit_state(2, (1.0, 2.5), wave=True)
     want = total_momentum(state) / state.spec.total_mass
-    for module, name in ((red.geometry, "total_momentum"), (red.geometry, "spectrum_momentum"),
-                         (red.quantum, "expected_momentum"), (red.quantum, "spectrum_momentum")):
+    for module, name in ((red.geometry, "total_momentum"), (red.geometry, "spectral_moments"),
+                         (red.quantum, "expected_momentum"), (red.quantum, "spectral_moments")):
         monkeypatch.setattr(module, name, None)  # a call would raise
     assert best_match_fit(state).components == pytest.approx(want, rel=1e-14, abs=0.0)
 

@@ -47,10 +47,9 @@ from red.quantum import (
     WaveSpectrum,
     expected_momentum,
     kinetic_factor,
-    kinetic_phase_rate,
     kinetic_symbol,
     schrodinger_evolve,
-    spectrum_momentum,
+    spectral_moments,
     to_wavefunction,
 )
 from red.sampler import (
@@ -590,7 +589,7 @@ def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
     want = spec.hbar * want / float(np.sum(power))
     assert expected_momentum(wave).tobytes() == want.tobytes()
     spectrum = WaveSpectrum(np.fft.fftn(wave.values), spec)
-    assert spectrum_momentum(spectrum).tobytes() == want.tobytes()
+    assert spectral_moments(spectrum)[0].tobytes() == want.tobytes()
     assert best_match_shift(spectrum).components.tobytes() == (want / spec.total_mass).tobytes()
     peak = traced_peak(lambda: expected_momentum(wave))
     assert peak <= 1.6 * wave.values.nbytes, peak / wave.values.nbytes
@@ -604,12 +603,68 @@ def test_kinetic_phase_rate_is_the_state_weighted_kinetic_symbol(hbar):
     state = gaussian_state(spec, center=np.full(2, 5.0), sigma=np.array([1.4, 1.8]),
                            slope=np.full(2, 2.0 * np.pi * hbar / 10.0))
     wave = to_wavefunction(state)
-    rate = kinetic_phase_rate(wave)
+    rate = wave.moments[1]
     power = np.abs(np.fft.fftn(wave.values)) ** 2
     k2 = [spec.along(axis, k * k) for axis, k in enumerate(spec.wavenumbers)]
     want = float(np.sum((k2[0] / 2.0 + k2[1] / 3.0) * power) / np.sum(power))
     assert np.isfinite(rate)
     assert rate / hbar == pytest.approx(want, rel=1e-12)
+
+
+def frozen_power_marginals(spectrum):
+    """The 1-D marginal of |psi_k|^2 on each axis, and its total, as two functions read them."""
+    dim = spectrum.spec.dim
+    power = np.abs(spectrum.values) ** 2
+    marginals = [np.sum(power, axis=tuple(a for a in range(dim) if a != axis)) for axis in range(dim)]
+    return marginals, float(np.sum(power))
+
+
+def frozen_spectrum_momentum(spectrum):
+    """<P> per spatial axis from the marginals, as its own function."""
+    spec = spectrum.spec
+    marginals, total = frozen_power_marginals(spectrum)
+    momentum = np.zeros(spec.spatial_dim)
+    for axis, marginal in enumerate(marginals):
+        momentum[spec.spatial_of_axis(axis)] += float(spec.derivative_wavenumbers[axis] @ marginal)
+    return spec.hbar * momentum / total
+
+
+def frozen_kinetic_phase_rate(spectrum):
+    """<T>/hbar from the marginals, as its own function."""
+    spec = spectrum.spec
+    marginals, total = frozen_power_marginals(spectrum)
+    rate = 0.0
+    for marginal, k, mass in zip(marginals, spec.wavenumbers, spec.axis_masses):
+        rate += float((k * k) @ marginal) / total / (2.0 * float(mass))
+    return float(spec.hbar) * rate
+
+
+@pytest.mark.parametrize("n_particles, spatial_dim, masses, box, grid, hbar", [
+    (2, 2, (1.0, 1.5), (10.0, 10.0), (16, 16, 16, 16), 0.7),
+    (2, 1, (1.0, 2.0), (16.0,), (48, 40), 2.5),
+    (3, 1, (1.0, 2.0, 1.5), (9.0,), (15, 17, 13), 0.3),
+])
+def test_spectral_moments_keep_the_bits_of_the_two_reductions(n_particles, spatial_dim, masses, box,
+                                                              grid, hbar):
+    # one pass over |psi_k|^2 gives <P> and <T>/hbar with the bits that two passes gave,
+    # and a wave keeps the same two numbers
+    spec = SystemSpec(n_particles, spatial_dim, masses, box, grid, dt=0.01, hbar=hbar)
+    modes = np.arange(1, spec.dim + 1) * (-1) ** np.arange(spec.dim)
+    slope = 2.0 * np.pi * hbar * modes / spec.axis_box
+    state = gaussian_state(spec, center=0.45 * spec.axis_box,
+                           sigma=np.linspace(1.3, 1.9, spec.dim), slope=slope)
+    wave = to_wavefunction(state)
+    spectrum = WaveSpectrum(np.fft.fftn(wave.values), spec)
+    momentum, rate = spectral_moments(spectrum)
+    want_momentum, want_rate = frozen_spectrum_momentum(spectrum), frozen_kinetic_phase_rate(spectrum)
+    assert np.all(want_momentum != 0.0) and want_rate > 0.0
+    assert momentum.tobytes() == want_momentum.tobytes()
+    assert rate.hex() == want_rate.hex()
+    kept_momentum, kept_rate = wave.moments
+    assert kept_momentum.tobytes() == want_momentum.tobytes()
+    assert kept_rate.hex() == want_rate.hex()
+    assert not kept_momentum.flags.writeable
+    assert wave.moments[0] is kept_momentum
 
 
 def test_step_phase_check_stays_under_the_first_split_steps_peak():
@@ -678,8 +733,8 @@ def start_of_step_run(config, out):
     return wave
 
 
-def matched_config(tmp_path, potential, spatial_dim):
-    """A boosted two-particle packet (2x1-D on 48^2 or 2x2-D on 16^4), best-matched every step."""
+def matched_config(tmp_path, potential, spatial_dim, shift_mode=None):
+    """A boosted two-particle packet (2x1-D on 48^2 or 2x2-D on 16^4), by default best-matched every step."""
     if spatial_dim == 1:
         system = {"box": [16.0], "grid": [48, 48]}
         packet = {"center": [7.0, 9.0], "sigma": [1.6, 1.9], "boost": [2.0 * np.pi * 2 / 16.0]}
@@ -692,7 +747,7 @@ def matched_config(tmp_path, potential, spatial_dim):
                    **system},
         "initial_state": {"preset": "gaussian_packet", **packet},
         "drift_or_potential": potential,
-        "shift_mode": {"mode": "best_match"},
+        "shift_mode": shift_mode or {"mode": "best_match"},
         "run": {"steps": 12, "dt_pde": 0.01, "snapshot_every": 4, "seed": 1},
         "outputs": str(tmp_path / "run"),
     }
@@ -739,17 +794,43 @@ def test_external_matched_run_is_the_start_of_step_loop_bytewise(tmp_path, spati
 ])
 def test_matched_run_transforms_each_wave_once_for_its_momentum(tmp_path, monkeypatch, potential,
                                                                 transformed):
-    # the row and the next start-of-step best match share the <P> kept on the wave
+    # the step bound, the row and the next start-of-step best match share the moments
+    # kept on the wave: one transform per wave that any of them reads
     times = []
-    original = red.quantum.expected_momentum
+    original = red.quantum._spectrum
 
     def counted(wave):
         times.append(wave.time)
         return original(wave)
 
-    monkeypatch.setattr(red.quantum, "expected_momentum", counted)
+    monkeypatch.setattr(red.quantum, "_spectrum", counted)
     run_experiment(matched_config(tmp_path, potential, 1))
     assert len(times) == len(set(times)) == transformed
+
+
+@pytest.mark.parametrize("shift_mode", [{"mode": "best_match"}, {"mode": "fixed", "values": [0.3]}])
+@pytest.mark.parametrize("potential", [{"preset": "smooth_harmonic_relational", "k": 0.4},
+                                       {"preset": "harmonic_external", "k": 0.4, "axis": 1}])
+def test_run_transforms_the_initial_wave_once(tmp_path, monkeypatch, potential, shift_mode):
+    # the step bound's <T>, the first best match and row 0 all read the moments of
+    # the initial psi, which is transformed forward once for them
+    initial, transformed = [], []
+    build, fftn = red.experiment.build_initial_wave, red.quantum.fftn
+
+    def built(config):
+        initial.append(build(config))
+        return initial[0]
+
+    def counted(values, spec, axes=None, out=None):
+        if axes is None and values is initial[0].values:
+            transformed.append(values)
+        return fftn(values, spec, axes, out)
+
+    monkeypatch.setattr(red.experiment, "build_initial_wave", built)
+    monkeypatch.setattr(red.quantum, "fftn", counted)
+    run_experiment(matched_config(tmp_path, potential, 1, shift_mode))
+    assert len(initial) == 1
+    assert len(transformed) == 1
 
 
 # ---------------------------------------------------------------- frozen walker paths
