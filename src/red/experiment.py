@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, RedError, StateError
-from .fields import alive_cells, entropy
+from .fields import drift_gradient_arrays, entropy
 from .geometry import best_match_fit, best_match_shift, info_metric_g
 from .io import ObservablesWriter, read_json, wave_from_csv, wave_to_csv, write_json
 from .model import (
@@ -34,7 +34,6 @@ from .model import (
     ShiftVelocity,
     SystemSpec,
     check_step_bound,
-    gradient_arrays,
     quadrature,
 )
 from .presets import (
@@ -134,7 +133,8 @@ def build_potential(config: ExperimentConfig) -> Potential:
              "a linear drift is not a periodic potential; only the sample command accepts it")
         ])
     # k / 2 times a squared distance can overflow for numbers the parser accepts:
-    # numpy's warnings are held back, and the grid's finiteness check names k
+    # numpy's warnings are held back, and the grid's finiteness check names k, or
+    # center where the squared distance overflows by itself
     with np.errstate(over="ignore", invalid="ignore"):
         if preset == "harmonic_external":
             values = harmonic_external_values(spec, choice["k"], choice["axis"], choice["center"])
@@ -145,6 +145,12 @@ def build_potential(config: ExperimentConfig) -> Potential:
     try:
         return Potential.from_values(values, spec, relational_flag=preset != "harmonic_external")
     except StateError as exc:  # a preset grid has the grid's shape, so it is not finite
+        with np.errstate(over="ignore"):
+            center_overflows = preset == "harmonic_external" and not np.all(
+                np.isfinite((spec.axis_coords[choice["axis"]] - choice["center"]) ** 2))
+        if center_overflows:
+            raise ConfigError([("/drift_or_potential/center", f"{exc}: the squared distance "
+                                f"from center overflows in the {preset} potential")])
         raise ConfigError([("/drift_or_potential/k", f"{exc}: k / 2 times a squared distance "
                                                      f"overflows in the {preset} potential")])
 
@@ -159,33 +165,6 @@ def build_drift(config: ExperimentConfig) -> Drift:
     if preset == "linear":
         return Drift(config.spec, slope=choice["coefficients"])
     return Drift.of(build_potential(config).values)
-
-
-def _wave_drift(wave: WaveField) -> Drift:
-    """Drift-potential gradient of a wavefunction on the grid.
-
-    grad(phi) = [Im + Re](conj(psi) grad psi) / |psi|^2 combines the phase
-    and osmotic parts in one expression with no logarithm; dead cells get
-    gradient zero.
-    """
-    spec = wave.spec
-    psi = wave.values
-    rho = wave.rho.values
-    alive = alive_cells(rho)
-    grads = []
-    for axis in range(spec.dim):
-        # one derivative at a time, conjugated and multiplied by psi (psi first, as in
-        # fields.phase_gradient_arrays) in its own buffer: Re - Im of psi conj(d psi)
-        # has the bits of Im + Re of conj(psi) d psi
-        [product] = gradient_arrays(psi, spec, (axis,))
-        np.conjugate(product, out=product)
-        np.multiply(psi, product, out=product)
-        grad = product.real - product.imag
-        del product
-        np.divide(grad, rho, out=grad, where=alive)
-        grad[~alive] = 0.0
-        grads.append(grad)
-    return Drift(spec, grads)
 
 
 def _resolve_shift(config: ExperimentConfig, wave: WaveField) -> ShiftVelocity:
@@ -221,12 +200,8 @@ def _check_step_phases(config: ExperimentConfig, wave: WaveField, potential: Pot
     u = potential.values.values
     rates = (("potential phase", (float(np.max(u)) - float(np.min(u))) / config.spec.hbar),
              ("kinetic phase", wave.moments[1]))
-    violations = []
-    for bound, rate in rates:
-        try:
-            check_step_bound(dt_pde, bound, rate, MAX_STEP_PHASE)
-        except StateError as exc:
-            violations.append(("/run/dt_pde", str(exc)))
+    problems = [check_step_bound(dt_pde, bound, rate, MAX_STEP_PHASE) for bound, rate in rates]
+    violations = [("/run/dt_pde", problem) for problem in problems if problem]
     if violations:
         raise ConfigError(violations)
 
@@ -322,7 +297,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 evolved = schrodinger_evolve(wave, potential, shift, run.dt_pde, run.dt_pde, time)
             if walkers is not None:
                 # the walkers move in the step's frame, by the drift of the wave they start on
-                walkers = walker_step(walkers, _wave_drift(wave), shift, run.dt_pde, time)
+                walkers = walker_step(walkers, Drift(wave.spec, drift_gradient_arrays(wave)),
+                                      shift, run.dt_pde, time)
             wave = evolved
             if step % run.snapshot_every == 0:
                 snapshot(step)

@@ -6,12 +6,13 @@ The current velocity of a state is
 
 and the density obeys the continuity equation d_t rho = -div(rho V).  With
 no drift (phi = 0) and no shift that is free diffusion, the flow `diffuse`
-integrates: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
+solves exactly on the grid: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
 
 A state's phase gradient is the spectral derivative of its smooth phase
 grid plus the explicit slope.  A wave's phase winds (it is known only modulo
 one period), so it is differentiated through psi instead, which stays clean:
-grad Phi = hbar * Im(conj(psi) grad psi) / rho.
+grad Phi = hbar * Im(conj(psi) grad psi) / rho; a wave's drift reads the same
+product, grad phi = [Im + Re](conj(psi) grad psi) / rho.
 
 Entropy here is S = -int rho log rho.  Its exact rate along the continuity
 flow is dS/dt = + int rho m^{AB} d_A d_B Phi (the shift drops out); this is
@@ -27,13 +28,11 @@ from .errors import NumericalAbort, StateError
 from .model import (
     EpistemicState,
     ScalarField,
-    check_step_bound,
+    SystemSpec,
     gradient_arrays,
     irfftn,
     laplacian_symbol,
     rfftn,
-    rk4_step,
-    step_count,
 )
 from .quantum import WaveField
 
@@ -46,6 +45,16 @@ OSMOTIC_EXACT = 1e-8
 def alive_cells(rho: np.ndarray) -> np.ndarray:
     """Cells with rho above PHASE_DEAD_RELATIVE * max(rho): the ones whose phase is usable."""
     return rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+
+
+def _psi_conj_derivative(psi: np.ndarray, spec: SystemSpec, axis: int) -> np.ndarray:
+    """psi conj(d_A psi) in the derivative's own buffer, so no conj(psi) grid is built.
+
+    psi first: the last bits of a complex product depend on the order of its factors.
+    """
+    [product] = gradient_arrays(psi, spec, (axis,))
+    np.conjugate(product, out=product)
+    return np.multiply(psi, product, out=product)
 
 
 def phase_gradient_arrays(state: EpistemicState | WaveField, axes) -> list:
@@ -67,10 +76,8 @@ def phase_gradient_arrays(state: EpistemicState | WaveField, axes) -> list:
     the FFT roundoff floor, where that division is pure noise; psi is zeroed
     there before differentiating, they get gradient 0, and every consumer
     weights by rho anyway.  A wave with no dead cell is differentiated as it
-    stands, with no masked copy.  Each derivative is conjugated and
-    multiplied by psi in its own buffer: Im(psi conj(d psi)) is bitwise
-    -Im(conj(psi) d psi) with psi as the first factor, so no conj(psi) grid
-    is built.
+    stands, with no masked copy.  Im(psi conj(d psi)) (_psi_conj_derivative)
+    is bitwise -Im(conj(psi) d psi).
     """
     spec = state.spec
     if not isinstance(state, WaveField):
@@ -83,11 +90,8 @@ def phase_gradient_arrays(state: EpistemicState | WaveField, axes) -> list:
     psi = state.values if np.all(alive) else np.where(alive, state.values, 0.0)
     grads = []
     for axis in axes:
-        # one complex derivative at a time, reduced to its real gradient before the next
-        [product] = gradient_arrays(psi, spec, (axis,))
-        np.conjugate(product, out=product)
-        # psi first: the last bits of a complex product depend on the order of its factors
-        np.multiply(psi, product, out=product)
+        # one complex product at a time, reduced to its real gradient before the next
+        product = _psi_conj_derivative(psi, spec, axis)
         grad = np.zeros(spec.grid_points)
         np.multiply(product.imag, spec.hbar, out=grad, where=alive)
         np.divide(grad, rho, out=grad, where=alive)
@@ -95,6 +99,27 @@ def phase_gradient_arrays(state: EpistemicState | WaveField, axes) -> list:
         np.subtract(0.0, grad, out=grad)
         grads.append(grad)
         del product
+    return grads
+
+
+def drift_gradient_arrays(wave: WaveField) -> list:
+    """grad phi of a wave on every axis, the walkers' drift: [Im + Re](conj(psi) grad psi) / rho.
+
+    One expression for the phase and osmotic parts, with no logarithm; Re - Im
+    of psi conj(d psi) has its bits.  psi is not masked: dead cells get 0.
+    """
+    spec = wave.spec
+    psi = wave.values
+    rho = wave.rho.values
+    alive = alive_cells(rho)
+    grads = []
+    for axis in range(spec.dim):
+        product = _psi_conj_derivative(psi, spec, axis)
+        grad = product.real - product.imag
+        del product
+        np.divide(grad, rho, out=grad, where=alive)
+        grad[~alive] = 0.0
+        grads.append(grad)
     return grads
 
 
@@ -176,30 +201,25 @@ def state_drift_potential(state: EpistemicState) -> tuple:
     return ScalarField(grid, spec), state.phase_slope / spec.hbar
 
 
-def diffuse(rho: ScalarField, total_time: float, dt_pde: float) -> ScalarField:
-    """Free diffusion of a density: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
+def diffuse(rho: ScalarField, total_time: float) -> ScalarField:
+    """Free diffusion of a density for total_time: d_t rho = sum_A hbar / (2 m_A) d_A^2 rho.
 
-    The flow of walkers taking maximum-entropy steps with no drift.  The
-    step is linear in rho, with no logarithm and no division by rho
-    anywhere, so roundoff in exponentially dead tail cells is damped by the
-    heat term rather than fed back.
+    The flow of walkers taking maximum-entropy steps with no drift, solved
+    exactly on the grid: one multiplier on the half spectrum.  A discontinuous
+    density still rings below zero, which the positivity monitor catches.
     """
-    steps = step_count(total_time, dt_pde)
+    if not np.isfinite(total_time):
+        raise StateError(f"total_time must be finite, got {total_time!r}")
+    if total_time < 0:
+        raise StateError("total_time must not be negative")
     spec = rho.spec
     heat_symbol = laplacian_symbol(spec, [0.5 * spec.hbar / m for m in spec.axis_masses])
-    check_step_bound(dt_pde, "diffusive stability", float(np.max(heat_symbol)), 2.78)
-
-    def rate(rho_values: np.ndarray) -> tuple:
-        return (irfftn(-heat_symbol * rfftn(rho_values, spec), spec),)
-
-    values = rho.values
-    for _ in range(steps):
-        (values,) = rk4_step(rate, (values,), dt_pde)
-        lowest = float(np.min(values))
-        if lowest < POSITIVITY_MONITOR:
-            raise NumericalAbort(
-                f"density positivity monitor tripped: min rho = {lowest:.3e} during diffusion"
-            )
+    values = irfftn(np.exp(-total_time * heat_symbol) * rfftn(rho.values, spec), spec)
+    lowest = float(np.min(values))
+    if lowest < POSITIVITY_MONITOR:
+        raise NumericalAbort(
+            f"density positivity monitor tripped: min rho = {lowest:.3e} during diffusion"
+        )
     return ScalarField(values, spec)
 
 

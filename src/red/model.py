@@ -311,17 +311,16 @@ def step_count(total_time: float, dt_pde: float) -> int:
     return steps
 
 
-def check_step_bound(dt_pde: float, bound: str, rate: float, limit: float) -> None:
-    """A step of dt_pde needs rate * dt_pde <= limit; a violation reports the admissible step.
+def check_step_bound(dt_pde: float, bound: str, rate: float, limit: float) -> str:
+    """What is wrong with a step of dt_pde, which needs rate * dt_pde <= limit, or "" when it fits.
 
-    The rate is that of RK4 on a spectral term, or the phase a split step
-    turns per unit time.
+    A violation reports the admissible step.  The rate is that of RK4 on a
+    spectral term, or the phase a split step turns per unit time.
     """
     if rate * dt_pde > limit:
-        raise StateError(
-            f"dt_pde={dt_pde:.3e} exceeds the {bound} bound; "
-            f"largest admissible step is {limit / rate:.3e}"
-        )
+        return (f"dt_pde={dt_pde:.3e} exceeds the {bound} bound; "
+                f"largest admissible step is {limit / rate:.3e}")
+    return ""
 
 
 def rk4_step(rate, values: tuple, dt_pde: float) -> tuple:

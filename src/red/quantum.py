@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericalAbort, StateError
 from .model import (
+    NORMALIZATION_TOL,
     EpistemicState,
     ScalarField,
     ShiftVelocity,
@@ -44,7 +45,6 @@ from .model import (
     step_count,
 )
 
-WAVE_NORM_TOL = 1e-10
 HAMILTON_DENSITY_RELATIVE = 1e-12
 RK4_IMAG_STABILITY = 2.82
 
@@ -70,8 +70,8 @@ class WaveField:
         norm = float(np.einsum("i,i->", flat, flat)) * self.spec.cell_volume
         if not np.isfinite(norm) and not np.all(np.isfinite(vals)):
             raise StateError("wave values must be finite")
-        if abs(norm - 1.0) > WAVE_NORM_TOL:
-            raise StateError(f"wave norm is {norm!r}, expected 1 within {WAVE_NORM_TOL}")
+        if abs(norm - 1.0) > NORMALIZATION_TOL:
+            raise StateError(f"wave norm is {norm!r}, expected 1 within {NORMALIZATION_TOL}")
         object.__setattr__(self, "values", vals)
 
     @cached_property
@@ -85,11 +85,13 @@ class WaveField:
     def moments(self) -> tuple:
         """spectral_moments of fftn(psi), computed once: (<P>, read-only, and <T>/hbar); no grid kept.
 
-        The step bound, the first best match and the observables row read
-        them, and the row and the best match of the next step share them, so
-        a wave is transformed for its moments once.
+        The step bound, the first best match, the row and expected_momentum
+        read them, so a wave is transformed for its moments once, into one
+        fresh buffer: the computation holds it and |psi_k|^2 at most.
         """
-        momentum, rate = spectral_moments(_spectrum(self))
+        buffer = np.empty(self.spec.grid_points, dtype=complex)
+        momentum, rate = spectral_moments(WaveSpectrum(fftn(self.values, self.spec, out=buffer),
+                                                       self.spec))
         momentum.flags.writeable = False
         return momentum, rate
 
@@ -294,19 +296,9 @@ def spectral_moments(spectrum: WaveSpectrum) -> tuple:
     return spec.hbar * momentum / total, float(spec.hbar) * rate
 
 
-def _spectrum(wave: WaveField) -> WaveSpectrum:
-    """fftn(psi) in one fresh buffer; the wave is not written."""
-    buffer = np.empty(wave.spec.grid_points, dtype=complex)
-    return WaveSpectrum(fftn(wave.values, wave.spec, out=buffer), wave.spec)
-
-
 def expected_momentum(wave: WaveField) -> np.ndarray:
-    """Total momentum expectation of a wave per spatial axis: the <P> of spectral_moments of fftn(psi).
-
-    The transform goes into one fresh buffer, so a call holds that buffer
-    and |psi_k|^2 at most.  Nothing is kept: WaveField.moments keeps them.
-    """
-    return spectral_moments(_spectrum(wave))[0]
+    """Total momentum expectation of a wave per spatial axis, read-only: the <P> of WaveField.moments."""
+    return wave.moments[0]
 
 
 def total_energy(state: EpistemicState | WaveField, potential: Potential, h0: float) -> float:
@@ -398,7 +390,9 @@ def hamilton_evolve(
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     # dispersive stability of the curvature term at the largest wavenumber
     dispersion = float(np.max(curvature_symbol)) / spec.hbar
-    check_step_bound(dt_pde, "dispersive stability", dispersion, RK4_IMAG_STABILITY)
+    problem = check_step_bound(dt_pde, "dispersive stability", dispersion, RK4_IMAG_STABILITY)
+    if problem:
+        raise StateError(problem)
 
     u_values = potential.values.values
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]

@@ -7,7 +7,7 @@ stated runtime budget get a final runtime_seconds row.
 
 Suite map:
     moments       one-step kernel mean / variance / cross-covariance
-    mcfp          walker histogram vs density evolution vs heat kernel
+    mcfp          walker histogram vs the exact grid heat flow vs heat kernel
     gdecomp       Monte Carlo vs field form of the mismatch functional
     bestmatch     closed-form vs mismatch-fit optimum shift, flat gradient
     boostcov      best-match covariance under a boost of the phase
@@ -159,7 +159,7 @@ def suite_moments() -> list:
 
 
 def suite_mcfp() -> list:
-    """Free diffusion three ways: walkers, density PDE, analytic kernel."""
+    """Free diffusion three ways: walkers, the exact grid heat flow, analytic kernel."""
     spec = SystemSpec(1, 1, (1.0,), (40.0,), (512,), dt=0.01)
     sigma0, total_time, k_samples, bins = 1.0, 1.0, 100_000, 64
     rho0 = gaussian_density(spec, 20.0, sigma0)
@@ -170,7 +170,7 @@ def suite_mcfp() -> list:
     hist, _ = np.histogram(walkers.positions[:, 0], bins=bins, range=(0.0, 40.0))
     hist = hist / k_samples
 
-    evolved = diffuse(rho0, total_time, 2e-3)
+    evolved = diffuse(rho0, total_time)
     cells_per_bin = spec.grid_points[0] // bins
     fp_mass = evolved.values.reshape(bins, cells_per_bin).sum(axis=1) * spec.cell_volume
 

@@ -117,15 +117,11 @@ def test_numbers_too_large_for_a_float_exit_2(tmp_path, capsys, section, key, va
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sample"])
-@pytest.mark.parametrize("potential", [
-    {"preset": "smooth_harmonic_relational", "k": 1e308},
-    {"preset": "harmonic_relational", "k": 1e308},
-    {"preset": "harmonic_external", "k": 1e308, "axis": 1},
-    {"preset": "harmonic_external", "k": 0.3, "axis": 1, "center": 1e308},
-], ids=["smooth_relational", "relational", "external", "external_center"])
-def test_overflowing_preset_numbers_exit_2_at_k_with_no_warning(tmp_path, capsys, command, potential):
-    # the parser accepts these numbers, but k / 2 times a squared distance overflows
+def overflowing_preset_error(tmp_path, capsys, command, potential):
+    """stderr of a command whose preset numbers the parser accepts but whose grid overflows.
+
+    The command exits 2 with no warning, no stdout and no run directory.
+    """
     path = write_config(tmp_path, drift_or_potential=potential,
                         shift_mode={"mode": "fixed", "values": [0.0]},
                         run={"steps": 2, "dt_pde": 0.005, "seed": 5, "ensemble_K": 8})
@@ -133,9 +129,30 @@ def test_overflowing_preset_numbers_exit_2_at_k_with_no_warning(tmp_path, capsys
         warnings.simplefilter("error")
         assert main([command, "--config", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "  /drift_or_potential/k: " in captured.err and "overflows" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "run").exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("potential", [
+    {"preset": "smooth_harmonic_relational", "k": 1e308},
+    {"preset": "harmonic_relational", "k": 1e308},
+    {"preset": "harmonic_external", "k": 1e308, "axis": 1},
+], ids=["smooth_relational", "relational", "external"])
+def test_overflowing_preset_numbers_exit_2_at_k_with_no_warning(tmp_path, capsys, command, potential):
+    # k / 2 times a squared distance overflows
+    err = overflowing_preset_error(tmp_path, capsys, command, potential)
+    assert "  /drift_or_potential/k: " in err and "overflows" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_overflowing_center_exits_2_at_center_with_no_warning(tmp_path, capsys, command):
+    # the squared distance from center overflows by itself, whatever k is
+    potential = {"preset": "harmonic_external", "k": 0.3, "axis": 1, "center": 1e308}
+    err = overflowing_preset_error(tmp_path, capsys, command, potential)
+    assert "  /drift_or_potential/center: " in err and "overflows" in err
+    assert "/drift_or_potential/k" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "sample"])

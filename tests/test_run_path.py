@@ -19,7 +19,7 @@ from red.experiment import (
     run_experiment,
     sample_experiment,
 )
-from red.fields import PHASE_DEAD_RELATIVE, entropy, phase_gradient_arrays
+from red.fields import PHASE_DEAD_RELATIVE, drift_gradient_arrays, entropy, phase_gradient_arrays
 from red.geometry import (
     best_match_fit,
     best_match_shift,
@@ -134,7 +134,7 @@ def test_best_match_of_a_wave_is_its_states_without_the_phase_grid(grid, uniform
 
 @pytest.mark.parametrize("grid", [(33,), (31, 33)])
 def test_best_match_of_a_wave_is_per_unit_norm(grid):
-    # a wave off unit norm by less than WAVE_NORM_TOL: its closed form is <P> per
+    # a wave off unit norm by less than NORMALIZATION_TOL: its closed form is <P> per
     # unit norm, the state's is int rho dPhi, so the two differ by the norm factor
     wave = narrow_wave(grid)
     wave = WaveField(wave.values * (1.0 + 2e-11), wave.spec)
@@ -494,11 +494,11 @@ def test_wave_drift_is_bitwise_the_frozen_drift(grid, dead):
     wave = narrow_wave(grid) if dead else packet_and_spring(grid)[0]
     rho = wave.rho.values
     assert bool(np.any(rho <= PHASE_DEAD_RELATIVE * float(np.max(rho)))) == dead
-    got = red.experiment._wave_drift(wave)
+    got = drift_gradient_arrays(wave)
     want = frozen_wave_drift(wave)._grids
-    assert len(got.grids) == len(want) == len(grid)
-    for g, w in zip(got.grids, want):
-        assert g.tobytes() == w.tobytes()
+    assert len(got) == len(want) == len(grid)
+    for g, w, moved in zip(got, want, frozen_experiment_wave_drift(wave)):
+        assert g.tobytes() == w.tobytes() == moved.tobytes()
 
 
 def test_wave_drift_and_walker_step_hold_few_arrays():
@@ -511,8 +511,8 @@ def test_wave_drift_and_walker_step_hold_few_arrays():
     spec = wave.spec
     wave.rho  # the drift divides by the wave's cached density
     # a first call also builds numpy's transform plans for 128-point axes
-    drift = red.experiment._wave_drift(wave)
-    drift_peak = traced_peak(lambda: red.experiment._wave_drift(wave))
+    drift = Drift(spec, drift_gradient_arrays(wave))
+    drift_peak = traced_peak(lambda: drift_gradient_arrays(wave))
     walkers = Ensemble(np.random.default_rng(3).uniform(0.0, 10.0, (50_000, 2)), spec, rng_seed=5)
     shift = ShiftVelocity(np.array([0.3]), spec)
     step_peak = traced_peak(lambda: walker_step(walkers, drift, shift, 0.02, 0.02))
@@ -591,7 +591,8 @@ def test_expected_momentum_keeps_its_bits_in_one_transform_buffer():
     spectrum = WaveSpectrum(np.fft.fftn(wave.values), spec)
     assert spectral_moments(spectrum)[0].tobytes() == want.tobytes()
     assert best_match_shift(spectrum).components.tobytes() == (want / spec.total_mass).tobytes()
-    peak = traced_peak(lambda: expected_momentum(wave))
+    # the moments are kept on the wave: a fresh wave of the same psi computes them
+    peak = traced_peak(lambda: expected_momentum(WaveField(wave.values, spec)))
     assert peak <= 1.6 * wave.values.nbytes, peak / wave.values.nbytes
 
 
@@ -795,17 +796,20 @@ def test_external_matched_run_is_the_start_of_step_loop_bytewise(tmp_path, spati
 def test_matched_run_transforms_each_wave_once_for_its_momentum(tmp_path, monkeypatch, potential,
                                                                 transformed):
     # the step bound, the row and the next start-of-step best match share the moments
-    # kept on the wave: one transform per wave that any of them reads
-    times = []
-    original = red.quantum._spectrum
+    # kept on the wave: one transform per wave that any of them reads, into a fresh
+    # buffer (a split step transforms its own buffer in place)
+    transformed_waves = []
+    fftn = red.quantum.fftn
 
-    def counted(wave):
-        times.append(wave.time)
-        return original(wave)
+    def counted(values, spec, axes=None, out=None):
+        if out is not values:
+            transformed_waves.append(values)
+        return fftn(values, spec, axes, out)
 
-    monkeypatch.setattr(red.quantum, "_spectrum", counted)
+    monkeypatch.setattr(red.quantum, "fftn", counted)
     run_experiment(matched_config(tmp_path, potential, 1))
-    assert len(times) == len(set(times)) == transformed
+    # each wave's psi is held here, so no two distinct ones share an id
+    assert len(transformed_waves) == len({id(v) for v in transformed_waves}) == transformed
 
 
 @pytest.mark.parametrize("shift_mode", [{"mode": "best_match"}, {"mode": "fixed", "values": [0.3]}])
@@ -879,6 +883,25 @@ def frozen_wave_drift(wave):
         np.where(alive, (np.imag(product) + np.real(product)) / safe_rho, 0.0)
         for product in (np.conj(psi) * g for g in grads)
     ])
+
+
+def frozen_experiment_wave_drift(wave):
+    """The run's wave-drift grids as red.experiment built them, before red.fields did."""
+    spec = wave.spec
+    psi = wave.values
+    rho = wave.rho.values
+    alive = rho > PHASE_DEAD_RELATIVE * float(np.max(rho))
+    grads = []
+    for axis in range(spec.dim):
+        [product] = gradient_arrays(psi, spec, (axis,))
+        np.conjugate(product, out=product)
+        np.multiply(psi, product, out=product)
+        grad = product.real - product.imag
+        del product
+        np.divide(grad, rho, out=grad, where=alive)
+        grad[~alive] = 0.0
+        grads.append(grad)
+    return grads
 
 
 def frozen_wrap_array(spec, positions):
