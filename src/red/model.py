@@ -141,25 +141,6 @@ class SystemSpec:
         shape[axis] = -1
         return np.reshape(values, shape)
 
-    def _half_spectrum(self, per_axis: list) -> list:
-        """Per-axis modes on the real-FFT spectrum; the last axis keeps g//2 + 1 bins of |k|."""
-        out = []
-        for axis, k in enumerate(per_axis):
-            if axis == self.dim - 1:
-                k = np.abs(k[: self.grid_points[axis] // 2 + 1])
-            out.append(self.along(axis, k))
-        return out
-
-    @cached_property
-    def half_ik(self) -> list:
-        """i*k_A on the half spectrum, with the even-grid Nyquist mode zeroed."""
-        return [1j * k for k in self._half_spectrum(self.derivative_wavenumbers)]
-
-    @cached_property
-    def half_k2(self) -> list:
-        """k_A^2 on the half spectrum."""
-        return [k ** 2 for k in self._half_spectrum(self.wavenumbers)]
-
     def mesh(self) -> list:
         """Coordinate arrays, one per configuration axis, broadcast against the grid."""
         return [self.along(axis, x) for axis, x in enumerate(self.axis_coords)]
@@ -263,13 +244,17 @@ def irfftn(spectrum: np.ndarray, spec: SystemSpec, axes=None) -> np.ndarray:
 
 
 def laplacian_symbol(spec: SystemSpec, axis_weights) -> np.ndarray:
-    """sum_A w_A k_A^2 on the half spectrum: the symbol of -sum_A w_A d_A^2."""
-    return sum(w * k2 for w, k2 in zip(axis_weights, spec.half_k2))
+    """sum_A w_A k_A^2 on the half spectrum: the symbol of -sum_A w_A d_A^2.
 
-
-def divergence_spectrum(fluxes: list, spec: SystemSpec) -> np.ndarray:
-    """Half spectrum of sum_A d_A F_A, summed in k-space for one inverse transform."""
-    return sum(ik * rfftn(f, spec) for ik, f in zip(spec.half_ik, fluxes))
+    The last axis keeps its g//2 + 1 leading modes; on an even grid the
+    last is the Nyquist bin, negative in fftfreq, and squares to its |k|^2.
+    """
+    symbol = 0.0
+    for axis, (w, k) in enumerate(zip(axis_weights, spec.wavenumbers)):
+        if axis == spec.dim - 1:
+            k = k[: spec.grid_points[axis] // 2 + 1]
+        symbol = symbol + w * spec.along(axis, k) ** 2
+    return symbol
 
 
 def gradient_arrays(values: np.ndarray, spec: SystemSpec, axes=None) -> list:

@@ -35,8 +35,8 @@ from .model import (
     ShiftVelocity,
     SystemSpec,
     check_step_bound,
-    divergence_spectrum,
     fftn,
+    gradient_arrays,
     ifftn,
     irfftn,
     laplacian_symbol,
@@ -378,9 +378,9 @@ def hamilton_evolve(
     underflow here aborts with that advice.  The phase grid must be smooth
     (unwrapped): the right-hand side squares its gradient.
 
-    The phase gradient keeps the n-D form (one half spectrum, D n-D
-    inverses), not gradient_arrays' one-axis pairs: madelung's halving
-    ratio of ~1e-10 density gaps is referenced to these exact bits.
+    Both first derivatives, d_A Phi and d_A (rho v_A), are gradient_arrays'
+    one-axis pairs, taken inside the walk over the axes, so a rate holds
+    the derivatives of one axis at a time.
     """
     steps = step_count(total_time, dt_pde)
     spec = state.spec
@@ -413,18 +413,18 @@ def hamilton_evolve(
     def rates(rho_values: np.ndarray, phase_values: np.ndarray):
         if not np.all(np.isfinite(phase_values)):
             raise StateError("cannot differentiate non-finite field values")
-        phase_spectrum = rfftn(phase_values, spec)
-        phase_grads = [irfftn(ik * phase_spectrum, spec) for ik in spec.half_ik]
         # the curvature term enters the phase rate with a plus sign
         phase_rate = -u_values + curvature(rho_values)
-        fluxes = []
+        rho_rate = 0.0
         for axis in range(spec.dim):
-            total_grad = phase_grads[axis] + slope[axis]
+            [grad] = gradient_arrays(phase_values, spec, (axis,))
+            total_grad = grad + slope[axis]
             relative = total_grad - spec.axis_masses[axis] * shift.per_axis[axis]
             phase_rate = phase_rate - 0.5 * inverse_masses[axis] * relative ** 2
             velocity = total_grad * inverse_masses[axis] - shift.per_axis[axis]
-            fluxes.append(rho_values * velocity)
-        return -irfftn(divergence_spectrum(fluxes, spec), spec), phase_rate
+            [div] = gradient_arrays(rho_values * velocity, spec, (axis,))
+            rho_rate = rho_rate - div
+        return rho_rate, phase_rate
 
     rho = state.rho.values
     phase = state.phase.values

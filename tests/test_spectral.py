@@ -1,8 +1,12 @@
 """The spectral layer of red.model: oracles against the bare numpy transforms.
 
-The stepper below is a frozen copy of the complex-FFT right-hand side that
-hamilton_evolve used before it moved to half-spectrum transforms; the
-ported integrator must reproduce it to roundoff.  diffuse, the exact grid
+Every first derivative is a one-axis transform pair, and the only n-D
+real transforms are the multiplies by laplacian_symbol, which is pinned
+bitwise to a frozen copy of its |k|^2 half-spectrum form.  The stepper
+below is a frozen copy of the complex-FFT right-hand side that
+hamilton_evolve used before it moved to real transforms; the integrator
+must reproduce it to roundoff, and one of its steps is bitwise the same
+step spelled out with one-axis derivatives.  diffuse, the exact grid
 heat flow, is pinned to the closed-form heat kernel of a wrapped Gaussian
 and to the semigroup law.
 """
@@ -22,7 +26,6 @@ from red.model import (
     ScalarField,
     ShiftVelocity,
     SystemSpec,
-    divergence_spectrum,
     fftn,
     gradient_arrays,
     ifftn,
@@ -82,10 +85,8 @@ def test_along_broadcasts_on_the_grid_and_the_half_spectrum():
         assert spec.along(axis, spec.axis_coords[axis]).shape == want
         assert spec.mesh()[axis].shape == want
     assert spec.along(2, np.arange(4.0)).shape == (1, 1, 4)
-    assert [k.shape for k in spec.half_ik] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
-    assert [k.shape for k in spec.half_k2] == [(4, 1, 1), (1, 5, 1), (1, 1, 4)]
     half = rfftn(np.ones(spec.grid_points), spec)
-    assert (spec.half_ik[2] * half).shape == half.shape == (4, 5, 4)
+    assert laplacian_symbol(spec, [1.0, 2.0, 3.0]).shape == half.shape == (4, 5, 4)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -100,16 +101,11 @@ def test_real_gradient_matches_complex_transform(shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_half_spectrum_round_trip_divergence_and_laplacian(shape):
+def test_half_spectrum_round_trip_and_laplacian(shape):
     spec = spec_for(shape)
     rng = np.random.default_rng(11)
     values = rng.standard_normal(shape)
     np.testing.assert_allclose(irfftn(rfftn(values, spec), spec), values, rtol=0, atol=1e-13)
-
-    fluxes = [rng.standard_normal(shape) for _ in range(spec.dim)]
-    expected = sum(complex_derivative(f, spec, axis) for axis, f in enumerate(fluxes))
-    got = irfftn(divergence_spectrum(fluxes, spec), spec)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     weights = [0.5 + axis for axis in range(spec.dim)]
     full_symbol = sum(w * spec.along(axis, spec.wavenumbers[axis]) ** 2
@@ -117,6 +113,30 @@ def test_half_spectrum_round_trip_divergence_and_laplacian(shape):
     expected = np.fft.ifftn(-full_symbol * np.fft.fftn(values)).real
     got = irfftn(-laplacian_symbol(spec, weights) * rfftn(values, spec), spec)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11 * np.max(full_symbol))
+
+
+def frozen_laplacian_symbol(spec, axis_weights):
+    """laplacian_symbol's |k|^2 form, frozen: the last axis keeps |k| of its g//2 + 1 leading bins."""
+    half_k2 = []
+    for axis, k in enumerate(spec.wavenumbers):
+        if axis == spec.dim - 1:
+            k = np.abs(k[: spec.grid_points[axis] // 2 + 1])
+        half_k2.append(spec.along(axis, k) ** 2)
+    return sum(w * k2 for w, k2 in zip(axis_weights, half_k2))
+
+
+@pytest.mark.parametrize("shape", [(512,), (7,), (32, 31), (31, 32), (6, 7, 8), (16, 16, 16, 16),
+                                   (128, 128)])
+def test_laplacian_symbol_is_bitwise_the_abs_k_form(shape):
+    # an even last axis ends on the Nyquist bin, which fftfreq makes negative
+    spec = SystemSpec(len(shape), 1, tuple(1.0 + 0.7 * n for n in range(len(shape))), (40.0,),
+                      shape, dt=0.01, hbar=0.9)
+    for weights in ([0.5 * spec.hbar / m for m in spec.axis_masses],
+                    spec.hbar ** 2 / (2.0 * spec.axis_masses)):
+        got = laplacian_symbol(spec, weights)
+        want = frozen_laplacian_symbol(spec, weights)
+        assert got.shape == want.shape == rfftn(np.zeros(shape), spec).shape
+        np.testing.assert_array_equal(got, want)
 
 
 def one_axis_derivative(values, spec, axis):
@@ -128,15 +148,6 @@ def one_axis_derivative(values, spec, axis):
         return np.fft.irfftn(spec.along(axis, 1j * k[: g // 2 + 1]) * spectrum, s=(g,), axes=(axis,))
     spectrum = np.fft.fftn(values, axes=(axis,))
     return np.fft.ifftn(spec.along(axis, 1j * k) * spectrum, axes=(axis,))
-
-
-def test_complex_gradient_keeps_complex_path():
-    spec = spec_for((6, 7))
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
-    for axis, g in enumerate(gradient_arrays(values, spec)):
-        assert np.iscomplexobj(g)
-        np.testing.assert_array_equal(g, one_axis_derivative(values, spec, axis))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -260,40 +271,32 @@ def test_diffuse_is_a_semigroup_that_starts_at_rho(spec, center, sigma):
 # in test_quantum
 
 
-def nd_hamilton_step(state, potential, shift, dt_pde):
-    """One hamilton_evolve RK4 step, its derivatives spelled out as n-D real transforms."""
+def one_axis_hamilton_step(state, potential, shift, dt_pde):
+    """One hamilton_evolve RK4 step, each first derivative spelled out as a one-axis pair."""
     spec = state.spec
     shape, axes = spec.grid_points, tuple(range(spec.dim))
-    half_ik = []
-    for axis, k in enumerate(spec.derivative_wavenumbers):
-        if axis == spec.dim - 1:
-            k = np.abs(k[: shape[axis] // 2 + 1])
-        half_ik.append(1j * spec.along(axis, k))
     curvature_symbol = laplacian_symbol(spec, spec.hbar ** 2 / (2.0 * spec.axis_masses))
     inverse_masses = [1.0 / spec.axis_masses[axis] for axis in range(spec.dim)]
     slope = state.phase_slope
 
     def rates(rho_values, phase_values):
-        spectrum = np.fft.rfftn(phase_values)
-        phase_grads = [np.fft.irfftn(ik * spectrum, s=shape, axes=axes) for ik in half_ik]
         root = np.sqrt(rho_values)
         bent = np.fft.irfftn(-curvature_symbol * np.fft.rfftn(root), s=shape, axes=axes)
         phase_rate = -potential.values.values + bent / root
-        fluxes = []
+        rho_rate = 0.0
         for axis in range(spec.dim):
-            total_grad = phase_grads[axis] + slope[axis]
+            total_grad = one_axis_derivative(phase_values, spec, axis) + slope[axis]
             relative = total_grad - spec.axis_masses[axis] * shift.per_axis[axis]
             phase_rate = phase_rate - 0.5 * inverse_masses[axis] * relative ** 2
             velocity = total_grad * inverse_masses[axis] - shift.per_axis[axis]
-            fluxes.append(rho_values * velocity)
-        divergence = sum(ik * np.fft.rfftn(f) for ik, f in zip(half_ik, fluxes))
-        return -np.fft.irfftn(divergence, s=shape, axes=axes), phase_rate
+            rho_rate = rho_rate - one_axis_derivative(rho_values * velocity, spec, axis)
+        return rho_rate, phase_rate
 
     return rk4_step(rates, (state.rho.values, state.phase.values), dt_pde)
 
 
 @pytest.mark.parametrize("grid", [(12, 10), (11, 9)])
-def test_hamilton_evolve_step_is_bitwise_the_nd_form(grid):
+def test_hamilton_evolve_step_is_bitwise_the_one_axis_form(grid):
     spec = SystemSpec(2, 1, (1.0, 2.0), (16.0,), grid, dt=0.05)
     x0, x1 = spec.mesh()
     base = floored_state(gaussian_state(spec, center=np.array([7.0, 9.0]), sigma=2.0,
@@ -303,7 +306,7 @@ def test_hamilton_evolve_step_is_bitwise_the_nd_form(grid):
     potential = Potential.from_values(0.2 * np.cos(2.0 * np.pi * (x0 - x1) / 16.0), spec)
     shift = ShiftVelocity(np.array([0.15]), spec)
     evolved = hamilton_evolve(state, potential, shift, 2e-3, 2e-3)
-    rho, phase = nd_hamilton_step(state, potential, shift, 2e-3)
+    rho, phase = one_axis_hamilton_step(state, potential, shift, 2e-3)
     np.testing.assert_array_equal(evolved.rho.values, rho)
     np.testing.assert_array_equal(evolved.phase.values, phase)
 
